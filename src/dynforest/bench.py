@@ -1,4 +1,4 @@
-"""Wall-clock helpers for the training and unlearning comparisons."""
+"""Wall-clock helpers for the CLI's timed training and unlearning runs."""
 
 from __future__ import annotations
 
@@ -6,26 +6,12 @@ import time
 
 import numpy as np
 
-from .forest import Forest
-from .oracle import naive_retrain
-
 
 def timed(fn, *args, **kwargs):
     """Run fn and return (result, elapsed_seconds)."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
-
-
-def time_train(ds, params, lazy=True, workers=1):
-    """Train a forest and return (forest, seconds)."""
-    return timed(Forest.train, ds, params, lazy=lazy, workers=workers)
-
-
-def naive_retrain_seconds(ds, params, seed=None, workers=1):
-    """Seconds for a from-scratch retrain on ds's current live rows."""
-    _, seconds = timed(naive_retrain, ds, params, seed=seed, workers=workers)
-    return seconds
 
 
 def sequential_unlearn(forest, ids):
@@ -40,9 +26,3 @@ def sequential_unlearn(forest, ids):
         forest.delete(int(sid))
         per_op[j] = time.perf_counter() - t0
     return per_op, time.perf_counter() - start
-
-
-def batch_unlearn_seconds(forest, ids, finalize=True):
-    """Seconds to delete a batch (optionally flushing tags at the end)."""
-    _, seconds = timed(forest.unlearn_batch, ids, finalize=finalize)
-    return seconds

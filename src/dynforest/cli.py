@@ -19,7 +19,8 @@ import numpy as np
 
 from . import bench, metrics, snapshot, stream as stream_mod, synth
 from .data import ParseError, SchemaError, load_csv, load_schema
-from .forest import Forest, ForestParams, subsample_count
+from .forest import Forest, ForestParams
+from .oracle import naive_retrain
 from .snapshot import SnapshotError
 from .tree import TreeParams
 
@@ -96,10 +97,8 @@ def cmd_train(args):
     seed = _resolve_seed(args)
     ds = _load_dataset(args)
     params = _forest_params(args, seed)
-    (forest, seconds) = bench.time_train(ds, params, lazy=not args.no_lazy,
-                                         workers=args.workers)
+    forest, seconds = bench.timed(Forest.train, ds, params, lazy=not args.no_lazy)
     snapshot.save(forest, args.model)
-    forest.close()
     _emit([("rows", ds.n_live), ("attrs", ds.n_attrs),
            ("trees", params.n_trees), ("trees_per_sample", forest.k),
            ("lazy", not args.no_lazy), ("seed", seed),
@@ -108,12 +107,11 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    forest = snapshot.load(args.model, workers=args.workers)
+    forest = snapshot.load(args.model)
     if forest.ds.schema is None:
         raise SchemaError("model %s carries no schema" % args.model)
     test = load_csv(args.csv, forest.ds.schema)
     result = metrics.evaluate(forest, test)
-    forest.close()
     _emit([("n", result["n"]),
            ("positive_rate", result["positive_rate"]),
            ("accuracy", result["accuracy"]),
@@ -125,21 +123,19 @@ def cmd_eval(args):
 
 def cmd_unlearn_seq(args):
     seed = _resolve_seed(args)
-    forest = snapshot.load(args.model, workers=args.workers)
+    forest = snapshot.load(args.model)
     ids = _pick_ids(args, forest, seed)
     per_op, total = bench.sequential_unlearn(forest, ids)
     pairs = [("deleted", len(ids)), ("total_s", total),
              ("mean_delete_s", float(per_op.mean())),
              ("max_delete_s", float(per_op.max()))]
     if not args.skip_naive:
-        naive_s = bench.naive_retrain_seconds(forest.ds, forest.params,
-                                              workers=args.workers)
+        _, naive_s = bench.timed(naive_retrain, forest.ds, forest.params)
         pairs += [("naive_retrain_s", naive_s),
                   ("boost", naive_s / float(per_op.mean()))]
     if args.model_out:
         snapshot.save(forest, args.model_out)
         pairs.append(("model", args.model_out))
-    forest.close()
     if args.out:
         with open(args.out, "w") as f:
             for j, (sid, sec) in enumerate(zip(ids, per_op)):
@@ -150,13 +146,13 @@ def cmd_unlearn_seq(args):
 
 def cmd_unlearn_batch(args):
     seed = _resolve_seed(args)
-    forest = snapshot.load(args.model, workers=args.workers)
+    forest = snapshot.load(args.model)
     ids = _pick_ids(args, forest, seed)
     size = args.batch_size or len(ids)
     if size < 1:
         raise SchemaError("--batch-size must be >= 1")
     batches = [ids[lo:lo + size] for lo in range(0, len(ids), size)]
-    times = [bench.batch_unlearn_seconds(forest, batch, finalize=True)
+    times = [bench.timed(forest.unlearn_batch, batch, finalize=True)[1]
              for batch in batches]
     pairs = [("deleted", len(ids)), ("batches", len(batches)),
              ("batch_size", size), ("total_s", float(np.sum(times))),
@@ -164,19 +160,17 @@ def cmd_unlearn_batch(args):
     if args.model_out:
         snapshot.save(forest, args.model_out)
         pairs.append(("model", args.model_out))
-    forest.close()
     _emit(pairs)
     return 0
 
 
 def cmd_stream(args):
-    forest = snapshot.load(args.model, workers=args.workers)
+    forest = snapshot.load(args.model)
     with open(args.requests) as f:
         lines = f.readlines()
     records = stream_mod.replay(forest, lines)
     if args.model_out:
         snapshot.save(forest, args.model_out)
-    forest.close()
     if args.out:
         with open(args.out, "w") as f:
             for rec in records:
@@ -217,11 +211,6 @@ def _add_data(sp):
     sp.add_argument("--schema", required=True, help="JSON schema sidecar")
 
 
-def _add_workers(sp):
-    sp.add_argument("--workers", type=int, default=1,
-                    help="threads for per-tree fan-out")
-
-
 def _add_id_choice(sp):
     sp.add_argument("--ids", help="comma-separated sample ids")
     sp.add_argument("--ids-file", help="file with one sample id per line")
@@ -258,13 +247,11 @@ def build_parser():
     sp.add_argument("--no-lazy", action="store_true",
                     help="rebuild tagged subtrees immediately after updates")
     _add_seed(sp)
-    _add_workers(sp)
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval", help="score a model on a test CSV")
     _add_data(sp)
     sp.add_argument("--model", required=True)
-    _add_workers(sp)
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("unlearn-seq", help="delete samples one by one, timed")
@@ -275,7 +262,6 @@ def build_parser():
     sp.add_argument("--skip-naive", action="store_true",
                     help="skip timing the from-scratch retrain baseline")
     _add_seed(sp)
-    _add_workers(sp)
     sp.set_defaults(fn=cmd_unlearn_seq)
 
     sp = sub.add_parser("unlearn-batch", help="delete samples in batches, then flush")
@@ -285,7 +271,6 @@ def build_parser():
                     help="ids per batch (default: all in one batch)")
     sp.add_argument("--model-out", help="save the updated model here")
     _add_seed(sp)
-    _add_workers(sp)
     sp.set_defaults(fn=cmd_unlearn_batch)
 
     sp = sub.add_parser("stream", help="replay a JSONL request stream, timed")
@@ -293,7 +278,6 @@ def build_parser():
     sp.add_argument("--requests", required=True, help="JSONL request file")
     sp.add_argument("--out", help="write per-request latency JSONL here")
     sp.add_argument("--model-out", help="save the post-stream model here")
-    _add_workers(sp)
     sp.set_defaults(fn=cmd_stream)
 
     sp = sub.add_parser("gen-stream", help="write a synthetic request stream")

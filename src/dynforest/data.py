@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +113,9 @@ class Schema:
                 except ValueError:
                     raise ParseError("line %d: column %r: %r is not numeric"
                                      % (line_no, col.name, cell)) from None
+                if not math.isfinite(x[j]):
+                    raise ParseError("line %d: column %r: %r is not finite"
+                                     % (line_no, col.name, cell))
                 j += 1
             elif col.kind == CATEGORICAL:
                 try:
@@ -169,9 +172,8 @@ class Dataset:
     """Encoded samples addressed by stable integer id.
 
     Ids are assigned 0, 1, 2, ... in insertion order and never reused.
-    Deletion tombstones the row; the storage slot stays allocated so any
-    in-flight readers of the feature matrix remain valid.  Mutations are
-    serialized with a lock; reads of committed rows are lock-free.
+    Deletion tombstones the row; the storage slot stays allocated.  Rows
+    must have finite features and 0/1 labels.
     """
 
     def __init__(self, n_attrs, schema=None, capacity=1024):
@@ -186,7 +188,6 @@ class Dataset:
         self._next_id = 0
         self._n_live = 0
         self._n_pos = 0
-        self._lock = threading.Lock()
 
     # -- storage ------------------------------------------------------
 
@@ -257,30 +258,41 @@ class Dataset:
 
     def add(self, features, label):
         """Append a sample; returns its new id."""
-        x = np.asarray(features, dtype=np.float64)
-        if x.shape != (self.n_attrs,):
-            raise ValueError("expected %d features, got shape %s" % (self.n_attrs, x.shape))
-        if label not in (0, 1):
-            raise ValueError("label must be 0 or 1, got %r" % (label,))
-        with self._lock:
-            sample_id = self._next_id
-            self._grow(sample_id + 1)
-            self._X[sample_id] = x
-            self._y[sample_id] = label
-            # publish the row only after its contents are written
-            self._live[sample_id] = True
-            self._next_id = sample_id + 1
-            self._n_live += 1
-            self._n_pos += int(label)
-        return sample_id
+        return int(self.add_many([features], [label])[0])
+
+    def add_many(self, X, y):
+        """Append a block of samples; returns their new ids.
+
+        The whole block is validated before any row is stored.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y)
+        if X.ndim != 2 or X.shape[1] != self.n_attrs:
+            raise ValueError("expected %d features, got shape %s" % (self.n_attrs, X.shape[1:]))
+        if y.shape != (len(X),):
+            raise ValueError("expected %d labels, got shape %s" % (len(X), y.shape))
+        if not np.isfinite(X).all():
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+            raise ValueError("features must be finite, row %d is not" % bad)
+        ok = (y == 0) | (y == 1)
+        if not ok.all():
+            raise ValueError("label must be 0 or 1, got %r" % (y.tolist()[np.argmin(ok)],))
+        lo = self._next_id
+        self._grow(lo + len(X))
+        self._X[lo:lo + len(X)] = X
+        self._y[lo:lo + len(X)] = y
+        self._live[lo:lo + len(X)] = True
+        self._next_id = lo + len(X)
+        self._n_live += len(X)
+        self._n_pos += int(np.count_nonzero(y))
+        return np.arange(lo, self._next_id, dtype=np.int64)
 
     def tombstone(self, sample_id):
         """Mark a live sample dead.  The id is never reused."""
-        with self._lock:
-            self._check_live(sample_id)
-            self._live[sample_id] = False
-            self._n_live -= 1
-            self._n_pos -= int(self._y[sample_id])
+        self._check_live(sample_id)
+        self._live[sample_id] = False
+        self._n_live -= 1
+        self._n_pos -= int(self._y[sample_id])
 
 
 def load_csv(path, schema):
@@ -300,11 +312,14 @@ def load_csv(path, schema):
         if [h.strip() for h in header] != expect:
             raise SchemaError("%s: header %r does not match schema columns %r"
                               % (path, header, expect))
+        rows, labels = [], []
         for line_no, raw in enumerate(reader, start=2):
             if not raw:
                 continue  # blank line
             x, label = schema.encode_row(raw, line_no=line_no)
-            ds.add(x, label)
+            rows.append(x)
+            labels.append(label)
+    ds.add_many(np.reshape(rows, (len(rows), schema.n_attrs)), labels)
     return ds
 
 
@@ -315,8 +330,7 @@ def dataset_from_arrays(X, y, schema=None):
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be 2-d with one row per label")
     ds = Dataset(X.shape[1], schema=schema, capacity=len(X))
-    for i in range(len(X)):
-        ds.add(X[i], int(y[i]))
+    ds.add_many(X, y)
     return ds
 
 
@@ -342,8 +356,7 @@ def train_test_split(ds, test_fraction, seed):
 
     def take(chosen):
         out = Dataset(ds.n_attrs, schema=ds.schema, capacity=max(len(chosen), 16))
-        for sid in chosen:
-            out.add(ds.features(int(sid)), ds.label(int(sid)))
+        out.add_many(ds.X[chosen], ds.y[chosen])
         return out
 
     return take(train_ids), take(test_ids)

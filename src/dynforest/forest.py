@@ -8,15 +8,14 @@ statistics; subtree rebuilds are deferred until a query actually lands on
 a tagged node (or flush() is called).
 
 The forest owns its Dataset: after training, add and delete samples
-through the forest so the assignment map and the per-tree statistics stay
+through the forest so the tree assignment and the per-tree statistics stay
 in step with the data.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,38 +67,44 @@ def distribute(ids, n_trees, k, rng):
         block = rng.permuted(block, axis=1)[:, :k]
         block.sort(axis=1)
         assign[lo:lo + m] = block
+    return group_by_tree(ids, assign, n_trees), assign
+
+
+def group_by_tree(ids, assign, n_trees):
+    """Split ids by the trees their assign rows name.
+
+    Returns one int64 array per tree holding, in the order of ids, the ids
+    whose row names that tree.
+    """
     flat_tree = assign.ravel()
     order = np.argsort(flat_tree, kind="stable")
-    sorted_ids = np.repeat(ids, k)[order]
+    sorted_ids = np.repeat(ids, assign.shape[1])[order]
     bounds = np.concatenate(([0], np.bincount(flat_tree, minlength=n_trees).cumsum()))
-    per_tree = [sorted_ids[bounds[t]:bounds[t + 1]] for t in range(n_trees)]
-    return per_tree, assign
+    return [sorted_ids[bounds[t]:bounds[t + 1]] for t in range(n_trees)]
 
 
 class Forest:
     """Trained forest; construct with Forest.train() or snapshot.load().
 
-    lazy=False rebuilds tagged subtrees immediately after every update,
-    giving eager semantics for comparison runs.  workers > 1 fans
-    per-tree work (train, flush, batch prediction) across threads;
-    results do not depend on the worker count.
+    assignment is an int32 array with k columns and at least ds.next_id
+    rows: a live id's row holds its sorted tree indices, every other row
+    is -1.  lazy=False rebuilds tagged subtrees immediately after every
+    update, giving eager semantics for comparison runs.
     """
 
-    def __init__(self, ds, params, trees, assignment, rng, lazy=True, workers=1):
+    def __init__(self, ds, params, trees, assignment, rng, lazy=True):
         self.ds = ds
         self.params = params
         self.trees = trees
-        self.assignment = assignment  # live id -> sorted tuple of k tree indices
+        self.assignment = assignment
         self.rng = rng
         self.lazy = lazy
-        self.workers = workers
         self.k = subsample_count(params.occupancy, params.n_trees)
-        self._pool = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def train(cls, ds, params, lazy=True, workers=1):
+    def train(cls, ds, params, lazy=True):
         """Grow a forest over every live sample in ds."""
         params.validate(ds.n_attrs)
         n_trees = params.n_trees
@@ -110,31 +115,11 @@ class Forest:
         per_tree, assign = distribute(ids, n_trees, k, rng)
         trees = [Tree(params.tree, ds, np.random.default_rng(seeds[t]))
                  for t in range(n_trees)]
-        assignment = {int(i): tuple(map(int, row)) for i, row in zip(ids, assign)}
-        forest = cls(ds, params, trees, assignment, rng, lazy=lazy, workers=workers)
-        forest._over_trees(lambda pair: pair[0].build(pair[1]),
-                           list(zip(trees, per_tree)))
-        return forest
-
-    # -- parallel helper ----------------------------------------------------
-
-    def _over_trees(self, fn, trees):
-        if self.workers > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            return list(self._pool.map(fn, trees))
-        return [fn(t) for t in trees]
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        assignment = np.full((ds.next_id, k), -1, np.int32)
+        assignment[ids] = assign
+        for tree, tree_ids in zip(trees, per_tree):
+            tree.build(tree_ids)
+        return cls(ds, params, trees, assignment, rng, lazy=lazy)
 
     # -- prediction ---------------------------------------------------------
 
@@ -150,7 +135,7 @@ class Forest:
         if x.shape != (self.ds.n_attrs,):
             raise ValueError("expected %d features, got shape %s"
                              % (self.ds.n_attrs, x.shape))
-        counts = self._over_trees(lambda t: t.query(x), self.trees)
+        counts = [t.query(x) for t in self.trees]
         prior = self.prior
         return float(np.mean([pos / n if n else prior for n, pos in counts]))
 
@@ -160,10 +145,10 @@ class Forest:
         if X.ndim != 2 or X.shape[1] != self.ds.n_attrs:
             raise ValueError("expected (m, %d) matrix, got shape %s"
                              % (self.ds.n_attrs, X.shape))
-        results = self._over_trees(lambda t: t.query_many(X), self.trees)
         prior = self.prior
         probs = np.empty((len(self.trees), len(X)))
-        for t, (n, pos) in enumerate(results):
+        for t, tree in enumerate(self.trees):
+            n, pos = tree.query_many(X)
             with np.errstate(invalid="ignore"):
                 probs[t] = np.where(n > 0, pos / np.maximum(n, 1), prior)
         return probs.mean(axis=0)
@@ -178,7 +163,12 @@ class Forest:
         sample_id = self.ds.add(features, label)
         chosen = np.sort(self.rng.choice(self.params.n_trees, size=self.k,
                                          replace=False))
-        self.assignment[sample_id] = tuple(int(t) for t in chosen)
+        if sample_id >= len(self.assignment):
+            grown = np.full((max(sample_id + 1, 2 * len(self.assignment)), self.k),
+                            -1, np.int32)
+            grown[:len(self.assignment)] = self.assignment
+            self.assignment = grown
+        self.assignment[sample_id] = chosen
         for t in chosen:
             tagged = self.trees[t].add(sample_id)
             if tagged is not None and not self.lazy:
@@ -197,7 +187,7 @@ class Forest:
             tagged = self.trees[t].delete(sample_id)
             if tagged is not None and not self.lazy:
                 self.trees[t].rebuild_node(tagged)
-        del self.assignment[sample_id]
+        self.assignment[sample_id] = -1
         self.ds.tombstone(sample_id)
 
     def unlearn_batch(self, ids, finalize=False):
@@ -218,27 +208,26 @@ class Forest:
             if sample_id in seen:
                 raise KeyError("batch rejected: sample id %d repeated" % sample_id)
             seen.add(sample_id)
-        groups = [[] for _ in self.trees]
-        for sample_id in ids:
-            for t in self.assignment[sample_id]:
-                groups[t].append(sample_id)
+        batch = np.asarray(ids, np.int64)
+        groups = group_by_tree(batch, self.assignment[batch], len(self.trees))
         for t, group in enumerate(groups):
-            if not group:
+            if not len(group):
                 continue
             tagged = [] if not self.lazy else None
-            self.trees[t].delete_group(np.asarray(group, np.int64), tagged)
+            self.trees[t].delete_group(group, tagged)
             if tagged:
                 for node in tagged:
                     self.trees[t].rebuild_node(node)
+        self.assignment[batch] = -1
         for sample_id in ids:
-            del self.assignment[sample_id]
             self.ds.tombstone(sample_id)
         if finalize:
             self.flush()
 
     def flush(self):
         """Rebuild every tagged subtree in every tree."""
-        self._over_trees(lambda t: t.flush(), self.trees)
+        for t in self.trees:
+            t.flush()
 
     # -- introspection --------------------------------------------------------
 
@@ -247,13 +236,8 @@ class Forest:
 
     def telemetry(self):
         """Sum of all per-tree work counters."""
-        total = Telemetry()
-        for t in self.trees:
-            total.nodes_updated += t.telemetry.nodes_updated
-            total.subtree_samples_rebuilt += t.telemetry.subtree_samples_rebuilt
-            total.range_resample_samples += t.telemetry.range_resample_samples
-            total.attrs_resampled += t.telemetry.attrs_resampled
-        return total
+        return Telemetry(**{f.name: sum(getattr(t.telemetry, f.name) for t in self.trees)
+                            for f in fields(Telemetry)})
 
     def reset_telemetry(self):
         for t in self.trees:

@@ -47,7 +47,7 @@ def sortmerge_best_split(values, positive, thresholds):
     return b, c
 
 
-def naive_retrain(ds, params, seed=None, workers=1):
+def naive_retrain(ds, params, seed=None):
     """Train a brand-new forest on ds's current live samples.
 
     This is the from-scratch baseline that an unlearned forest must match
@@ -55,31 +55,37 @@ def naive_retrain(ds, params, seed=None, workers=1):
     """
     if seed is not None:
         params = replace(params, seed=seed)
-    return Forest.train(ds, params, workers=workers)
+    return Forest.train(ds, params)
 
 
 def occupancy_check(forest):
     """Verify the sample-to-tree assignment invariants by full rescan.
 
-    Checks that the assignment keys are exactly the live ids, that every
-    entry names k distinct trees, and that every tree's root covers
-    exactly the ids assigned to it.
+    Checks that every live id's row names k distinct trees in range, that
+    every other row is all -1, and that every tree's root covers exactly
+    the ids assigned to it.
     """
     report = AuditReport()
-    live = set(int(i) for i in forest.ds.live_ids())
-    assigned = set(forest.assignment)
-    for sid in sorted(live - assigned):
-        report.flag("assignment", "live id missing", "id %d" % sid)
-    for sid in sorted(assigned - live):
-        report.flag("assignment", "dead or unknown id present", "id %d" % sid)
-    expect = [set() for _ in forest.trees]
+    n_trees = len(forest.trees)
     k = forest.k
-    for sid, row in forest.assignment.items():
+    unassigned = [-1] * k
+    rows = forest.assignment.tolist()
+    rows += [unassigned] * (forest.ds.next_id - len(rows))
+    live = set(int(i) for i in forest.ds.live_ids())
+    expect = [set() for _ in forest.trees]
+    for sid, row in enumerate(rows):
+        if sid not in live:
+            if row != unassigned:
+                report.flag("assignment", "dead or unknown id present", "id %d" % sid)
+            continue
+        if row == unassigned:
+            report.flag("assignment", "live id missing", "id %d" % sid)
+            continue
         if len(set(row)) != k:
             report.flag("assignment", "id %d not in exactly %d distinct trees" % (sid, k),
                         str(row))
         for t in row:
-            if not 0 <= t < len(forest.trees):
+            if not 0 <= t < n_trees:
                 report.flag("assignment", "id %d names tree %d out of range" % (sid, t))
             else:
                 expect[t].add(sid)

@@ -4,7 +4,7 @@ Layout: an 8-byte magic string, a little-endian uint32 header length, a
 JSON header (sorted keys, compact separators), then the raw bytes of every
 array the header lists, concatenated in listing order (C order, native
 little-endian dtypes).  Everything that affects future behaviour is
-captured: the dataset (including tombstones), the assignment map, every
+captured: the dataset (including tombstones), the tree assignment, every
 node of every tree with its cached statistics and tags, and the exact
 generator states, so a reloaded forest continues bit-for-bit like the
 original.  Saving the same forest twice yields identical bytes.
@@ -101,10 +101,9 @@ def save(forest, path):
     put("X", ds.X)
     put("y", ds.y)
     put("live", ds._live[: ds.next_id].astype(np.uint8))
-    live_ids = sorted(forest.assignment)
-    put("assign_ids", np.asarray(live_ids, np.int64))
-    put("assign_trees", np.asarray([forest.assignment[i] for i in live_ids],
-                                   np.int32).reshape(len(live_ids), forest.k))
+    live_ids = ds.live_ids()
+    put("assign_ids", live_ids)
+    put("assign_trees", forest.assignment[live_ids])
     tree_meta = []
     for t, tree in enumerate(forest.trees):
         n_nodes = _pack_tree(t, tree, put)
@@ -180,17 +179,35 @@ def _unpack_tree(t, n_nodes, arrays, tree):
     tree.n_tagged = int((flags & _TAGGED).astype(bool).sum())
 
 
-def load(path, workers=1):
-    """Read a snapshot back into a live Forest."""
+def load(path):
+    """Read a snapshot back into a live Forest.
+
+    Raises SnapshotError for a file that is not a well-formed snapshot.
+    """
+    try:
+        return _build(*_read(path))
+    except SnapshotError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise SnapshotError("%s: malformed snapshot (%s: %s)"
+                            % (path, type(e).__name__, e)) from None
+
+
+def _read(path):
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise SnapshotError("%s: not a model snapshot (bad magic)" % path)
-        (blob_len,) = struct.unpack("<I", f.read(4))
+        raw = f.read(4)
+        if len(raw) != 4:
+            raise SnapshotError("%s: truncated header length" % path)
+        (blob_len,) = struct.unpack("<I", raw)
         try:
             header = json.loads(f.read(blob_len).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise SnapshotError("%s: corrupt header (%s)" % (path, e)) from None
+        if not isinstance(header, dict):
+            raise SnapshotError("%s: corrupt header (not an object)" % path)
         if header.get("version") != VERSION:
             raise SnapshotError("%s: unsupported snapshot version %r"
                                 % (path, header.get("version")))
@@ -203,17 +220,17 @@ def load(path, workers=1):
             arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         if f.read(1):
             raise SnapshotError("%s: trailing bytes after last array" % path)
+    return header, arrays
 
+
+def _build(header, arrays):
     schema = Schema.from_dict(header["schema"]) if header["schema"] else None
     d = header["data"]["n_attrs"]
     next_id = header["data"]["next_id"]
     ds = Dataset(d, schema=schema, capacity=max(next_id, 16))
-    live = arrays["live"].astype(bool)
-    X, y = arrays["X"], arrays["y"]
-    for i in range(next_id):
-        ds.add(X[i], int(y[i]))
-        if not live[i]:
-            ds.tombstone(i)
+    ds.add_many(arrays["X"], arrays["y"])
+    for i in np.flatnonzero(arrays["live"] == 0):
+        ds.tombstone(int(i))
 
     tp = TreeParams(**header["tree_params"])
     fp = ForestParams(n_trees=header["forest"]["n_trees"],
@@ -227,9 +244,8 @@ def load(path, workers=1):
         tree = Tree(tp, ds, rng)
         _unpack_tree(t, meta["n_nodes"], arrays, tree)
         trees.append(tree)
-    assignment = {int(i): tuple(int(v) for v in row)
-                  for i, row in zip(arrays["assign_ids"], arrays["assign_trees"])}
+    assignment = np.full((next_id, arrays["assign_trees"].shape[1]), -1, np.int32)
+    assignment[arrays["assign_ids"]] = arrays["assign_trees"]
     rng = np.random.default_rng(0)
     rng.bit_generator.state = header["forest"]["rng"]
-    return Forest(ds, fp, trees, assignment, rng,
-                  lazy=header["forest"]["lazy"], workers=workers)
+    return Forest(ds, fp, trees, assignment, rng, lazy=header["forest"]["lazy"])

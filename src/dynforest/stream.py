@@ -8,13 +8,14 @@ One JSON object per line:
 
 Requests are served strictly in file order against a single forest.  Each
 served request yields a LatencyRecord with the service time in
-microseconds; malformed lines and unknown delete ids are recorded as
-failures and the stream continues.
+microseconds; malformed lines, non-finite features and unknown delete
+ids are recorded as failures and the stream continues.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ import numpy as np
 from .data import ParseError
 
 OPS = ("add", "delete", "query")
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -63,8 +65,9 @@ def parse_request(line, n_attrs):
         feats = obj.get("features")
         if (not isinstance(feats, list) or len(feats) != n_attrs
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in feats)):
-            raise ParseError("op %r needs a numeric feature list of length %d" % (op, n_attrs))
+                           and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in feats)):
+            raise ParseError("op %r needs a finite numeric feature list of length %d"
+                             % (op, n_attrs))
         req.features = np.asarray(feats, dtype=np.float64)
     if op == "add":
         label = obj.get("label")
@@ -102,7 +105,7 @@ def replay(forest, lines):
             else:
                 result = forest.predict(req.features)
             ok = True
-        except KeyError as e:
+        except (KeyError, ValueError) as e:
             result = str(e)
             ok = False
         micros = (time.perf_counter_ns() - start) / 1000.0

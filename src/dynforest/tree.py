@@ -30,14 +30,13 @@ rebuilds every tagged subtree eagerly.
 Randomness at a node is consumed in a fixed order: one attribute-subset
 draw, then one batch of s threshold draws per slot in slot order; range
 resampling consumes one batch of s draws per affected slot, in slot
-order.  Children are built left before right.  A Tree is not safe for
-concurrent use; parallelism belongs one level up, across trees.
+order.  Children are built left before right.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,18 +96,11 @@ class Telemetry:
     attrs_resampled: int = 0
 
     def reset(self):
-        self.nodes_updated = 0
-        self.subtree_samples_rebuilt = 0
-        self.range_resample_samples = 0
-        self.attrs_resampled = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
     def as_dict(self):
-        return {
-            "nodes_updated": self.nodes_updated,
-            "subtree_samples_rebuilt": self.subtree_samples_rebuilt,
-            "range_resample_samples": self.range_resample_samples,
-            "attrs_resampled": self.attrs_resampled,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -146,12 +138,6 @@ class SlotBlock:
     @property
     def p(self):
         return len(self.attrs)
-
-    def slot(self, k):
-        """View of slot k as an AttributeSlot (arrays are shared)."""
-        return AttributeSlot(int(self.attrs[k]), float(self.amin[k]), float(self.amax[k]),
-                             self.thr[k], self.b[k], self.c[k],
-                             self.score[k] if self.score is not None else None)
 
 
 class Node:

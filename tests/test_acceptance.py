@@ -60,10 +60,10 @@ def timed_trains():
     forest itself is discarded to cap memory.
     """
     ds = make_dataset(BIG_N, d=20, seed=0)
-    full, t_full = bench.time_train(ds, big_params(1.0))
+    full, t_full = bench.timed(Forest.train, ds, big_params(1.0))
     del full
     gc.collect()
-    forest_sub, t_sub = bench.time_train(ds, big_params(0.1))
+    forest_sub, t_sub = bench.timed(Forest.train, ds, big_params(0.1))
     return {"ds": ds, "t_full": t_full, "t_sub": t_sub, "forest_sub": forest_sub}
 
 
@@ -91,7 +91,7 @@ def test_01_occupancy_law(capsys):
         forest = Forest.train(ds, params)
         k = subsample_count(q, n_trees)
         assert 1 <= k <= n_trees
-        for row in forest.assignment.values():
+        for row in forest.assignment[ds.live_ids()].tolist():
             assert len(row) == k and len(set(row)) == k
         total = sum(len(t.root.ids) for t in forest.trees)
         assert total == k * n, "membership total %d != k*n %d" % (total, k * n)
@@ -225,9 +225,8 @@ def test_05_census_income_accuracy(capsys):
     params = ForestParams(n_trees=100, occupancy=0.2, seed=7,
                           tree=TreeParams(max_depth=20, n_thresholds=30,
                                           min_split_size=10))
-    forest = Forest.train(ds, params, workers=4)
+    forest = Forest.train(ds, params)
     acc = accuracy(y_te, forest.predict_many(X_te) >= 0.5)
-    forest.close()
     ok = abs(acc - 0.8650) < 0.01
     elapsed = time.perf_counter() - start
     conclude(capsys, 5, "census-income-accuracy", ok,
@@ -277,7 +276,7 @@ def test_08_batch_runtime_convergence(capsys):
         forest = Forest.train(ds, big_params(0.1))
         batch = [int(i) for i in
                  np.random.default_rng(88).choice(ds.live_ids(), size, replace=False)]
-        totals.append(bench.batch_unlearn_seconds(forest, batch, finalize=True))
+        totals.append(bench.timed(forest.unlearn_batch, batch, finalize=True)[1])
         del forest, ds
         gc.collect()
     first = totals[1] / totals[0]
@@ -296,7 +295,7 @@ def test_08_batch_runtime_convergence(capsys):
 def test_09_stream_query_latency_ordering(capsys, tmp_path):
     start = time.perf_counter()
     ds = make_dataset(BIG_N, d=20, seed=0)
-    forest, _ = bench.time_train(ds, big_params(0.1, seed=9))
+    forest, _ = bench.timed(Forest.train, ds, big_params(0.1, seed=9))
     path = tmp_path / "model.bin"
     save(forest, path)
     del forest, ds

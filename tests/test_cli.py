@@ -12,6 +12,8 @@ import pytest
 from dynforest.cli import main
 from dynforest.snapshot import load
 
+from test_snapshot import drop_header_key
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -280,6 +282,14 @@ def test_corrupt_model_exits_2(workspace, tmp_path, capsys):
     code, _, err = run_cli(capsys, "eval", "--csv", workspace["csv"],
                            "--schema", workspace["schema"], "--model", str(bad))
     assert code == 2 and "magic" in err
+
+
+def test_model_missing_header_key_exits_2(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(drop_header_key(open(workspace["model"], "rb").read(), "forest"))
+    code, _, err = run_cli(capsys, "unlearn-seq", "--model", str(bad),
+                           "--ids", "1", "--skip-naive")
+    assert code == 2 and "malformed" in err
 
 
 def test_invalid_hyperparameters_exit_2(workspace, tmp_path, capsys):

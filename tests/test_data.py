@@ -62,6 +62,9 @@ def test_encode_row_errors_name_the_line():
         schema.encode_row(["39", "Nope", "40", ">50K"], line_no=4)
     with pytest.raises(SchemaError, match="empty label"):
         schema.encode_row(["39", "Private", "40", ""], line_no=5)
+    for line_no, cell in enumerate(("nan", "inf", "-Infinity"), start=11):
+        with pytest.raises(ParseError, match="line %d.*not finite" % line_no):
+            schema.encode_row(["39", "Private", cell, ">50K"], line_no=line_no)
 
 
 def test_schema_json_round_trip(tmp_path):
@@ -153,6 +156,27 @@ def test_dataset_validates_rows():
         ds.add([1.0], 1)  # wrong width
     with pytest.raises(ValueError):
         ds.add([1.0, 2.0], 3)  # bad label
+    with pytest.raises(ValueError, match="finite"):
+        ds.add([1.0, np.inf], 1)
+    with pytest.raises(ValueError, match="finite"):
+        ds.add([np.nan, 2.0], 0)
+    assert ds.n_live == 0 and ds.next_id == 0
+
+
+def test_add_many_appends_a_block_or_nothing():
+    ds = Dataset(2, capacity=16)
+    ds.add([9.0, 9.0], 1)
+    rows = np.arange(60.0).reshape(30, 2)
+    labels = np.arange(30) % 2
+    assert ds.add_many(rows, labels).tolist() == list(range(1, 31))
+    assert np.array_equal(ds.X[1:], rows) and ds.y[1:].tolist() == labels.tolist()
+    assert ds.n_live == 31 and ds.n_pos == 16
+    bad = rows.copy()
+    bad[7, 1] = np.inf
+    for X, y in ((bad, labels), (rows, labels * 2), (rows, labels[:5]), (rows[:, :1], labels)):
+        with pytest.raises(ValueError):
+            ds.add_many(X, y)
+    assert ds.n_live == 31 and ds.next_id == 31 and ds.n_pos == 16
 
 
 def test_dataset_growth_preserves_rows():

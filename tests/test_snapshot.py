@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,16 @@ from dynforest.oracle import forest_audit
 from dynforest.snapshot import MAGIC, SnapshotError, load, save
 from dynforest.synth import make_dataset
 from dynforest.tree import TreeParams
+
+
+def drop_header_key(blob, key):
+    """A copy of a snapshot whose JSON header lacks one top-level key."""
+    start = len(MAGIC) + 4
+    (blob_len,) = struct.unpack("<I", blob[len(MAGIC):start])
+    header = json.loads(blob[start:start + blob_len])
+    del header[key]
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return MAGIC + struct.pack("<I", len(new)) + new + blob[start + blob_len:]
 
 
 def trained(seed=0, n=400):
@@ -26,7 +39,7 @@ def test_round_trip_preserves_predictions_and_params(tmp_path):
     back = load(path)
     X = make_dataset(60, d=6, seed=50).X[:60]
     assert np.array_equal(forest.predict_many(X), back.predict_many(X))
-    assert back.assignment == forest.assignment
+    assert np.array_equal(back.assignment, forest.assignment)
     assert back.params == forest.params
     assert back.ds.schema == ds.schema
     assert back.lazy == forest.lazy
@@ -115,6 +128,9 @@ def test_load_rejects_truncated_file(tmp_path):
     path.write_bytes(blob[: len(blob) - 16])
     with pytest.raises(SnapshotError, match="truncated"):
         load(path)
+    path.write_bytes(blob[: len(MAGIC) + 2])  # cut inside the header length
+    with pytest.raises(SnapshotError, match="truncated"):
+        load(path)
 
 
 def test_load_rejects_trailing_bytes(tmp_path):
@@ -138,9 +154,12 @@ def test_load_rejects_unknown_version(tmp_path):
 
 
 def test_load_rejects_garbage_header(tmp_path):
-    import struct
-
     path = tmp_path / "m.bin"
     path.write_bytes(MAGIC + struct.pack("<I", 8) + b"\xff" * 8)
     with pytest.raises(SnapshotError, match="header"):
+        load(path)
+    _, forest = trained(seed=9, n=120)
+    save(forest, path)
+    path.write_bytes(drop_header_key(path.read_bytes(), "forest"))
+    with pytest.raises(SnapshotError, match="forest"):
         load(path)

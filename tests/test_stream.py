@@ -44,6 +44,10 @@ def test_parse_valid_requests():
     ('{"op": "query", "features": [1, 2]}', "feature list"),          # short
     ('{"op": "query", "features": [1, 2, "x"]}', "feature list"),     # non-numeric
     ('{"op": "query", "features": [1, 2, true]}', "feature list"),    # bool
+    ('{"op": "query", "features": [1, 2, NaN]}', "finite"),
+    ('{"op": "add", "features": [Infinity, 2, 3], "label": 1}', "finite"),
+    ('{"op": "add", "features": [1, -Infinity, 3], "label": 0}', "finite"),
+    ('{"op": "query", "features": [1, 2, 1e999]}', "finite"),          # overflows to inf
     ('{"op": "add", "features": [1, 2, 3]}', "label"),
     ('{"op": "add", "features": [1, 2, 3], "label": 2}', "label"),
     ('{"op": "add", "features": [1, 2, 3], "label": true}', "label"),
