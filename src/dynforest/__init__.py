@@ -14,14 +14,13 @@ from .data import (Column, Dataset, ParseError, Schema, SchemaError,
                    train_test_split)
 from .forest import Forest, ForestParams, distribute, subsample_count
 from .metrics import accuracy, auc_roc, evaluate, headline_metric
-from .oracle import (auc_pairs, forest_audit, naive_retrain, occupancy_check,
-                     sortmerge_best_split)
+from .oracle import (AttributeSlot, auc_pairs, forest_audit, naive_retrain,
+                     occupancy_check, score_candidates, sortmerge_best_split)
 from .snapshot import SnapshotError, load, save
 from .stream import LatencyRecord, Request, generate_stream, parse_request, replay
 from .synth import make_arrays, make_dataset, synthetic_schema
-from .tree import (AttributeSlot, Node, Telemetry, Tree, TreeParams,
-                   audit_tree, build_tree, prefix_counts, sample_thresholds,
-                   score_candidates)
+from .tree import (Node, Telemetry, Tree, TreeParams, audit_tree, build_tree,
+                   prefix_counts, sample_thresholds)
 
 __version__ = "0.1.0"
 

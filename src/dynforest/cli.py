@@ -179,7 +179,7 @@ def cmd_stream(args):
     for op, row in stream_mod.summarize(records).items():
         pairs.append(("%s_count" % op, row["count"]))
         pairs.append(("%s_failed" % op, row["failed"]))
-        for stat in ("mean_us", "min_us", "max_us"):
+        for stat in stream_mod.TIME_STATS:
             if row[stat] is not None:
                 pairs.append(("%s_%s" % (op, stat), row[stat]))
     _emit(pairs)

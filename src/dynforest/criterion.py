@@ -4,9 +4,10 @@ Both score a candidate split from its left/right sample and positive counts
 alone.  Lower is better; an empty side contributes zero impurity.  Gini
 lands in [0, 0.5], entropy (in bits) in [0, 1].
 
-The matrix forms score a whole (p attributes x s thresholds) candidate grid
-in one shot from cached count matrices; the tree hot path uses those, the
-scalar forms serve as the independently-coded reference.
+The matrix forms score a whole (p attributes x s thresholds) candidate grid,
+or the grids of a whole frontier of nodes, in one shot from cached count
+matrices; the tree hot path uses those, the scalar forms serve as the
+independently-coded reference.
 """
 
 from __future__ import annotations
@@ -76,13 +77,13 @@ CRITERIA = {"gini": gini, "entropy": entropy}
 
 
 def _gini_matrix(nl, pl, nr, pr, n):
-    def side(nv, pv):
+    def weighted_side(nv, pv):
+        # an empty side has pv = qv = 0: the floored denominator keeps the
+        # quotient 0 and the side's weight nv = 0 zeroes its term
         qv = nv - pv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = 1.0 - (pv * pv + qv * qv) / (nv * nv)
-        return np.where(nv > 0, g, 0.0)
+        return nv * (1.0 - (pv * pv + qv * qv) / np.maximum(nv * nv, 1.0))
 
-    return (nl * side(nl, pl) + nr * side(nr, pr)) / n
+    return (weighted_side(nl, pl) + weighted_side(nr, pr)) / n
 
 
 def _entropy_matrix(nl, pl, nr, pr, n):
@@ -107,8 +108,10 @@ def score_matrix(b, c, n, n_pos, criterion="gini"):
         Samples at or below each candidate threshold (left counts).
     c : ndarray of int, same shape
         Positive samples among those.
-    n, n_pos : int
-        Node totals; right counts follow as n - b and n_pos - c.
+    n, n_pos : int or ndarray of int broadcasting against b
+        Node totals; right counts follow as n - b and n_pos - c.  Arrays
+        score the grids of several nodes at once, e.g. b of shape
+        (m, p, s) with n of shape (m, 1, 1).
     criterion : 'gini' or 'entropy'
 
     Returns
@@ -117,7 +120,7 @@ def score_matrix(b, c, n, n_pos, criterion="gini"):
     """
     if criterion not in CRITERIA:
         raise ValueError("unknown criterion %r" % (criterion,))
-    if n <= 0:
+    if np.asarray(n).min() <= 0:  # any node total non-positive
         raise ValueError("n must be positive")
     nl = np.asarray(b, dtype=np.float64)
     pl = np.asarray(c, dtype=np.float64)

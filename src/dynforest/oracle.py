@@ -3,18 +3,58 @@
 Nothing here shares code with the hot paths it checks: counts come from a
 pure-Python sort-merge instead of vectorized binary search, retraining
 builds a fresh forest instead of patching one, and the occupancy checker
-rescans every tree.  Slow and simple on purpose.
+rescans every tree.  Slow and simple on purpose.  score_candidates is the
+exception: it scores one slot through the per-slot prefix_counts of the
+update path, so that path can be checked against sortmerge_best_split.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import criterion as crit
 from .audit import AuditReport
 from .forest import Forest, ForestParams
-from .tree import audit_tree
+from .tree import audit_tree, prefix_counts
+
+
+@dataclass
+class AttributeSlot:
+    """One candidate attribute's statistics at a node.
+
+    thresholds are sorted ascending; b[i] counts node samples with value
+    at or below thresholds[i], c[i] the positives among them.  A slot
+    whose observed range is a single point scores +inf everywhere.
+    """
+
+    attr: int
+    a_min: float
+    a_max: float
+    thresholds: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    score: np.ndarray
+
+
+def score_candidates(ids, ds, slot, criterion="gini"):
+    """Recompute a slot's counts and scores from raw samples.
+
+    Returns a fresh AttributeSlot; `slot` only supplies the attribute,
+    range and thresholds.  Degenerate ranges (and empty nodes) score +inf.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    vals = ds.X[ids, slot.attr]
+    positive = ds.y[ids] == 1
+    b, c = prefix_counts(vals, positive, slot.thresholds)
+    n, n_pos = len(ids), int(positive.sum())
+    if n == 0 or slot.a_min == slot.a_max:
+        score = np.full(len(slot.thresholds), np.inf)
+    else:
+        score = crit.score_matrix(b, c, n, n_pos, criterion)
+    return AttributeSlot(slot.attr, slot.a_min, slot.a_max,
+                         slot.thresholds.copy(), b, c, score)
 
 
 def sortmerge_best_split(values, positive, thresholds):

@@ -8,11 +8,18 @@ captured: the dataset (including tombstones), the tree assignment, every
 node of every tree with its cached statistics and tags, and the exact
 generator states, so a reloaded forest continues bit-for-bit like the
 original.  Saving the same forest twice yields identical bytes.
+
+Loading checks every array against the bytes left in the file before
+reading it, and each tree's arrays against one another (shapes, child
+links, id counts, slot rows) before building any node; a file that fails
+any check raises SnapshotError.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -139,7 +146,49 @@ def save(forest, path):
             f.write(arr.tobytes())
 
 
+def _check_tree(t, n_nodes, arrays, tree):
+    """Check one tree's arrays fit together before any node is built.
+
+    Raises ValueError, which load() reports as a SnapshotError.
+    """
+    def need(ok, what):
+        if not ok:
+            raise ValueError("tree %d: %s" % (t, what))
+
+    def array(key):
+        return arrays["t%d.%s" % (t, key)]
+
+    need(type(n_nodes) is int and n_nodes >= 1, "n_nodes must be a positive integer")
+    for key, shape in (("depth", (n_nodes,)), ("n_pos", (n_nodes,)),
+                       ("flags", (n_nodes,)), ("best", (n_nodes, 2)),
+                       ("best_w", (n_nodes,)), ("children", (n_nodes, 2)),
+                       ("ids_len", (n_nodes,))):
+        need(array(key).shape == shape, "%s has shape %s, expected %s"
+             % (key, array(key).shape, shape))
+    ids, ids_len = array("ids"), array("ids_len")
+    need(ids.ndim == 1 and (ids_len >= 0).all() and ids_len.sum() == len(ids),
+         "ids_len does not sum to the %d stored ids" % ids.size)
+    need(not len(ids) or 0 <= ids.min() and ids.max() < tree.ds.next_id,
+         "sample id out of range")
+    children = array("children")
+    linked = children[:, 0] != -1
+    need((linked == (children[:, 1] != -1)).all(), "a node has exactly one child")
+    after = np.arange(n_nodes)[:, None] < children
+    need(((children == -1) | after & (children < n_nodes)).all(),
+         "child index not -1 and not between its parent and %d" % n_nodes)
+    need(np.array_equal(np.sort(children[linked].ravel()), np.arange(1, n_nodes)),
+         "nodes other than the root are not each linked exactly once")
+    rows = int(np.count_nonzero(array("flags") & _HAS_SLOTS))
+    for key, tail in (("attrs", (tree.p,)), ("amin", (tree.p,)), ("amax", (tree.p,)),
+                      ("thr", (tree.p, tree.s)), ("b", (tree.p, tree.s)),
+                      ("c", (tree.p, tree.s)), ("score", (tree.p, tree.s))):
+        shape = arrays.get("t%d.slot_%s" % (t, key), np.empty((0,) + tail)).shape
+        need(shape == (rows,) + tail, "slot_%s has shape %s for %d nodes with slots"
+             % (key, shape, rows))
+
+
 def _unpack_tree(t, n_nodes, arrays, tree):
+    _check_tree(t, n_nodes, arrays, tree)
     depth = arrays["t%d.depth" % t]
     n_pos = arrays["t%d.n_pos" % t]
     flags = arrays["t%d.flags" % t]
@@ -212,11 +261,13 @@ def _read(path):
             raise SnapshotError("%s: unsupported snapshot version %r"
                                 % (path, header.get("version")))
         arrays = {}
+        left = os.fstat(f.fileno()).st_size - f.tell()
         for name, dtype, shape in header["arrays"]:
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = f.read(count * np.dtype(dtype).itemsize)
-            if len(raw) != count * np.dtype(dtype).itemsize:
+            size = math.prod(shape) * np.dtype(dtype).itemsize
+            if min(shape, default=0) < 0 or size > left:
                 raise SnapshotError("%s: truncated array %r" % (path, name))
+            left -= size
+            raw = f.read(size)
             arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         if f.read(1):
             raise SnapshotError("%s: trailing bytes after last array" % path)

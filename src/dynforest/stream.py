@@ -24,6 +24,7 @@ import numpy as np
 from .data import ParseError
 
 OPS = ("add", "delete", "query")
+TIME_STATS = ("mean_us", "min_us", "max_us", "p50_us", "p95_us", "p99_us")
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -116,21 +117,24 @@ def replay(forest, lines):
 def summarize(records):
     """Per-op latency summary over successful requests.
 
-    Returns {op: {"count", "failed", "mean_us", "min_us", "max_us"}}.
+    Returns {op: {"count", "failed", *TIME_STATS}}; the percentiles
+    interpolate linearly between the closest ranks, and every time is None
+    when no request of the op succeeded.
     """
     out = {}
     for op in OPS + ("invalid",):
         group = [r for r in records if r.op == op]
         if not group:
             continue
-        times = [r.micros for r in group if r.ok]
-        out[op] = {
-            "count": len(group),
-            "failed": sum(1 for r in group if not r.ok),
-            "mean_us": float(np.mean(times)) if times else None,
-            "min_us": float(np.min(times)) if times else None,
-            "max_us": float(np.max(times)) if times else None,
-        }
+        times = np.array([r.micros for r in group if r.ok])
+        row = {"count": len(group), "failed": len(group) - len(times)}
+        if len(times):
+            row.update(zip(TIME_STATS, map(float, (
+                times.mean(), times.min(), times.max(),
+                *np.percentile(times, [50, 95, 99])))))
+        else:
+            row.update(dict.fromkeys(TIME_STATS))
+        out[op] = row
     return out
 
 

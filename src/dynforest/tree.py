@@ -27,10 +27,32 @@ tagged node materializes exactly one fresh level (redrawing attributes
 and thresholds), untags it, tags the new children, and walks on.  flush()
 rebuilds every tagged subtree eagerly.
 
-Randomness at a node is consumed in a fixed order: one attribute-subset
-draw, then one batch of s threshold draws per slot in slot order; range
-resampling consumes one batch of s draws per affected slot, in slot
-order.  Children are built left before right.
+Growth is level by level: build, flush, rebuild_node and materialization
+all go through _split_level, which splits a whole frontier of nodes in
+one vectorized pass and returns the next frontier (flush puts every
+tagged node of the tree in the first one).
+
+Randomness at a node is consumed level by level from the tree's one
+generator.  A frontier of m splittable nodes, in frontier order, reads
+one (m, d) block of uniforms, whose p smallest keys in each row give
+that node's attribute subset, then one block of s uniforms per
+non-degenerate slot, node by node and in slot order, scaled onto the
+slot's range [amin, amax] and sorted.  A degenerate slot draws nothing.
+Range resampling on the update path draws s uniforms per affected slot,
+in slot order.
+
+This differs from a depth-first builder only in which stream positions a
+node reads, not in the law of what it reads.  Each node's attribute
+subset is uniform over the p-subsets of the d attributes, because the
+p smallest of d i.i.d. uniform keys are a uniform p-subset, and its
+thresholds are s i.i.d. uniform draws over its range.  Which positions a
+node reads is fixed by the data and by earlier draws (the splits above
+it and the frontier before it) before those positions are read, so
+given everything that came before, a node's draws are fresh i.i.d.
+uniforms independent of it.  Every node's draws therefore have the same
+conditional law as under any other fixed visiting order, and the grown
+tree has the same distribution as one grown depth first; only the
+seed-to-tree map differs.
 """
 
 from __future__ import annotations
@@ -103,24 +125,6 @@ class Telemetry:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
-class AttributeSlot:
-    """One candidate attribute's cached statistics at a node.
-
-    thresholds are sorted ascending; b[i] counts node samples with value
-    at or below thresholds[i], c[i] the positives among them.  A slot
-    whose observed range is a single point scores +inf everywhere.
-    """
-
-    attr: int
-    a_min: float
-    a_max: float
-    thresholds: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    score: np.ndarray
-
-
 class SlotBlock:
     """Dense per-node storage for p attribute slots with s thresholds each."""
 
@@ -164,11 +168,6 @@ class Node:
     def is_leaf(self):
         return self.left is None and not self.tagged
 
-    def take(self, other):
-        """Adopt every field of `other`, keeping this object's identity."""
-        for name in Node.__slots__:
-            setattr(self, name, getattr(other, name))
-
 
 def sample_thresholds(a_min, a_max, s, rng):
     """Draw s candidate thresholds uniformly over [a_min, a_max], sorted.
@@ -207,25 +206,6 @@ def prefix_counts(values, positive, thresholds):
     return b, c
 
 
-def score_candidates(ids, ds, slot, criterion="gini"):
-    """Recompute a slot's counts and scores from raw samples.
-
-    Returns a fresh AttributeSlot; `slot` only supplies the attribute,
-    range and thresholds.  Degenerate ranges (and empty nodes) score +inf.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    vals = ds.X[ids, slot.attr]
-    positive = ds.y[ids] == 1
-    b, c = prefix_counts(vals, positive, slot.thresholds)
-    n, n_pos = len(ids), int(positive.sum())
-    if n == 0 or slot.a_min == slot.a_max:
-        score = np.full(len(slot.thresholds), np.inf)
-    else:
-        score = crit.score_matrix(b, c, n, n_pos, criterion)
-    return AttributeSlot(slot.attr, slot.a_min, slot.a_max,
-                         slot.thresholds.copy(), b, c, score)
-
-
 def _argmin_grid(score):
     """First (slot, threshold) cell attaining the minimum score."""
     flat = int(np.argmin(score))
@@ -255,31 +235,14 @@ class Tree:
 
     def build(self, ids):
         ids = np.asarray(ids, dtype=np.int64)
-        self.root = self._build(ids, 0)
+        self.root = Node(0, ids, int((self.ds.y[ids] == 1).sum()))
+        self._grow([self.root])
         return self
 
     def _stop(self, depth, n, n_pos):
         return (depth >= self.params.max_depth
                 or n < self.params.min_split_size
                 or n_pos == 0 or n_pos == n)
-
-    def _fill_slots(self, node):
-        """Draw attributes and thresholds for a node and cache its grid."""
-        ids = node.ids
-        attrs = np.sort(self.rng.choice(self.d, size=self.p, replace=False))
-        vals = self.ds.X[ids[:, None], attrs]
-        amin = vals.min(axis=0)
-        amax = vals.max(axis=0)
-        thr = np.empty((self.p, self.s))
-        for k in range(self.p):
-            thr[k] = sample_thresholds(amin[k], amax[k], self.s, self.rng)
-        positive = self.ds.y[ids] == 1
-        b = np.empty((self.p, self.s), np.int64)
-        c = np.empty((self.p, self.s), np.int64)
-        for k in range(self.p):
-            b[k], c[k] = prefix_counts(vals[:, k], positive, thr[k])
-        node.slots = SlotBlock(attrs, amin, amax, thr, b, c)
-        self._rescore(node)
 
     def _rescore(self, node):
         """Refresh the score grid from cached counts (n or counts changed)."""
@@ -291,33 +254,95 @@ class Tree:
         sc[blk.amin == blk.amax] = np.inf
         blk.score = sc
 
-    def _choose_split(self, node):
-        """Pick the best grid cell; returns False if nothing is usable."""
-        blk = node.slots
-        k, i = _argmin_grid(blk.score)
-        if not np.isfinite(blk.score[k, i]):
-            node.best_k = -1
-            node.best_i = -1
-            node.best_w = 0.0
-            return False
-        node.best_k = k
-        node.best_i = i
-        node.best_w = float(blk.thr[k, i])
-        return True
+    def _split_level(self, nodes):
+        """Split every non-stopping node of a frontier in one vectorized pass.
 
-    def _build(self, ids, depth):
-        n_pos = int((self.ds.y[ids] == 1).sum())
-        node = Node(depth, ids, n_pos)
-        if self._stop(depth, node.n, n_pos):
-            return node
-        self._fill_slots(node)
-        if not self._choose_split(node):
-            return node  # every drawn attribute constant: leaf keeps its grid
-        axis = int(node.slots.attrs[node.best_k])
-        mask = self.ds.X[ids, axis] <= node.best_w
-        node.left = self._build(ids[mask], depth + 1)
-        node.right = self._build(ids[~mask], depth + 1)
-        return node
+        Each node of `nodes` must be fresh: untagged, childless and without
+        a grid.  Splittable nodes get their grid and best split (a node
+        whose drawn attributes are all constant keeps its grid and stays a
+        leaf); the others stay slotless leaves.  Returns the new children,
+        left before right, node by node: the next frontier.
+        """
+        grow = [node for node in nodes if not self._stop(node.depth, node.n, node.n_pos)]
+        if not grow:
+            return []
+        m, p, s = len(grow), self.p, self.s
+        X, rng = self.ds.X, self.rng
+        lens = np.array([node.n for node in grow])
+        n_pos = np.array([node.n_pos for node in grow])
+        ids = np.concatenate([node.ids for node in grow])
+        positive = self.ds.y[ids] == 1
+        starts = np.concatenate(([0], lens[:-1].cumsum()))
+        # each node's attribute subset: the p smallest of d uniform keys
+        attrs = np.argpartition(rng.random((m, self.d)), p - 1, axis=1)[:, :p]
+        attrs.sort(axis=1)
+        vals = X[ids[:, None], np.repeat(attrs, lens, axis=0)]
+        amin = np.minimum.reduceat(vals, starts, axis=0)
+        amax = np.maximum.reduceat(vals, starts, axis=0)
+        flat = amin == amax
+        # s uniform thresholds per non-degenerate slot, drawn as
+        # sample_thresholds draws them; a degenerate slot draws nothing
+        thr = np.repeat(amin[:, :, None], s, axis=2)
+        lo, hi = amin[~flat], amax[~flat]
+        drawn = lo[:, None] + (hi - lo)[:, None] * rng.random((len(lo), s))
+        drawn.sort(axis=1)
+        thr[~flat] = drawn
+        # b/c per (node, slot, threshold) cell, as prefix_counts counts
+        # them: histogram each value's number of thresholds strictly below
+        # it into (node, slot, bin) and prefix-sum the bins
+        below = (np.repeat(thr.transpose(2, 0, 1), lens, axis=1) < vals).sum(
+            axis=0, dtype=np.min_scalar_type(s))
+        cell = np.repeat(np.arange(0, m * p * (s + 1), s + 1).reshape(m, p), lens, axis=0)
+        cell += below
+        size = m * p * (s + 1)
+        b = np.bincount(cell.ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
+        c = np.bincount(cell[positive].ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
+        b = b.cumsum(axis=2)
+        c = c.cumsum(axis=2)
+        score = crit.score_matrix(b, c, lens[:, None, None], n_pos[:, None, None],
+                                  self.params.criterion)
+        score[flat] = np.inf
+        best_k, best_i = np.divmod(score.reshape(m, p * s).argmin(axis=1), s)
+        rows = np.arange(m)
+        usable = np.isfinite(score[rows, best_k, best_i]).tolist()
+        best_w = thr[rows, best_k, best_i]
+        # stable partition by (node, side) keeps each child's ids in order
+        right = X[ids, np.repeat(attrs[rows, best_k], lens)] > np.repeat(best_w, lens)
+        side = 2 * np.repeat(rows, lens) + right
+        ids = ids[np.argsort(side, kind="stable")]
+        bounds = np.concatenate(([0], np.bincount(side, minlength=2 * m).cumsum())).tolist()
+        side_pos = np.bincount(side[positive], minlength=2 * m).tolist()
+        best_k, best_i, best_w = best_k.tolist(), best_i.tolist(), best_w.tolist()
+        children = []
+        for j, node in enumerate(grow):
+            node.slots = SlotBlock(attrs[j].copy(), amin[j].copy(), amax[j].copy(),
+                                   thr[j].copy(), b[j].copy(), c[j].copy(),
+                                   score[j].copy())
+            if not usable[j]:
+                continue
+            node.best_k = best_k[j]
+            node.best_i = best_i[j]
+            node.best_w = best_w[j]
+            start, mid, end = bounds[2 * j:2 * j + 3]
+            node.left = Node(node.depth + 1, ids[start:mid].copy(), side_pos[2 * j])
+            node.right = Node(node.depth + 1, ids[mid:end].copy(), side_pos[2 * j + 1])
+            children.append(node.left)
+            children.append(node.right)
+        return children
+
+    def _grow(self, level):
+        """Grow fresh nodes into full subtrees, one frontier at a time."""
+        while level:
+            level = self._split_level(level)
+
+    def _untag(self, nodes):
+        """Untag nodes and drop their stale grids; returns them, now fresh."""
+        for node in nodes:
+            self.telemetry.subtree_samples_rebuilt += node.n
+            node.tagged = False
+            node.slots = None
+        self.n_tagged -= len(nodes)
+        return nodes
 
     # -- tag bookkeeping --------------------------------------------------
 
@@ -535,27 +560,10 @@ class Tree:
     # -- queries ----------------------------------------------------------
 
     def _materialize(self, node):
-        """Grow one fresh level at a tagged node and untag it."""
-        self.telemetry.subtree_samples_rebuilt += node.n
-        node.tagged = False
-        self.n_tagged -= 1
-        node.slots = None
-        if self._stop(node.depth, node.n, node.n_pos):
-            return
-        self._fill_slots(node)
-        if not self._choose_split(node):
-            return
-        axis = int(node.slots.attrs[node.best_k])
-        mask = self.ds.X[node.ids, axis] <= node.best_w
-        for ids_child in (node.ids[mask], node.ids[~mask]):
-            child = Node(node.depth + 1, ids_child,
-                         int((self.ds.y[ids_child] == 1).sum()))
+        """Grow one fresh level at a tagged node, untag it, tag its children."""
+        for child in self._split_level(self._untag([node])):
             child.tagged = True
             self.n_tagged += 1
-            if node.left is None:
-                node.left = child
-            else:
-                node.right = child
 
     def query(self, x):
         """Route a feature vector to its leaf; returns (n, n_pos) there.
@@ -605,21 +613,21 @@ class Tree:
 
     def rebuild_node(self, node):
         """Eagerly rebuild one tagged node's subtree in place."""
-        self.telemetry.subtree_samples_rebuilt += node.n
-        fresh = self._build(node.ids, node.depth)
-        node.take(fresh)
-        self.n_tagged -= 1
+        self._grow(self._untag([node]))
 
     def flush(self):
-        """Rebuild every tagged subtree; afterwards no tags remain."""
+        """Rebuild every tagged subtree, all of them level by level together;
+        afterwards no tags remain."""
+        tagged = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             if node.tagged:
-                self.rebuild_node(node)
+                tagged.append(node)
             elif node.left is not None:
                 stack.append(node.right)
                 stack.append(node.left)
+        self._grow(self._untag(tagged))
         assert self.n_tagged == 0
 
     def node_count(self):

@@ -22,11 +22,12 @@ from dynforest import bench, criterion as crit
 from dynforest.data import dataset_from_arrays
 from dynforest.forest import Forest, ForestParams, subsample_count
 from dynforest.metrics import accuracy
-from dynforest.oracle import forest_audit, naive_retrain, occupancy_check, sortmerge_best_split
+from dynforest.oracle import (AttributeSlot, forest_audit, naive_retrain, occupancy_check,
+                              score_candidates, sortmerge_best_split)
 from dynforest.snapshot import load, save
 from dynforest.stream import generate_stream, replay, summarize
 from dynforest.synth import make_arrays, make_dataset
-from dynforest.tree import AttributeSlot, TreeParams, score_candidates
+from dynforest.tree import TreeParams
 
 from adult_data import adult_dir, load_adult
 

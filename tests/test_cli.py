@@ -12,7 +12,7 @@ import pytest
 from dynforest.cli import main
 from dynforest.snapshot import load
 
-from test_snapshot import drop_header_key
+from test_snapshot import drop_header_key, edit_arrays
 
 
 def run_cli(capsys, *argv):
@@ -290,6 +290,17 @@ def test_model_missing_header_key_exits_2(workspace, tmp_path, capsys):
     code, _, err = run_cli(capsys, "unlearn-seq", "--model", str(bad),
                            "--ids", "1", "--skip-naive")
     assert code == 2 and "malformed" in err
+
+
+def test_model_with_corrupt_child_index_exits_2(workspace, tmp_path, capsys):
+    def edit(arrays):
+        arrays["t0.children"][0] = (10**6, 10**6)
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(edit_arrays(open(workspace["model"], "rb").read(), edit))
+    code, _, err = run_cli(capsys, "unlearn-seq", "--model", str(bad),
+                           "--ids", "1", "--skip-naive")
+    assert code == 2 and "child index" in err
 
 
 def test_invalid_hyperparameters_exit_2(workspace, tmp_path, capsys):

@@ -98,3 +98,27 @@ def test_score_matrix_input_validation():
         score_matrix(np.zeros((1, 1)), np.zeros((1, 1)), 4, 2, "nope")
     with pytest.raises(ValueError):
         score_matrix(np.zeros((1, 1)), np.zeros((1, 1)), 0, 0, "gini")
+
+
+def test_score_matrix_with_array_totals_equals_per_node_calls():
+    # a frontier of m nodes scored in one call, totals broadcast per node
+    rng = np.random.default_rng(23)
+    m, p, s = 9, 4, 6
+    n = rng.integers(1, 80, size=m)
+    n_pos = rng.integers(0, n + 1)
+    b = rng.integers(0, n[:, None, None] + 1, size=(m, p, s))
+    lo = np.maximum(0, b - (n - n_pos)[:, None, None])
+    hi = np.minimum(b, n_pos[:, None, None])
+    c = rng.integers(lo, hi + 1)
+    for crit_name in ("gini", "entropy"):
+        got = score_matrix(b, c, n[:, None, None], n_pos[:, None, None], crit_name)
+        assert got.shape == (m, p, s)
+        for j in range(m):
+            want = score_matrix(b[j], c[j], int(n[j]), int(n_pos[j]), crit_name)
+            assert np.array_equal(got[j], want), (crit_name, j)
+
+
+def test_score_matrix_rejects_any_empty_node_total():
+    b = np.zeros((2, 1, 1))
+    with pytest.raises(ValueError, match="positive"):
+        score_matrix(b, b, np.array([[[3]], [[0]]]), np.zeros((2, 1, 1)), "gini")

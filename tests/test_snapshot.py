@@ -15,14 +15,38 @@ from dynforest.synth import make_dataset
 from dynforest.tree import TreeParams
 
 
-def drop_header_key(blob, key):
-    """A copy of a snapshot whose JSON header lacks one top-level key."""
+def split_snapshot(blob):
+    """(JSON header, array bytes) of a snapshot."""
     start = len(MAGIC) + 4
     (blob_len,) = struct.unpack("<I", blob[len(MAGIC):start])
-    header = json.loads(blob[start:start + blob_len])
-    del header[key]
+    return json.loads(blob[start:start + blob_len]), blob[start + blob_len:]
+
+
+def join_snapshot(header, body):
     new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return MAGIC + struct.pack("<I", len(new)) + new + blob[start + blob_len:]
+    return MAGIC + struct.pack("<I", len(new)) + new + body
+
+
+def drop_header_key(blob, key):
+    """A copy of a snapshot whose JSON header lacks one top-level key."""
+    header, body = split_snapshot(blob)
+    del header[key]
+    return join_snapshot(header, body)
+
+
+def edit_arrays(blob, edit):
+    """A copy of a snapshot whose arrays went through edit(arrays), a dict
+    of name -> ndarray that edit may change in place or reassign."""
+    header, body = split_snapshot(blob)
+    arrays, offset = {}, 0
+    for name, dtype, shape in header["arrays"]:
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        arrays[name] = np.frombuffer(body[offset:offset + size],
+                                     dtype=dtype).reshape(shape).copy()
+        offset += size
+    edit(arrays)
+    header["arrays"] = [[name, str(a.dtype), list(a.shape)] for name, a in arrays.items()]
+    return join_snapshot(header, b"".join(a.tobytes() for a in arrays.values()))
 
 
 def trained(seed=0, n=400):
@@ -133,6 +157,19 @@ def test_load_rejects_truncated_file(tmp_path):
         load(path)
 
 
+def test_load_rejects_array_shapes_the_file_cannot_hold(tmp_path):
+    _, forest = trained(seed=11, n=120)
+    path = tmp_path / "m.bin"
+    save(forest, path)
+    header, body = split_snapshot(path.read_bytes())
+    assert header["arrays"][0][0] == "X"
+    for shape in ([2**62], [-1], [-4, -4]):
+        header["arrays"][0][2] = shape
+        path.write_bytes(join_snapshot(header, body))
+        with pytest.raises(SnapshotError, match="truncated array 'X'"):
+            load(path)
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     _, forest = trained(seed=7, n=120)
     path = tmp_path / "m.bin"
@@ -163,3 +200,43 @@ def test_load_rejects_garbage_header(tmp_path):
     path.write_bytes(drop_header_key(path.read_bytes(), "forest"))
     with pytest.raises(SnapshotError, match="forest"):
         load(path)
+
+
+def test_load_rejects_structurally_corrupt_trees(tmp_path):
+    _, forest = trained(seed=10, n=200)
+    path = tmp_path / "m.bin"
+    save(forest, path)
+    blob = path.read_bytes()
+    assert edit_arrays(blob, lambda arrays: None) == blob  # a faithful rewrite
+
+    def set_row(key, row, value):
+        def edit(arrays):
+            arrays[key][row] = value
+        return edit
+
+    def truncate(key):
+        def edit(arrays):
+            arrays[key] = arrays[key][:-1]
+        return edit
+
+    def flag_slotless_node(arrays):
+        flags = arrays["t0.flags"]
+        flags[np.flatnonzero((flags & 2) == 0)[0]] |= 2
+
+    cases = [
+        (set_row("t0.children", 0, (10**6, 10**6)), "child index"),
+        (set_row("t0.children", 0, (1, -1)), "exactly one child"),
+        (set_row("t0.children", 0, (0, 1)), "child index"),  # names itself
+        (set_row("t0.children", 0, (1, 1)), "linked exactly once"),
+        (set_row("t0.ids_len", 0, 10**6), "ids_len"),
+        (set_row("t0.ids_len", 1, -1), "ids_len"),
+        (set_row("t0.ids", 0, 10**6), "sample id"),
+        (truncate("t0.depth"), "depth has shape"),
+        (truncate("t1.best"), "best has shape"),
+        (truncate("t0.slot_thr"), "slot_thr has shape"),
+        (flag_slotless_node, "slot_attrs has shape"),
+    ]
+    for edit, match in cases:
+        path.write_bytes(edit_arrays(blob, edit))
+        with pytest.raises(SnapshotError, match=match):
+            load(path)

@@ -128,11 +128,27 @@ def test_summarize_groups_and_counts():
     ]
     out = summarize(records)
     assert out["query"] == {"count": 2, "failed": 0, "mean_us": 20.0,
-                            "min_us": 10.0, "max_us": 30.0}
+                            "min_us": 10.0, "max_us": 30.0, "p50_us": 20.0,
+                            "p95_us": 29.0, "p99_us": 29.8}
     assert out["delete"]["count"] == 2 and out["delete"]["failed"] == 1
     assert out["delete"]["mean_us"] == 5.0  # failures excluded from timing
-    assert out["invalid"]["count"] == 1 and out["invalid"]["mean_us"] is None
+    assert out["delete"]["p99_us"] == 5.0
+    assert out["invalid"]["count"] == 1
+    assert all(out["invalid"][stat] is None
+               for stat in ("mean_us", "min_us", "max_us", "p50_us", "p95_us", "p99_us"))
     assert "add" not in out
+
+
+def test_summarize_percentiles_follow_the_latency_ranks():
+    # 1..100 us: linear interpolation between closest ranks
+    records = [LatencyRecord(i, "add", float(i + 1), True, i) for i in range(100)]
+    records.append(LatencyRecord(100, "add", 1e9, False, "failed"))
+    row = summarize(records)["add"]
+    assert row["p50_us"] == pytest.approx(50.5)
+    assert row["p95_us"] == pytest.approx(95.05)
+    assert row["p99_us"] == pytest.approx(99.01)
+    assert row["max_us"] == 100.0  # the failed request's time is ignored
+    assert row["min_us"] <= row["p50_us"] <= row["p95_us"] <= row["p99_us"] <= row["max_us"]
 
 
 # -- generation ---------------------------------------------------------------

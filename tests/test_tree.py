@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from dynforest.data import dataset_from_arrays
-from dynforest.oracle import sortmerge_best_split
+from dynforest.oracle import AttributeSlot, score_candidates, sortmerge_best_split
 from dynforest.synth import make_dataset
-from dynforest.tree import (AttributeSlot, TreeParams, _argmin_grid, audit_tree,
-                            build_tree, prefix_counts, sample_thresholds,
-                            score_candidates)
+from dynforest.tree import (TreeParams, _argmin_grid, audit_tree, build_tree,
+                            prefix_counts, sample_thresholds)
 
 
 def small_params(**kw):
@@ -137,24 +136,121 @@ def test_build_depth_limit():
     assert max(depths) <= 3
 
 
+def signature(tree):
+    """Every node's structure, statistics and grid, in preorder."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        out.append((node.depth, node.n, node.n_pos, node.best_k, node.best_i,
+                    node.best_w, node.tagged, tuple(node.ids)))
+        if node.slots is not None:
+            out.append(tuple(node.slots.attrs) + tuple(node.slots.thr.ravel())
+                       + tuple(node.slots.b.ravel()) + tuple(node.slots.score.ravel()))
+        if node.left is not None:
+            stack.extend((node.left, node.right))
+    return out
+
+
 def test_build_is_deterministic_given_seed():
     ds = make_dataset(300, d=8, seed=2)
     a = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(9))
     b = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(9))
-    sa, sb = [], []
-    for tree, acc in ((a, sa), (b, sb)):
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            acc.append((node.depth, node.n, node.n_pos, node.best_k,
-                        node.best_i, node.best_w, tuple(node.ids)))
-            if node.slots is not None:
-                acc.append(tuple(node.slots.thr.ravel()))
-            if node.left is not None:
-                stack.extend((node.left, node.right))
-    assert sa == sb
+    assert signature(a) == signature(b)
     c = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(10))
     assert not np.array_equal(a.root.slots.thr, c.root.slots.thr)
+
+
+def test_copies_stay_identical_through_deletes_and_flush():
+    def grown():
+        ds = make_dataset(500, d=8, seed=20)
+        tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(21))
+        for sid in range(0, 200, 3):
+            tree.delete(sid)
+        return tree
+
+    a, b = grown(), grown()
+    assert a.n_tagged > 1
+    a.flush()
+    b.flush()
+    assert signature(a) == signature(b)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+def test_level_builder_passes_audit_on_every_path():
+    # build, rebuild_node, query-driven materialization and flush all grow
+    # through the one level kernel; each must leave exact statistics
+    for seed in range(4):
+        criterion = ("gini", "entropy")[seed % 2]
+        ds = make_dataset(600, d=7, seed=30 + seed)
+        params = small_params(criterion=criterion, n_attrs=2 + seed % 3)
+        tree = build_tree(ds, ds.live_ids(), params, np.random.default_rng(seed))
+        assert audit_tree(tree).ok
+        rng = np.random.default_rng(100 + seed)
+        doomed = iter(rng.choice(ds.live_ids(), 300, replace=False).tolist())
+
+        def delete_until_tagged():
+            while tree.n_tagged == 0:
+                tree.delete(next(doomed))
+
+        delete_until_tagged()
+        stack = [tree.root]
+        while not stack[-1].tagged:
+            node = stack.pop()
+            if node.left is not None:
+                stack.extend((node.left, node.right))
+        tree.rebuild_node(stack[-1])
+        report = audit_tree(tree)
+        assert report.ok, "seed %d after rebuild_node: %s" % (seed, report.summary())
+        delete_until_tagged()
+        work = tree.telemetry.subtree_samples_rebuilt
+        for row in make_dataset(40, d=7, seed=40 + seed).X[:40]:
+            tree.query(row)
+        assert tree.telemetry.subtree_samples_rebuilt > work
+        report = audit_tree(tree)
+        assert report.ok, "seed %d after queries: %s" % (seed, report.summary())
+        delete_until_tagged()
+        tree.flush()
+        report = audit_tree(tree)
+        assert report.ok and tree.n_tagged == 0, "seed %d after flush: %s" % (
+            seed, report.summary())
+
+
+def test_level_draws_are_uniform_over_seeds():
+    """Attribute subsets are uniform p-subsets (chi-square) and thresholds
+    are uniform over their slot's range (Kolmogorov-Smirnov), at the root
+    and at depth 1, where the frontier holds two nodes.
+
+    2000 fixed seeds make the outcome deterministic; under the null each
+    p-value would fall below its 0.001 floor with probability 0.001.
+    """
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(80, 6))
+    X[:, 3] = 1.5  # a constant attribute: its slots are degenerate and draw nothing
+    ds = dataset_from_arrays(X, rng.integers(0, 2, size=80))
+    params = TreeParams(max_depth=2, n_thresholds=5, n_attrs=2, min_split_size=2)
+    subsets = {}
+    root_counts = np.zeros(15)
+    unit = []
+    for seed in range(2000):
+        tree = build_tree(ds, ds.live_ids(), params, np.random.default_rng(seed))
+        root = tree.root
+        for node in (root, root.left, root.right):
+            if node is None or node.slots is None:
+                continue
+            blk = node.slots
+            if node is root:
+                key = tuple(blk.attrs)
+                root_counts[subsets.setdefault(key, len(subsets))] += 1
+            live = blk.amin < blk.amax
+            unit.append(((blk.thr[live] - blk.amin[live, None])
+                         / (blk.amax[live] - blk.amin[live])[:, None]).ravel())
+    assert len(subsets) == 15  # C(6, 2)
+    assert stats.chisquare(root_counts).pvalue > 1e-3
+    unit = np.concatenate(unit)
+    assert len(unit) > 20000
+    assert stats.kstest(unit, "uniform").pvalue > 1e-3
 
 
 def test_fresh_build_passes_audit():
