@@ -195,8 +195,8 @@ class Forest:
         flush tagged subtrees afterwards.
 
         Each tree removes its share of the batch in a single traversal,
-        so per-node grid updates amortize across the batch (a singleton
-        batch behaves bit-for-bit like delete()).  The id list is
+        the same walk delete() takes for one id, so per-node grid updates
+        amortize across the batch.  The id list is
         validated up front: one unknown, dead, or repeated id rejects the
         whole batch before anything is deleted.
         """
@@ -211,11 +211,8 @@ class Forest:
         batch = np.asarray(ids, np.int64)
         groups = group_by_tree(batch, self.assignment[batch], len(self.trees))
         for t, group in enumerate(groups):
-            if not len(group):
-                continue
-            tagged = [] if not self.lazy else None
-            self.trees[t].delete_group(group, tagged)
-            if tagged:
+            tagged = self.trees[t].delete_group(group)
+            if not self.lazy:
                 for node in tagged:
                     self.trees[t].rebuild_node(node)
         self.assignment[batch] = -1

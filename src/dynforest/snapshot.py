@@ -10,9 +10,10 @@ generator states, so a reloaded forest continues bit-for-bit like the
 original.  Saving the same forest twice yields identical bytes.
 
 Loading checks every array against the bytes left in the file before
-reading it, and each tree's arrays against one another (shapes, child
-links, id counts, slot rows) before building any node; a file that fails
-any check raises SnapshotError.
+reading it, each tree's arrays against one another (shapes, child links,
+id counts, slot rows) before building any node, and the assignment
+against the live ids and every tree's root ids; a file that fails any
+check raises SnapshotError.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import struct
 import numpy as np
 
 from .data import Dataset, Schema
-from .forest import Forest
+from .forest import Forest, ForestParams, group_by_tree, subsample_count
 from .tree import Node, SlotBlock, Tree, TreeParams
-from .forest import ForestParams
 
 MAGIC = b"DYNFOR01"
 VERSION = 1
@@ -187,6 +187,33 @@ def _check_tree(t, n_nodes, arrays, tree):
              % (key, shape, rows))
 
 
+def _check_assignment(arrays, ds, fp, trees):
+    """The saved assignment as Forest.assignment, once it matches the live
+    ids and every tree's root ids.
+
+    Raises ValueError, which load() reports as a SnapshotError.
+    """
+    def need(ok, what):
+        if not ok:
+            raise ValueError("assignment: %s" % what)
+
+    ids, rows = ds.live_ids(), arrays["assign_trees"]
+    n_trees, k = fp.n_trees, subsample_count(fp.occupancy, fp.n_trees)
+    need(len(trees) == n_trees, "%d trees stored for n_trees=%d" % (len(trees), n_trees))
+    need(np.array_equal(arrays["assign_ids"], ids), "assign_ids are not the live ids")
+    need(rows.shape == (len(ids), k), "assign_trees has shape %s, expected (%d, %d)"
+         % (rows.shape, len(ids), k))
+    need(not rows.size or (rows[:, 1:] > rows[:, :-1]).all() and rows[:, 0].min() >= 0
+         and rows[:, -1].max() < n_trees, "a row does not name %d ascending trees in [0, %d)"
+         % (k, n_trees))
+    for t, share in enumerate(group_by_tree(ids, rows, n_trees)):
+        need(np.array_equal(np.sort(trees[t].root.ids), share),
+             "tree %d root ids disagree with it" % t)
+    assignment = np.full((ds.next_id, k), -1, np.int32)
+    assignment[ids] = rows
+    return assignment
+
+
 def _unpack_tree(t, n_nodes, arrays, tree):
     _check_tree(t, n_nodes, arrays, tree)
     depth = arrays["t%d.depth" % t]
@@ -295,8 +322,7 @@ def _build(header, arrays):
         tree = Tree(tp, ds, rng)
         _unpack_tree(t, meta["n_nodes"], arrays, tree)
         trees.append(tree)
-    assignment = np.full((next_id, arrays["assign_trees"].shape[1]), -1, np.int32)
-    assignment[arrays["assign_ids"]] = arrays["assign_trees"]
+    assignment = _check_assignment(arrays, ds, fp, trees)
     rng = np.random.default_rng(0)
     rng.bit_generator.state = header["forest"]["rng"]
     return Forest(ds, fp, trees, assignment, rng, lazy=header["forest"]["lazy"])

@@ -3,24 +3,27 @@ lazy rebuild protocol for additions and deletions.
 
 Structure
 ---------
-Every node keeps the ids of the training samples it covers along with
-aggregate counts (n, n_pos).  A splittable node additionally caches, for
-each of p candidate attributes, s sorted candidate thresholds together
-with the number of covered samples (b) and covered positives (c) at or
-below each threshold, plus the resulting criterion scores.  The chosen
-split is the first grid cell attaining the minimum score, scanning slots
-in draw order and thresholds in ascending order.
+Every node keeps the ids of the training samples it covers and their
+positive count n_pos (its size n is len(ids)).  A splittable node
+additionally caches, for each of p candidate attributes, s sorted
+candidate thresholds together with the number of covered samples (b)
+and covered positives (c) at or below each threshold, plus the
+resulting criterion scores.  The chosen split is the first grid cell
+attaining the minimum score, scanning slots in draw order and
+thresholds in ascending order.
 
 Updates
 -------
 Additions and deletions walk the root-to-leaf path, patching ids, counts
-and the cached grids in O(s) per slot.  A node whose recorded value range
-for some slot is invalidated (a boundary value deleted, an outside value
-added) redraws that slot's thresholds uniformly over the new range and
-recounts them; this is what keeps the updated tree distributionally
-identical to one retrained from scratch.  When the winning grid cell
-moves, the node is *tagged*: its subtree is discarded but nothing is
-rebuilt yet.
+and the cached grids in O(s) per slot.  Deletion is one walk for one id
+or many: delete() removes a group of one, and a larger group is split
+at each node by that node's split, so each path node is patched once.
+A node whose recorded value range for some slot is invalidated (a
+boundary value deleted, an outside value added) redraws that slot's
+thresholds uniformly over the new range and recounts them; this is what
+keeps the updated tree distributionally identical to one retrained from
+scratch.  When the winning grid cell moves, the node is *tagged*: its
+subtree is discarded but nothing is rebuilt yet.
 
 Tagged nodes still receive id and count updates.  A query reaching a
 tagged node materializes exactly one fresh level (redrawing attributes
@@ -148,13 +151,12 @@ class Node:
     """Tree node.  Leaves may keep their slot grid (all-degenerate draw);
     tagged nodes have no children and best_k == -1."""
 
-    __slots__ = ("depth", "ids", "n", "n_pos", "slots",
+    __slots__ = ("depth", "ids", "n_pos", "slots",
                  "best_k", "best_i", "best_w", "left", "right", "tagged")
 
     def __init__(self, depth, ids, n_pos):
         self.depth = depth
         self.ids = ids
-        self.n = len(ids)
         self.n_pos = n_pos
         self.slots = None
         self.best_k = -1
@@ -163,6 +165,10 @@ class Node:
         self.left = None
         self.right = None
         self.tagged = False
+
+    @property
+    def n(self):
+        return len(self.ids)
 
     @property
     def is_leaf(self):
@@ -347,11 +353,14 @@ class Tree:
     # -- tag bookkeeping --------------------------------------------------
 
     def _tag(self, node):
-        # the discarded subtree may itself hold tagged nodes; settle the count
+        """Tag node, discarding its subtree; returns node."""
+        # the discarded subtree may itself hold tagged nodes: untag them so
+        # rebuild_node refuses them, and settle the count
         stack = [node.left, node.right] if node.left is not None else []
         while stack:
             child = stack.pop()
             if child.tagged:
+                child.tagged = False
                 self.n_tagged -= 1
             if child.left is not None:
                 stack.extend((child.left, child.right))
@@ -362,14 +371,15 @@ class Tree:
         node.best_i = -1
         node.best_w = 0.0
         self.n_tagged += 1
+        return node
 
-    def _patch_counts(self, node, x, label, delta):
-        """Apply one sample's effect to a node's cached count grid."""
+    def _patch_counts(self, node, x, label):
+        """Count one added sample into a node's cached count grid."""
         blk = node.slots
         covered = blk.thr >= x[blk.attrs][:, None]
-        blk.b[covered] += delta
+        blk.b[covered] += 1
         if label:
-            blk.c[covered] += delta
+            blk.c[covered] += 1
 
     def _resample_slots(self, node, which):
         """Redraw thresholds (and recount) for the flagged slots."""
@@ -386,52 +396,76 @@ class Tree:
     # -- update operations ------------------------------------------------
 
     def delete(self, sample_id):
-        """Remove a sample from the tree's path statistics.
+        """Remove one sample from the tree's path statistics.
 
         Returns the node that became tagged, or None.  The sample must
         still be live in the dataset when this is called.
         """
-        x = self.ds.X[sample_id]
-        label = int(self.ds.y[sample_id])
-        node = self.root
-        while True:
-            at = np.flatnonzero(node.ids == sample_id)
-            if at.size == 0:
-                raise ValueError("sample %d not present at depth %d; "
-                                 "tree and routing disagree" % (sample_id, node.depth))
-            node.ids = np.delete(node.ids, at[0])
-            node.n -= 1
-            node.n_pos -= label
-            if node.slots is not None:
-                self._patch_counts(node, x, label, -1)
-            self.telemetry.nodes_updated += 1
-            if node.tagged:
-                return None
-            if node.left is not None and self._stop(node.depth, node.n, node.n_pos):
-                self._tag(node)
-                return node
-            if node.slots is not None:
-                self._after_delete_ranges(node, x)
-                self._rescore(node)
-            if node.left is None:
-                return None
-            if self._best_moved(node):
-                self._tag(node)
-                return node
-            axis = int(node.slots.attrs[node.best_k])
-            node = node.left if x[axis] <= node.best_w else node.right
+        tagged = self.delete_group([sample_id])
+        return tagged[0] if tagged else None
 
-    def _after_delete_ranges(self, node, x):
-        """Rescan ranges for slots whose boundary value was just removed."""
-        blk = node.slots
-        xs = x[blk.attrs]
-        self._shrink_ranges(node, (xs == blk.amin) | (xs == blk.amax))
+    def delete_group(self, group):
+        """Remove a set of samples in one traversal; returns the nodes that
+        became tagged.
 
-    def _shrink_ranges(self, node, hit):
-        """Handle possible range shrinkage for the flagged slots."""
+        Equivalent in distribution to deleting them one by one; grouping
+        lets the per-node grid work amortize across the batch.
+        """
+        group = np.asarray(group, dtype=np.int64)
+        tagged = []
+        if len(group):
+            member = np.zeros(self.ds.next_id, bool)
+            member[group] = True
+            self._delete_group(self.root, group, self.ds.y[group] == 1, member, tagged)
+        return tagged
+
+    def _delete_group(self, node, group, labels, member, tagged):
+        keep = node.ids[~member[node.ids]]
+        missing = len(group) - (len(node.ids) - len(keep))
+        if missing:
+            raise ValueError("%d of %d ids not present at depth %d; tree and "
+                             "routing disagree" % (missing, len(group), node.depth))
+        node.ids = keep
+        n_pos = np.count_nonzero(labels)
+        node.n_pos -= n_pos
         blk = node.slots
+        if blk is not None:
+            vals = self.ds.X[group[:, None], blk.attrs]
+            covered = blk.thr >= vals[:, :, None]
+            db = covered.sum(axis=0)
+            blk.b -= db
+            if n_pos:
+                blk.c -= db if n_pos == len(group) else covered[labels].sum(axis=0)
+        self.telemetry.nodes_updated += 1
+        if node.tagged:
+            return
+        if node.left is not None and self._stop(node.depth, node.n, node.n_pos):
+            tagged.append(self._tag(node))
+            return
+        if blk is not None:
+            self._shrink_ranges(node, vals)
+            self._rescore(node)
+        if node.left is None:
+            return
+        if self._best_moved(node):
+            tagged.append(self._tag(node))
+            return
+        go_left = vals[:, node.best_k] <= node.best_w
+        for child, side in ((node.left, go_left), (node.right, ~go_left)):
+            routed = np.count_nonzero(side)
+            if routed == len(group):
+                self._delete_group(child, group, labels, member, tagged)
+            elif routed:
+                self._delete_group(child, group[side], labels[side], member, tagged)
+
+    def _shrink_ranges(self, node, vals):
+        """Rescan the ranges of slots where a removed value (a row of vals)
+        sat on a boundary; redraw the slots whose range shrank."""
+        blk = node.slots
+        hit = (vals == blk.amin) | (vals == blk.amax)
         if node.n == 0 or not hit.any():
             return
+        hit = hit.any(axis=0)
         cols = blk.attrs[hit]
         sub = self.ds.X[node.ids[:, None], cols]
         new_min = sub.min(axis=0)
@@ -454,61 +488,6 @@ class Tree:
         return (k != node.best_k or i != node.best_i
                 or blk.thr[k, i] != node.best_w)
 
-    def delete_group(self, group, tagged_out=None):
-        """Remove a set of samples in one traversal.
-
-        Equivalent in distribution to deleting them one by one, and
-        bit-identical for a singleton group; grouping lets the per-node
-        grid work amortize across the batch.  Newly tagged nodes are
-        appended to tagged_out when given.
-        """
-        group = np.asarray(group, dtype=np.int64)
-        if len(group) == 0:
-            return
-        self._delete_group(self.root, group, tagged_out)
-
-    def _delete_group(self, node, group, tagged_out):
-        keep = ~np.isin(node.ids, group)
-        if node.n - int(keep.sum()) != len(group):
-            raise ValueError("group of %d not fully present at depth %d; "
-                             "tree and routing disagree" % (len(group), node.depth))
-        node.ids = node.ids[keep]
-        labels = self.ds.y[group] == 1
-        node.n -= len(group)
-        node.n_pos -= int(labels.sum())
-        blk = node.slots
-        if blk is not None:
-            vals = self.ds.X[group[:, None], blk.attrs]
-            for k in range(blk.p):
-                db, dc = prefix_counts(vals[:, k], labels, blk.thr[k])
-                blk.b[k] -= db
-                blk.c[k] -= dc
-        self.telemetry.nodes_updated += 1
-        if node.tagged:
-            return
-        if node.left is not None and self._stop(node.depth, node.n, node.n_pos):
-            self._tag(node)
-            if tagged_out is not None:
-                tagged_out.append(node)
-            return
-        if blk is not None:
-            self._shrink_ranges(node, (vals.min(axis=0) == blk.amin)
-                                | (vals.max(axis=0) == blk.amax))
-            self._rescore(node)
-        if node.left is None:
-            return
-        if self._best_moved(node):
-            self._tag(node)
-            if tagged_out is not None:
-                tagged_out.append(node)
-            return
-        axis = int(blk.attrs[node.best_k])
-        go_left = self.ds.X[group, axis] <= node.best_w
-        if go_left.any():
-            self._delete_group(node.left, group[go_left], tagged_out)
-        if not go_left.all():
-            self._delete_group(node.right, group[~go_left], tagged_out)
-
     def add(self, sample_id):
         """Insert a live sample into the tree's path statistics.
 
@@ -521,10 +500,9 @@ class Tree:
             raise ValueError("sample %d already present in tree" % sample_id)
         while True:
             node.ids = np.append(node.ids, sample_id)
-            node.n += 1
             node.n_pos += label
             if node.slots is not None:
-                self._patch_counts(node, x, label, +1)
+                self._patch_counts(node, x, label)
             self.telemetry.nodes_updated += 1
             if node.tagged:
                 return None
@@ -535,8 +513,7 @@ class Tree:
                     # leaf kept its grid because every slot was degenerate;
                     # a widening value makes it splittable again
                     if widened.any():
-                        self._tag(node)
-                        return node
+                        return self._tag(node)
                     self._rescore(node)
                     return None
                 if widened.any():
@@ -546,15 +523,13 @@ class Tree:
                     self._resample_slots(node, widened)
                 self._rescore(node)
                 if self._best_moved(node):
-                    self._tag(node)
-                    return node
+                    return self._tag(node)
                 axis = int(node.slots.attrs[node.best_k])
                 node = node.left if x[axis] <= node.best_w else node.right
                 continue
             # slotless leaf: tag once every stop criterion has lifted
             if not self._stop(node.depth, node.n, node.n_pos):
-                self._tag(node)
-                return node
+                return self._tag(node)
             return None
 
     # -- queries ----------------------------------------------------------
@@ -575,7 +550,7 @@ class Tree:
             if node.tagged:
                 self._materialize(node)
             if node.left is None:
-                return node.n, node.n_pos
+                return len(node.ids), node.n_pos
             axis = int(node.slots.attrs[node.best_k])
             node = node.left if x[axis] <= node.best_w else node.right
 
@@ -613,6 +588,8 @@ class Tree:
 
     def rebuild_node(self, node):
         """Eagerly rebuild one tagged node's subtree in place."""
+        if not node.tagged:
+            raise ValueError("node at depth %d is not tagged" % node.depth)
         self._grow(self._untag([node]))
 
     def flush(self):
@@ -659,8 +636,6 @@ def _audit_node(tree, node, path, report, leaf_ids):
     ids = node.ids
     if len(np.unique(ids)) != len(ids):
         report.flag(path, "duplicate ids in node")
-    if node.n != len(ids):
-        report.flag(path, "n mismatch", "n=%d ids=%d" % (node.n, len(ids)))
     true_pos = sum(int(ds.y[int(i)]) for i in ids)
     if node.n_pos != true_pos:
         report.flag(path, "n_pos mismatch", "stored=%d actual=%d" % (node.n_pos, true_pos))

@@ -307,6 +307,17 @@ def test_model_with_corrupt_child_index_exits_2(workspace, tmp_path, capsys):
     assert code == 2 and "child index" in err
 
 
+def test_model_with_corrupt_assignment_exits_2(workspace, tmp_path, capsys):
+    def edit(arrays):
+        arrays["assign_ids"][0] = 10**6
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(edit_arrays(open(workspace["model"], "rb").read(), edit))
+    code, _, err = run_cli(capsys, "unlearn-seq", "--model", str(bad),
+                           "--ids", "1", "--skip-naive")
+    assert code == 2 and "assign_ids" in err
+
+
 def test_invalid_hyperparameters_exit_2(workspace, tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--csv", workspace["csv"],
                            "--schema", workspace["schema"],

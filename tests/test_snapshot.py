@@ -223,6 +223,11 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
         flags = arrays["t0.flags"]
         flags[np.flatnonzero((flags & 2) == 0)[0]] |= 2
 
+    def swap_assignment_rows(arrays):
+        rows = arrays["assign_trees"]
+        other = np.flatnonzero((rows != rows[0]).any(axis=1))[0]
+        rows[[0, other]] = rows[[other, 0]]
+
     cases = [
         (set_row("t0.children", 0, (10**6, 10**6)), "child index"),
         (set_row("t0.children", 0, (1, -1)), "exactly one child"),
@@ -235,8 +240,21 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
         (truncate("t1.best"), "best has shape"),
         (truncate("t0.slot_thr"), "slot_thr has shape"),
         (flag_slotless_node, "slot_attrs has shape"),
+        (set_row("assign_ids", 0, 10**6), "assign_ids are not the live ids"),
+        (truncate("assign_ids"), "assign_ids are not the live ids"),
+        (truncate("assign_trees"), "assign_trees has shape"),
+        (set_row("assign_trees", 0, (1, 1, 2)), "ascending trees"),
+        (set_row("assign_trees", 0, (2, 1, 0)), "ascending trees"),
+        (set_row("assign_trees", 0, (0, 1, 6)), "ascending trees"),
+        (set_row("assign_trees", 0, (-1, 0, 1)), "ascending trees"),
+        (swap_assignment_rows, "root ids disagree"),
     ]
     for edit, match in cases:
         path.write_bytes(edit_arrays(blob, edit))
         with pytest.raises(SnapshotError, match=match):
             load(path)
+    header, body = split_snapshot(blob)
+    header["forest"]["n_trees"] += 1
+    path.write_bytes(join_snapshot(header, body))
+    with pytest.raises(SnapshotError, match="6 trees stored for n_trees=7"):
+        load(path)

@@ -363,6 +363,52 @@ def test_delete_group_bulk_stays_consistent():
     assert audit_tree(tree).ok
 
 
+def test_delete_group_returns_the_nodes_it_tagged():
+    ds = make_dataset(800, d=8, seed=6)
+    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(5))
+    group = np.random.default_rng(1).choice(ds.live_ids(), 300, replace=False)
+    tagged = tree.delete_group(group)
+    assert tagged and all(node.tagged for node in tagged)
+    assert len({id(node) for node in tagged}) == len(tagged) == tree.n_tagged
+    assert tree.delete_group([]) == []
+    with pytest.raises(ValueError, match="1 of 2 ids not present"):
+        tree.delete_group([int(group[0]), int(tree.root.ids[0])])
+    for node in tagged:
+        tree.rebuild_node(node)
+    assert tree.n_tagged == 0 and audit_tree(tree).ok
+
+
+def test_rebuild_node_refuses_a_node_cut_out_by_a_later_tag():
+    ds = make_dataset(400, d=6, seed=3)
+    tree = build_tree(ds, ds.live_ids(), TreeParams(max_depth=8, n_thresholds=5),
+                      np.random.default_rng(0))
+    order = iter(np.random.default_rng(0).permutation(400).tolist())
+
+    def tagged_below_root():
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.tagged and node.depth >= 2:
+                return node
+            if node.left is not None:
+                stack.extend((node.left, node.right))
+        return None
+
+    orphan = None
+    while orphan is None:
+        tree.delete(next(order))
+        orphan = tagged_below_root()
+    while not tree.root.tagged:
+        tree.delete(next(order))
+    # the root's tag discarded the orphan's subtree and settled its tag
+    assert not orphan.tagged and tree.n_tagged == 1
+    with pytest.raises(ValueError, match="not tagged"):
+        tree.rebuild_node(orphan)
+    assert tree.n_tagged == 1 and audit_tree(tree).ok
+    tree.rebuild_node(tree.root)
+    assert tree.n_tagged == 0 and audit_tree(tree).ok
+
+
 # -- additions ----------------------------------------------------------------
 
 
