@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, unlearn-seq, unlearn-batch, stream,
-gen-stream.  Results print as key=value lines on stdout.  Exit codes:
-0 success, 2 data or configuration problem, 3 unknown id in an unlearn
-request, 1 anything unexpected.
+gen-stream, audit.  Results print as key=value lines on stdout, except
+audit's, which is one JSON object.  Exit codes: 0 success, 2 data or
+configuration problem (or a model that fails its audit), 3 unknown id in
+an unlearn request, 1 anything unexpected.
 
 The seed resolves in order: explicit --seed, the DYNFOREST_SEED
 environment variable, then 0.
@@ -12,6 +13,7 @@ environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -20,7 +22,7 @@ import numpy as np
 from . import bench, metrics, snapshot, stream as stream_mod, synth
 from .data import ParseError, SchemaError, load_csv, load_schema
 from .forest import Forest, ForestParams
-from .oracle import naive_retrain
+from .oracle import forest_audit, naive_retrain
 from .snapshot import SnapshotError
 from .tree import TreeParams
 
@@ -182,6 +184,7 @@ def cmd_stream(args):
         for stat in stream_mod.TIME_STATS:
             if row[stat] is not None:
                 pairs.append(("%s_%s" % (op, stat), row[stat]))
+    pairs += forest.telemetry().as_dict().items()
     _emit(pairs)
     return 0
 
@@ -196,6 +199,13 @@ def cmd_gen_stream(args):
     _emit([("requests", len(lines)), ("mod_share", args.mod_share),
            ("out", args.out), ("seed", seed)])
     return 0
+
+
+def cmd_audit(args):
+    report = forest_audit(snapshot.load(args.model))
+    print(json.dumps({"nodes_checked": report.nodes_checked,
+                      "violations": [str(v) for v in report.violations]}))
+    return 0 if report.ok else 2
 
 
 # -- wiring -------------------------------------------------------------------
@@ -288,6 +298,10 @@ def build_parser():
                     help="fraction of requests that modify (half add, half delete)")
     _add_seed(sp)
     sp.set_defaults(fn=cmd_gen_stream)
+
+    sp = sub.add_parser("audit", help="recheck every cached statistic of a saved model")
+    sp.add_argument("--model", required=True)
+    sp.set_defaults(fn=cmd_audit)
 
     return parser
 

@@ -135,7 +135,8 @@ class Forest:
         if x.shape != (self.ds.n_attrs,):
             raise ValueError("expected %d features, got shape %s"
                              % (self.ds.n_attrs, x.shape))
-        counts = [t.query(x) for t in self.trees]
+        row = x.tolist()  # routing compares Python floats faster than numpy scalars
+        counts = [t.query(row) for t in self.trees]
         prior = self.prior
         return float(np.mean([pos / n if n else prior for n, pos in counts]))
 

@@ -5,9 +5,14 @@ JSON header (sorted keys, compact separators), then the raw bytes of every
 array the header lists, concatenated in listing order (C order, native
 little-endian dtypes).  Everything that affects future behaviour is
 captured: the dataset (including tombstones), the tree assignment, every
-node of every tree with its cached statistics and tags, and the exact
-generator states, so a reloaded forest continues bit-for-bit like the
-original.  Saving the same forest twice yields identical bytes.
+node of every tree with its cached statistics and tags, the exact
+generator states, and, per tree, the array t<i>.keys holding one uint64
+draw key per tagged node in preorder, so a reloaded forest continues
+bit-for-bit like the original.  A query-grown node's Philox stream is set
+up from its key alone, so no Philox state is stored.  Saving the same
+forest twice yields identical bytes.
+
+VERSION 2 added the keys; a version 1 file raises SnapshotError.
 
 Loading checks every array against the bytes left in the file before
 reading it, each tree's arrays against one another (shapes, child links,
@@ -30,7 +35,7 @@ from .forest import Forest, ForestParams, group_by_tree, subsample_count
 from .tree import Node, SlotBlock, Tree, TreeParams
 
 MAGIC = b"DYNFOR01"
-VERSION = 1
+VERSION = 2
 
 _TAGGED = 1
 _HAS_SLOTS = 2
@@ -86,6 +91,7 @@ def _pack_tree(t, tree, put):
     put("t%d.ids_len" % t, ids_len)
     put("t%d.ids" % t, np.concatenate([node.ids for node in nodes])
         if nodes else np.empty(0, np.int64))
+    put("t%d.keys" % t, np.array([node.key for node in nodes if node.tagged], np.uint64))
     if slot_rows:
         put("t%d.slot_attrs" % t, np.stack([blk.attrs for blk in slot_rows]).astype(np.int64))
         put("t%d.slot_amin" % t, np.stack([blk.amin for blk in slot_rows]))
@@ -178,6 +184,10 @@ def _check_tree(t, n_nodes, arrays, tree):
          "child index not -1 and not between its parent and %d" % n_nodes)
     need(np.array_equal(np.sort(children[linked].ravel()), np.arange(1, n_nodes)),
          "nodes other than the root are not each linked exactly once")
+    tagged, keys = int(np.count_nonzero(array("flags") & _TAGGED)), array("keys")
+    need(keys.shape == (tagged,) and keys.dtype == np.uint64,
+         "keys has shape %s and dtype %s, expected (%d,) uint64"
+         % (keys.shape, keys.dtype, tagged))
     rows = int(np.count_nonzero(array("flags") & _HAS_SLOTS))
     for key, tail in (("attrs", (tree.p,)), ("amin", (tree.p,)), ("amax", (tree.p,)),
                       ("thr", (tree.p, tree.s)), ("b", (tree.p, tree.s)),
@@ -246,13 +256,16 @@ def _unpack_tree(t, n_nodes, arrays, tree):
             )
             slot_cursor += 1
         nodes.append(node)
+    tagged = np.flatnonzero(flags & _TAGGED).tolist()
+    for i, key in zip(tagged, arrays["t%d.keys" % t].tolist()):
+        nodes[i].key = key
     for i, node in enumerate(nodes):
         li, ri = int(children[i, 0]), int(children[i, 1])
         if li >= 0:
             node.left = nodes[li]
             node.right = nodes[ri]
     tree.root = nodes[0]
-    tree.n_tagged = int((flags & _TAGGED).astype(bool).sum())
+    tree.n_tagged = len(tagged)
 
 
 def load(path):

@@ -27,22 +27,44 @@ subtree is discarded but nothing is rebuilt yet.
 
 Tagged nodes still receive id and count updates.  A query reaching a
 tagged node materializes exactly one fresh level (redrawing attributes
-and thresholds), untags it, tags the new children, and walks on.  flush()
-rebuilds every tagged subtree eagerly.
+and thresholds), untags it, tags the new children, and walks on;
+query_many does this for every tagged node its rows reach on one level
+at once.  flush() rebuilds every tagged subtree eagerly.
 
 Growth is level by level: build, flush, rebuild_node and materialization
 all go through _split_level, which splits a whole frontier of nodes in
 one vectorized pass and returns the next frontier (flush puts every
 tagged node of the tree in the first one).
 
-Randomness at a node is consumed level by level from the tree's one
-generator.  A frontier of m splittable nodes, in frontier order, reads
-one (m, d) block of uniforms, whose p smallest keys in each row give
-that node's attribute subset, then one block of s uniforms per
+Randomness
+----------
+Build, flush and rebuild_node consume the tree's one generator (the tree
+stream) level by level.  A frontier of m splittable nodes, in frontier
+order, reads one (m, d) block of uniforms, whose p smallest keys in each
+row give that node's attribute subset, then one block of s uniforms per
 non-degenerate slot, node by node and in slot order, scaled onto the
 slot's range [amin, amax] and sorted.  A degenerate slot draws nothing.
 Range resampling on the update path draws s uniforms per affected slot,
-in slot order.
+in slot order, and every tag event draws one 64-bit key for the tagged
+node.
+
+Growth driven by queries reads node keys instead.  A node materialized by
+a query reads d + p*s uniforms (the attribute keys, then s per slot; a
+degenerate slot's block goes unused) from a Philox4x64 stream keyed by
+its key alone, counter at zero (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11), and its children's keys are the next two raw
+words of that stream.  Queries may reach tagged nodes in any order, one
+row at a time or a whole batch per level; keyed draws make the grown tree
+the same either way, so query_many can batch them.  The eager paths keep
+the tree stream, which keeps clean training free of per-node generator
+set-up.
+
+A node re-created after a new tag never reuses a draw conditioned on old
+data.  Its key is the next word of the tree stream at the tag event,
+which is independent of the data and of every earlier draw, and a
+child's key is a part of its parent's stream that no split read.  So
+whatever the data did between tag and query, the node's draws are fresh
+i.i.d. uniforms independent of everything that decided to grow it.
 
 This differs from a depth-first builder only in which stream positions a
 node reads, not in the law of what it reads.  Each node's attribute
@@ -113,12 +135,21 @@ class Telemetry:
     range_resample_samples  samples in nodes where some slot's range
                             changed and its thresholds were redrawn
     attrs_resampled         individual slots redrawn
+    nodes_materialized      tagged nodes grown by queries
+    tags_moved              nodes tagged because their winning cell moved
+    tags_stopped            nodes tagged because a stop rule began or
+                            ceased to hold
+    tags_widened            grid leaves tagged by a widening add
     """
 
     nodes_updated: int = 0
     subtree_samples_rebuilt: int = 0
     range_resample_samples: int = 0
     attrs_resampled: int = 0
+    nodes_materialized: int = 0
+    tags_moved: int = 0
+    tags_stopped: int = 0
+    tags_widened: int = 0
 
     def reset(self):
         for f in fields(self):
@@ -149,10 +180,11 @@ class SlotBlock:
 
 class Node:
     """Tree node.  Leaves may keep their slot grid (all-degenerate draw);
-    tagged nodes have no children and best_k == -1."""
+    tagged nodes have no children and best_k == -1.  key is the 64-bit key
+    of a tagged node's own draws; it is not read once the node is untagged."""
 
-    __slots__ = ("depth", "ids", "n_pos", "slots",
-                 "best_k", "best_i", "best_w", "left", "right", "tagged")
+    __slots__ = ("depth", "ids", "n_pos", "slots", "best_k", "best_i", "best_w",
+                 "left", "right", "tagged", "key")
 
     def __init__(self, depth, ids, n_pos):
         self.depth = depth
@@ -165,6 +197,7 @@ class Node:
         self.left = None
         self.right = None
         self.tagged = False
+        self.key = None
 
     @property
     def n(self):
@@ -236,6 +269,11 @@ class Tree:
         self.root = None
         self.n_tagged = 0
         self.telemetry = Telemetry()
+        # query-grown nodes read a Philox stream keyed by their own key;
+        # one bit generator and one state dict serve every such node
+        self._philox = np.random.Philox(key=0)
+        self._keyed = np.random.Generator(self._philox)
+        self._philox_state = self._philox.state
 
     # -- construction ---------------------------------------------------
 
@@ -260,7 +298,7 @@ class Tree:
         sc[blk.amin == blk.amax] = np.inf
         blk.score = sc
 
-    def _split_level(self, nodes):
+    def _split_level(self, nodes, draw):
         """Split every non-stopping node of a frontier in one vectorized pass.
 
         Each node of `nodes` must be fresh: untagged, childless and without
@@ -268,19 +306,25 @@ class Tree:
         whose drawn attributes are all constant keeps its grid and stays a
         leaf); the others stay slotless leaves.  Returns the new children,
         left before right, node by node: the next frontier.
+
+        draw(grow) supplies the uniforms of the m splittable nodes: an
+        (m, d) block of attribute keys, and a function that maps the (m, p)
+        mask of degenerate slots to s uniforms for each other slot, in
+        node then slot order.
         """
         grow = [node for node in nodes if not self._stop(node.depth, node.n, node.n_pos)]
         if not grow:
             return []
         m, p, s = len(grow), self.p, self.s
-        X, rng = self.ds.X, self.rng
+        X = self.ds.X
+        keys, thresholds = draw(grow)
         lens = np.array([node.n for node in grow])
         n_pos = np.array([node.n_pos for node in grow])
         ids = np.concatenate([node.ids for node in grow])
         positive = self.ds.y[ids] == 1
         starts = np.concatenate(([0], lens[:-1].cumsum()))
         # each node's attribute subset: the p smallest of d uniform keys
-        attrs = np.argpartition(rng.random((m, self.d)), p - 1, axis=1)[:, :p]
+        attrs = np.argpartition(keys, p - 1, axis=1)[:, :p]
         attrs.sort(axis=1)
         vals = X[ids[:, None], np.repeat(attrs, lens, axis=0)]
         amin = np.minimum.reduceat(vals, starts, axis=0)
@@ -290,7 +334,7 @@ class Tree:
         # sample_thresholds draws them; a degenerate slot draws nothing
         thr = np.repeat(amin[:, :, None], s, axis=2)
         lo, hi = amin[~flat], amax[~flat]
-        drawn = lo[:, None] + (hi - lo)[:, None] * rng.random((len(lo), s))
+        drawn = lo[:, None] + (hi - lo)[:, None] * thresholds(flat)
         drawn.sort(axis=1)
         thr[~flat] = drawn
         # b/c per (node, slot, threshold) cell, as prefix_counts counts
@@ -336,10 +380,30 @@ class Tree:
             children.append(node.right)
         return children
 
+    def _stream_draws(self, grow):
+        """Draws from the tree stream, in frontier order: one (m, d) block
+        of attribute keys, then one block of s uniforms per non-degenerate
+        slot."""
+        rng = self.rng
+        return (rng.random((len(grow), self.d)),
+                lambda flat: rng.random((np.count_nonzero(~flat), self.s)))
+
+    def _key_stream(self, key, out):
+        """Fill out with uniforms from the Philox stream keyed by key, its
+        counter at zero; returns the stream's next two raw words."""
+        state = self._philox_state
+        state["state"]["key"][0] = key
+        state["state"]["counter"][:] = 0
+        state["buffer_pos"] = 4
+        self._philox.state = state
+        self._keyed.random(out=out)
+        return self._philox.random_raw(2).tolist()
+
     def _grow(self, level):
-        """Grow fresh nodes into full subtrees, one frontier at a time."""
+        """Grow fresh nodes into full subtrees, one frontier at a time,
+        drawing from the tree stream."""
         while level:
-            level = self._split_level(level)
+            level = self._split_level(level, self._stream_draws)
 
     def _untag(self, nodes):
         """Untag nodes and drop their stale grids; returns them, now fresh."""
@@ -352,8 +416,10 @@ class Tree:
 
     # -- tag bookkeeping --------------------------------------------------
 
-    def _tag(self, node):
-        """Tag node, discarding its subtree; returns node."""
+    def _tag(self, node, cause):
+        """Tag node, discarding its subtree, and give it a fresh key from
+        the tree stream; counts the tag under the Telemetry field cause.
+        Returns node."""
         # the discarded subtree may itself hold tagged nodes: untag them so
         # rebuild_node refuses them, and settle the count
         stack = [node.left, node.right] if node.left is not None else []
@@ -370,7 +436,9 @@ class Tree:
         node.best_k = -1
         node.best_i = -1
         node.best_w = 0.0
+        node.key = self.rng.bit_generator.random_raw()
         self.n_tagged += 1
+        setattr(self.telemetry, cause, getattr(self.telemetry, cause) + 1)
         return node
 
     def _patch_counts(self, node, x, label):
@@ -440,7 +508,7 @@ class Tree:
         if node.tagged:
             return
         if node.left is not None and self._stop(node.depth, node.n, node.n_pos):
-            tagged.append(self._tag(node))
+            tagged.append(self._tag(node, "tags_stopped"))
             return
         if blk is not None:
             self._shrink_ranges(node, vals)
@@ -448,7 +516,7 @@ class Tree:
         if node.left is None:
             return
         if self._best_moved(node):
-            tagged.append(self._tag(node))
+            tagged.append(self._tag(node, "tags_moved"))
             return
         go_left = vals[:, node.best_k] <= node.best_w
         for child, side in ((node.left, go_left), (node.right, ~go_left)):
@@ -513,7 +581,7 @@ class Tree:
                     # leaf kept its grid because every slot was degenerate;
                     # a widening value makes it splittable again
                     if widened.any():
-                        return self._tag(node)
+                        return self._tag(node, "tags_widened")
                     self._rescore(node)
                     return None
                 if widened.any():
@@ -523,65 +591,84 @@ class Tree:
                     self._resample_slots(node, widened)
                 self._rescore(node)
                 if self._best_moved(node):
-                    return self._tag(node)
+                    return self._tag(node, "tags_moved")
                 axis = int(node.slots.attrs[node.best_k])
                 node = node.left if x[axis] <= node.best_w else node.right
                 continue
             # slotless leaf: tag once every stop criterion has lifted
             if not self._stop(node.depth, node.n, node.n_pos):
-                return self._tag(node)
+                return self._tag(node, "tags_stopped")
             return None
 
     # -- queries ----------------------------------------------------------
 
-    def _materialize(self, node):
-        """Grow one fresh level at a tagged node, untag it, tag its children."""
-        for child in self._split_level(self._untag([node])):
-            child.tagged = True
-            self.n_tagged += 1
+    def _materialize(self, nodes):
+        """Grow one level at each tagged node from its own key, untag the
+        nodes and tag their children, keyed from their parent's stream."""
+        d, p, s = self.d, self.p, self.s
+        child_keys = []
+
+        def draw(grow):
+            u = np.empty((len(grow), d + p * s))
+            for row, node in zip(u, grow):
+                child_keys.append((node, self._key_stream(node.key, row)))
+            thr = u[:, d:].reshape(len(grow), p, s)
+            return u[:, :d], lambda flat: thr[~flat]
+
+        self._split_level(self._untag(nodes), draw)
+        self.telemetry.nodes_materialized += len(nodes)
+        for node, (left_key, right_key) in child_keys:
+            if node.left is not None:
+                node.left.tagged = node.right.tagged = True
+                node.left.key, node.right.key = left_key, right_key
+                self.n_tagged += 2
 
     def query(self, x):
-        """Route a feature vector to its leaf; returns (n, n_pos) there.
+        """Route a feature vector (a sequence or a 1-d array) to its leaf;
+        returns (n, n_pos) there.
 
         Materializes (one level at a time) any tagged node on the path.
         """
         node = self.root
         while True:
             if node.tagged:
-                self._materialize(node)
+                self._materialize([node])
             if node.left is None:
                 return len(node.ids), node.n_pos
             axis = int(node.slots.attrs[node.best_k])
             node = node.left if x[axis] <= node.best_w else node.right
 
     def query_many(self, X):
-        """Vectorized routing for a batch of rows; returns (n, n_pos) arrays.
+        """Route a batch of rows to their leaves; returns (n, n_pos) arrays.
 
-        Falls back to per-row queries while any tag is pending, since
-        routing can mutate the tree mid-batch.
+        Rows go down the tree together, one depth level at a time.  Before
+        a level is routed, every tagged node that some row reaches there is
+        materialized, all in one kernel call.  A node grown by a query draws
+        from its own key, so the tree grows exactly as row-by-row query()
+        calls would grow it, in any row order.
         """
         X = np.asarray(X, dtype=np.float64)
         m = len(X)
         out_n = np.empty(m, np.int64)
         out_pos = np.empty(m, np.int64)
-        if self.n_tagged:
-            for r in range(m):
-                out_n[r], out_pos[r] = self.query(X[r])
-            return out_n, out_pos
-
-        def route(node, rows):
-            if node.left is None:
-                out_n[rows] = node.n
-                out_pos[rows] = node.n_pos
-                return
-            axis = int(node.slots.attrs[node.best_k])
-            go_left = X[rows, axis] <= node.best_w
-            if go_left.any():
-                route(node.left, rows[go_left])
-            if not go_left.all():
-                route(node.right, rows[~go_left])
-
-        route(self.root, np.arange(m))
+        level = [(self.root, np.arange(m))] if m else []
+        while level:
+            reached = [node for node, _ in level if node.tagged]
+            if reached:
+                self._materialize(reached)
+            below = []
+            for node, rows in level:
+                if node.left is None:
+                    out_n[rows] = len(node.ids)
+                    out_pos[rows] = node.n_pos
+                    continue
+                go_left = X[rows, int(node.slots.attrs[node.best_k])] <= node.best_w
+                left, right = rows[go_left], rows[~go_left]
+                if len(left):
+                    below.append((node.left, left))
+                if len(right):
+                    below.append((node.right, right))
+            level = below
         return out_n, out_pos
 
     # -- maintenance --------------------------------------------------------
@@ -688,6 +775,8 @@ def _audit_node(tree, node, path, report, leaf_ids):
             report.flag(path, "tagged node has children")
         if node.best_k != -1:
             report.flag(path, "tagged node keeps a best split")
+        if node.key is None:
+            report.flag(path, "tagged node without a draw key")
         leaf_ids.append(ids)
         return
     if node.left is None:

@@ -234,6 +234,8 @@ def test_gen_stream_and_replay(workspace, tmp_path, capsys):
     counted = sum(int(v) for k, v in pairs.items() if k.endswith("_count"))
     assert counted == 60
     assert all(v == "0" for k, v in pairs.items() if k.endswith("_failed"))
+    for counter in ("nodes_materialized", "tags_moved", "tags_stopped", "tags_widened"):
+        assert int(pairs[counter]) >= 0
     rows = [json.loads(ln) for ln in latency.read_text().splitlines()]
     assert len(rows) == 60 and all(r["ok"] for r in rows)
     load(model_out)  # post-stream snapshot is a valid model
@@ -251,6 +253,32 @@ def test_stream_records_bad_lines_and_continues(workspace, tmp_path, capsys):
     assert pairs["query_count"] == "2"
     assert pairs["invalid_count"] == "1"
     assert pairs["delete_failed"] == "1"
+
+
+# -- audit ----------------------------------------------------------------------
+
+
+def test_audit_passes_a_clean_model(workspace, capsys):
+    code = main(["audit", "--model", workspace["model"]])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["nodes_checked"] > 0 and report["violations"] == []
+
+
+def test_audit_flags_a_stale_count_that_loads_silently(workspace, tmp_path, capsys):
+    def edit(arrays):
+        arrays["t0.slot_b"][0, 0, 0] += 1
+
+    bad = tmp_path / "stale.bin"
+    bad.write_bytes(edit_arrays(open(workspace["model"], "rb").read(), edit))
+    load(bad)  # nothing in the file's structure gives the stale cell away
+    code = main(["audit", "--model", str(bad)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert any("b counts stale" in v for v in report["violations"])
+    bad.write_bytes(b"\x00" * 32)
+    code, _, err = run_cli(capsys, "audit", "--model", str(bad))
+    assert code == 2 and "magic" in err
 
 
 # -- failure modes ----------------------------------------------------------------
@@ -305,6 +333,24 @@ def test_model_with_corrupt_child_index_exits_2(workspace, tmp_path, capsys):
     code, _, err = run_cli(capsys, "unlearn-seq", "--model", str(bad),
                            "--ids", "1", "--skip-naive")
     assert code == 2 and "child index" in err
+
+
+def test_model_with_short_keys_exits_2(workspace, tmp_path, capsys):
+    tagged = tmp_path / "tagged.bin"
+    code, _, _ = run_cli(capsys, "unlearn-seq", "--model", workspace["model"],
+                         "--ids", ",".join(map(str, range(0, 80, 2))), "--skip-naive",
+                         "--model-out", str(tagged))
+    assert code == 0
+    t = next(t for t, tree in enumerate(load(tagged).trees) if tree.n_tagged)
+
+    def edit(arrays):
+        arrays["t%d.keys" % t] = arrays["t%d.keys" % t][:-1]
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(edit_arrays(tagged.read_bytes(), edit))
+    code, _, err = run_cli(capsys, "unlearn-seq", "--model", str(bad),
+                           "--ids", "1", "--skip-naive")
+    assert code == 2 and "keys has shape" in err
 
 
 def test_model_with_corrupt_assignment_exits_2(workspace, tmp_path, capsys):

@@ -114,6 +114,20 @@ def test_predict_many_matches_scalar_predict():
     assert vec == pytest.approx([forest.predict(X[r]) for r in range(50)])
 
 
+def test_predict_takes_a_list_row_like_an_array_row():
+    ds = make_dataset(400, d=6, seed=4)
+    forest = Forest.train(ds, quick_params())
+    for sid in range(0, 60, 2):
+        forest.delete(sid)
+    twin = Forest.train(make_dataset(400, d=6, seed=4), quick_params())
+    for sid in range(0, 60, 2):
+        twin.delete(sid)
+    assert forest.tagged_count() > 0
+    X = make_dataset(40, d=6, seed=7).X[:40]
+    for x in X:
+        assert forest.predict(x) == twin.predict(x.tolist())
+
+
 def test_predict_validates_shapes():
     forest = Forest.train(make_dataset(200, d=6, seed=5), quick_params())
     with pytest.raises(ValueError, match="features"):
@@ -307,6 +321,8 @@ def test_telemetry_sums_per_tree_counters_and_resets():
     assert forest.telemetry().as_dict() == {
         "nodes_updated": 0, "subtree_samples_rebuilt": 0,
         "range_resample_samples": 0, "attrs_resampled": 0,
+        "nodes_materialized": 0, "tags_moved": 0, "tags_stopped": 0,
+        "tags_widened": 0,
     }
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from dynforest.forest import Forest, ForestParams
 from dynforest.oracle import forest_audit
-from dynforest.snapshot import MAGIC, SnapshotError, load, save
+from dynforest.snapshot import MAGIC, VERSION, SnapshotError, load, save
 from dynforest.synth import make_dataset
 from dynforest.tree import TreeParams
 
@@ -80,13 +80,61 @@ def test_round_trip_preserves_pending_tags(tmp_path):
     save(forest, path)
     back = load(path)
     assert back.tagged_count() == forest.tagged_count()
-    # materializing tagged nodes draws from the restored rng streams, so
-    # both forests must keep answering identically even through rebuilds
+    # materializing tagged nodes draws from the restored keys, and flushing
+    # from the restored rng streams, so both forests must keep answering
+    # identically even through rebuilds
     X = make_dataset(80, d=6, seed=51).X[:80]
     assert np.array_equal(forest.predict_many(X), back.predict_many(X))
     forest.flush()
     back.flush()
     assert np.array_equal(forest.predict_many(X), back.predict_many(X))
+
+
+def tagged_forest(seed=1, n_deletes=120):
+    ds, forest = trained(seed=seed)
+    rng = np.random.default_rng(0)
+    for sample_id in rng.choice(ds.live_ids(), n_deletes, replace=False):
+        forest.delete(int(sample_id))
+    assert forest.tagged_count() > 0
+    return forest
+
+
+def test_round_trip_with_tags_pending_grows_identically(tmp_path):
+    forest = tagged_forest(seed=2)
+    path = tmp_path / "model.bin"
+    save(forest, path)
+    back = load(path)
+    X = make_dataset(30, d=6, seed=52).X[:30]
+    for tree, twin in zip(forest.trees, back.trees):
+        n, pos = tree.query_many(X)
+        n_back, pos_back = twin.query_many(X)
+        assert np.array_equal(n, n_back) and np.array_equal(pos, pos_back)
+    assert sum(t.telemetry.nodes_materialized for t in back.trees) > 0
+    save(forest, tmp_path / "a.bin")
+    save(back, tmp_path / "b.bin")
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_load_rejects_keys_that_do_not_match_the_tags(tmp_path):
+    forest = tagged_forest(seed=3)
+    path = tmp_path / "m.bin"
+    save(forest, path)
+    blob = path.read_bytes()
+    t = next(t for t, tree in enumerate(forest.trees) if tree.n_tagged)
+
+    def short(arrays):
+        arrays["t%d.keys" % t] = arrays["t%d.keys" % t][:-1]
+
+    def long(arrays):
+        arrays["t%d.keys" % t] = np.append(arrays["t%d.keys" % t], np.uint64(7))
+
+    def signed(arrays):
+        arrays["t%d.keys" % t] = arrays["t%d.keys" % t].astype(np.int64)
+
+    for edit in (short, long, signed):
+        path.write_bytes(edit_arrays(blob, edit))
+        with pytest.raises(SnapshotError, match="keys has shape"):
+            load(path)
 
 
 def test_round_trip_preserves_tombstones_and_id_counter(tmp_path):
@@ -184,10 +232,12 @@ def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "m.bin"
     save(forest, path)
     blob = path.read_bytes()
-    assert blob.count(b'"version":1') == 1
-    path.write_bytes(blob.replace(b'"version":1', b'"version":9'))
-    with pytest.raises(SnapshotError, match="version"):
-        load(path)
+    current = b'"version":%d' % VERSION
+    assert blob.count(current) == 1
+    for old in (1, 9):  # version 1 files predate the per-node draw keys
+        path.write_bytes(blob.replace(current, b'"version":%d' % old))
+        with pytest.raises(SnapshotError, match="unsupported snapshot version %d" % old):
+            load(path)
 
 
 def test_load_rejects_garbage_header(tmp_path):

@@ -136,6 +136,17 @@ def test_build_depth_limit():
     assert max(depths) <= 3
 
 
+def preorder(root):
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node.left is not None:
+            stack.extend((node.right, node.left))
+    return out
+
+
 def signature(tree):
     """Every node's structure, statistics and grid, in preorder."""
     out = []
@@ -143,7 +154,8 @@ def signature(tree):
     while stack:
         node = stack.pop()
         out.append((node.depth, node.n, node.n_pos, node.best_k, node.best_i,
-                    node.best_w, node.tagged, tuple(node.ids)))
+                    node.best_w, node.tagged, node.key if node.tagged else None,
+                    tuple(node.ids)))
         if node.slots is not None:
             out.append(tuple(node.slots.attrs) + tuple(node.slots.thr.ravel())
                        + tuple(node.slots.b.ravel()) + tuple(node.slots.score.ravel()))
@@ -167,6 +179,9 @@ def test_copies_stay_identical_through_deletes_and_flush():
         tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(21))
         for sid in range(0, 200, 3):
             tree.delete(sid)
+        more = iter(range(200, 500, 3))
+        while tree.n_tagged < 2:
+            tree.delete(next(more))
         return tree
 
     a, b = grown(), grown()
@@ -204,7 +219,10 @@ def test_level_builder_passes_audit_on_every_path():
         assert report.ok, "seed %d after rebuild_node: %s" % (seed, report.summary())
         delete_until_tagged()
         work = tree.telemetry.subtree_samples_rebuilt
-        for row in make_dataset(40, d=7, seed=40 + seed).X[:40]:
+        # a row of some tagged node's own samples reaches that node
+        tagged = next(node for node in preorder(tree.root) if node.tagged and node.n)
+        rows = list(make_dataset(40, d=7, seed=40 + seed).X[:40]) + [ds.X[tagged.ids[0]]]
+        for row in rows:
             tree.query(row)
         assert tree.telemetry.subtree_samples_rebuilt > work
         report = audit_tree(tree)
@@ -238,6 +256,48 @@ def test_level_draws_are_uniform_over_seeds():
         root = tree.root
         for node in (root, root.left, root.right):
             if node is None or node.slots is None:
+                continue
+            blk = node.slots
+            if node is root:
+                key = tuple(blk.attrs)
+                root_counts[subsets.setdefault(key, len(subsets))] += 1
+            live = blk.amin < blk.amax
+            unit.append(((blk.thr[live] - blk.amin[live, None])
+                         / (blk.amax[live] - blk.amin[live])[:, None]).ravel())
+    assert len(subsets) == 15  # C(6, 2)
+    assert stats.chisquare(root_counts).pvalue > 1e-3
+    unit = np.concatenate(unit)
+    assert len(unit) > 20000
+    assert stats.kstest(unit, "uniform").pvalue > 1e-3
+
+
+def test_query_grown_draws_are_uniform_over_seeds():
+    """Nodes grown by queries read their own keyed streams: their attribute
+    subsets are uniform p-subsets (chi-square) and their thresholds are
+    uniform over their slot's range (Kolmogorov-Smirnov), at the tagged
+    root and at the two children one batch query grows below it.
+
+    2000 fixed seeds make the outcome deterministic; under the null each
+    p-value would fall below its 0.001 floor with probability 0.001.
+    """
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(80, 6))
+    X[:, 3] = 1.5  # a constant attribute: its slots are degenerate
+    ds = dataset_from_arrays(X, rng.integers(0, 2, size=80))
+    params = TreeParams(max_depth=2, n_thresholds=5, n_attrs=2, min_split_size=2)
+    rows = X[:20]
+    subsets = {}
+    root_counts = np.zeros(15)
+    unit = []
+    for seed in range(2000):
+        tree = build_tree(ds, ds.live_ids(), params, np.random.default_rng(seed))
+        tree._tag(tree.root, "tags_moved")
+        tree.query_many(rows)
+        root = tree.root
+        assert tree.telemetry.nodes_materialized >= 1
+        for node in (root, root.left, root.right):
+            if node is None or node.slots is None or node.tagged:
                 continue
             blk = node.slots
             if node is root:
@@ -523,6 +583,56 @@ def test_query_many_while_tagged_matches_sequential_semantics():
     rows = [t2.query(X[r]) for r in range(len(X))]
     assert n1.tolist() == [r[0] for r in rows]
     assert p1.tolist() == [r[1] for r in rows]
+
+
+def test_query_many_is_independent_of_row_order():
+    # a node grown by a query draws from its own key, so the order in
+    # which rows reach tagged nodes changes neither the tree nor the counts
+    def tagged_tree():
+        ds = make_dataset(400, d=6, seed=11)
+        tree = build_tree(ds, ds.live_ids(), small_params(),
+                          np.random.default_rng(14))
+        for sid in range(0, 120, 3):
+            tree.delete(sid)
+        assert tree.n_tagged > 1
+        return tree
+
+    X = make_dataset(60, d=6, seed=12).X[:60]
+    perm = np.random.default_rng(3).permutation(len(X))
+    forward, permuted, single = tagged_tree(), tagged_tree(), tagged_tree()
+    n_f, p_f = forward.query_many(X)
+    n_p, p_p = permuted.query_many(X[perm])
+    rows = {r: single.query(X[r]) for r in perm[::-1].tolist()}
+    assert n_p.tolist() == n_f[perm].tolist() and p_p.tolist() == p_f[perm].tolist()
+    assert n_f.tolist() == [rows[r][0] for r in range(len(X))]
+    assert p_f.tolist() == [rows[r][1] for r in range(len(X))]
+    assert signature(permuted) == signature(forward) == signature(single)
+    assert forward.telemetry.nodes_materialized > 0
+    assert audit_tree(forward).ok
+
+
+def test_tag_counters_count_each_tag_once_and_repeat_exactly():
+    def run():
+        ds = make_dataset(500, d=6, seed=21)
+        tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(22))
+        rng = np.random.default_rng(23)
+        probe = make_dataset(30, d=6, seed=24).X[:30]
+        events = 0
+        for sid in rng.choice(ds.live_ids(), 150, replace=False).tolist():
+            events += tree.delete(sid) is not None
+            ds.tombstone(sid)
+            new = ds.add(probe[sid % 30] * 1.3, sid % 2)  # some values widen ranges
+            events += tree.add(new) is not None
+            tree.query(probe[sid % 30])
+        return events, tree.telemetry.as_dict()
+
+    first = run()
+    assert run() == first
+    events, counts = first
+    causes = counts["tags_moved"] + counts["tags_stopped"] + counts["tags_widened"]
+    assert causes == events > 0
+    assert counts["tags_moved"] > 0 and counts["tags_stopped"] > 0
+    assert counts["nodes_materialized"] > 0
 
 
 # -- flush ----------------------------------------------------------------------
