@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .tree import Telemetry, Tree, TreeParams
+from .tree import Telemetry, Tree, TreeParams, route_row, route_rows
 
 
 def subsample_count(occupancy, n_trees):
@@ -130,28 +130,45 @@ class Forest:
 
     def predict(self, x):
         """Probability that x is positive: mean over trees of the reached
-        leaf's positive fraction (empty leaves fall back to the prior)."""
+        leaf's positive fraction (empty leaves fall back to the prior).
+
+        The row goes down each tree in turn to a leaf or a tagged node;
+        the tagged nodes reached in all trees then grow one level together
+        (see tree.route_row), and the row goes on from there.  Nodes grown
+        by a query draw from their own keys, so the forest grows exactly as
+        tree-by-tree Tree.query calls would grow it.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ds.n_attrs,):
             raise ValueError("expected %d features, got shape %s"
                              % (self.ds.n_attrs, x.shape))
-        row = x.tolist()  # routing compares Python floats faster than numpy scalars
-        counts = [t.query(row) for t in self.trees]
+        if not np.isfinite(x).all():
+            raise ValueError("features must be finite, row 0 is not")
+        # routing compares Python floats faster than numpy scalars
+        leaves = route_row(self.trees, x.tolist())
         prior = self.prior
-        return float(np.mean([pos / n if n else prior for n, pos in counts]))
+        return float(np.mean([leaf.n_pos / len(leaf.ids) if len(leaf.ids) else prior
+                              for leaf in leaves]))
 
     def predict_many(self, X):
-        """Vectorized predict over the rows of X."""
+        """Vectorized predict over the rows of X.
+
+        The rows go down each tree in turn to leaves and tagged nodes; the
+        tagged frontier of all trees then grows one level together, in
+        kernel calls of at most as many samples as the largest root holds
+        (see tree.route_rows), and the rows there go on.  Keyed draws make
+        the result equal to tree-by-tree Tree.query_many calls.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.ds.n_attrs:
             raise ValueError("expected (m, %d) matrix, got shape %s"
                              % (self.ds.n_attrs, X.shape))
-        prior = self.prior
-        probs = np.empty((len(self.trees), len(X)))
-        for t, tree in enumerate(self.trees):
-            n, pos = tree.query_many(X)
-            with np.errstate(invalid="ignore"):
-                probs[t] = np.where(n > 0, pos / np.maximum(n, 1), prior)
+        if not np.isfinite(X).all():
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+            raise ValueError("features must be finite, row %d is not" % bad)
+        n, pos = route_rows(self.trees, X)
+        with np.errstate(invalid="ignore"):
+            probs = np.where(n > 0, pos / np.maximum(n, 1), self.prior)
         return probs.mean(axis=0)
 
     # -- updates ------------------------------------------------------------

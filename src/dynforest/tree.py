@@ -27,11 +27,19 @@ subtree is discarded but nothing is rebuilt yet.
 
 Tagged nodes still receive id and count updates.  A query reaching a
 tagged node materializes exactly one fresh level (redrawing attributes
-and thresholds), untags it, tags the new children, and walks on;
-query_many does this for every tagged node its rows reach on one level
-at once.  flush() rebuilds every tagged subtree eagerly.
+and thresholds), untags it, tags the new children, and walks on.
+Queries are batched across trees: route_row (one row) and route_rows (a
+batch) take a list of trees, route down each tree in turn to the leaves
+and tagged nodes reached, then grow every reached tagged node of all the
+trees one level in one materialize() step, and repeat from there.
+Tree.query and Tree.query_many are one-tree calls into them, and
+Forest.predict and predict_many pass the whole forest.  materialize()
+feeds the split kernel calls of at most as many samples as the largest
+root among its trees holds, so no call allocates more than a build or a
+flush of those trees already does.  flush() rebuilds every tagged
+subtree eagerly.
 
-Growth is level by level: build, flush, rebuild_node and materialization
+Growth is level by level: build, flush, rebuild_node and materialize()
 all go through _split_level, which splits a whole frontier of nodes in
 one vectorized pass and returns the next frontier (flush puts every
 tagged node of the tree in the first one).
@@ -53,11 +61,13 @@ a query reads d + p*s uniforms (the attribute keys, then s per slot; a
 degenerate slot's block goes unused) from a Philox4x64 stream keyed by
 its key alone, counter at zero (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC'11), and its children's keys are the next two raw
-words of that stream.  Queries may reach tagged nodes in any order, one
-row at a time or a whole batch per level; keyed draws make the grown tree
-the same either way, so query_many can batch them.  The eager paths keep
-the tree stream, which keeps clean training free of per-node generator
-set-up.
+words of that stream.  Queries may reach tagged nodes in any order and
+in any grouping: one row or a batch, one tree or many, one kernel call or
+several.  A node's draws are a function of its key alone and the
+kernel's arithmetic is row-wise per node, so the grown trees are the
+same bits either way, and growing all trees' nodes together equals
+growing them tree by tree.  The eager paths keep the tree stream, which
+keeps clean training free of per-node generator set-up.
 
 A node re-created after a new tag never reuses a draw conditioned on old
 data.  Its key is the next word of the tree stream at the tag event,
@@ -602,74 +612,26 @@ class Tree:
 
     # -- queries ----------------------------------------------------------
 
-    def _materialize(self, nodes):
-        """Grow one level at each tagged node from its own key, untag the
-        nodes and tag their children, keyed from their parent's stream."""
-        d, p, s = self.d, self.p, self.s
-        child_keys = []
-
-        def draw(grow):
-            u = np.empty((len(grow), d + p * s))
-            for row, node in zip(u, grow):
-                child_keys.append((node, self._key_stream(node.key, row)))
-            thr = u[:, d:].reshape(len(grow), p, s)
-            return u[:, :d], lambda flat: thr[~flat]
-
-        self._split_level(self._untag(nodes), draw)
-        self.telemetry.nodes_materialized += len(nodes)
-        for node, (left_key, right_key) in child_keys:
-            if node.left is not None:
-                node.left.tagged = node.right.tagged = True
-                node.left.key, node.right.key = left_key, right_key
-                self.n_tagged += 2
-
     def query(self, x):
         """Route a feature vector (a sequence or a 1-d array) to its leaf;
         returns (n, n_pos) there.
 
-        Materializes (one level at a time) any tagged node on the path.
+        Grows (one level at a time) any tagged node on the path.
         """
-        node = self.root
-        while True:
-            if node.tagged:
-                self._materialize([node])
-            if node.left is None:
-                return len(node.ids), node.n_pos
-            axis = int(node.slots.attrs[node.best_k])
-            node = node.left if x[axis] <= node.best_w else node.right
+        leaf, = route_row([self], x)
+        return len(leaf.ids), leaf.n_pos
 
     def query_many(self, X):
         """Route a batch of rows to their leaves; returns (n, n_pos) arrays.
 
-        Rows go down the tree together, one depth level at a time.  Before
-        a level is routed, every tagged node that some row reaches there is
-        materialized, all in one kernel call.  A node grown by a query draws
-        from its own key, so the tree grows exactly as row-by-row query()
-        calls would grow it, in any row order.
+        Rows go down the tree together, stopping at leaves and tagged
+        nodes; every tagged node some row reaches is grown one level, all
+        in one kernel call, and the rows there go on.  A node grown by a
+        query draws from its own key, so the tree grows exactly as
+        row-by-row query() calls would grow it, in any row order.
         """
-        X = np.asarray(X, dtype=np.float64)
-        m = len(X)
-        out_n = np.empty(m, np.int64)
-        out_pos = np.empty(m, np.int64)
-        level = [(self.root, np.arange(m))] if m else []
-        while level:
-            reached = [node for node, _ in level if node.tagged]
-            if reached:
-                self._materialize(reached)
-            below = []
-            for node, rows in level:
-                if node.left is None:
-                    out_n[rows] = len(node.ids)
-                    out_pos[rows] = node.n_pos
-                    continue
-                go_left = X[rows, int(node.slots.attrs[node.best_k])] <= node.best_w
-                left, right = rows[go_left], rows[~go_left]
-                if len(left):
-                    below.append((node.left, left))
-                if len(right):
-                    below.append((node.right, right))
-            level = below
-        return out_n, out_pos
+        n, n_pos = route_rows([self], np.asarray(X, dtype=np.float64))
+        return n[0], n_pos[0]
 
     # -- maintenance --------------------------------------------------------
 
@@ -704,6 +666,138 @@ class Tree:
                 stack.append(node.right)
                 stack.append(node.left)
         return count
+
+
+# -- query routing ----------------------------------------------------------
+
+
+def _descend(node, x):
+    """Route row x from node down to the first leaf or tagged node."""
+    while node.left is not None:
+        axis = int(node.slots.attrs[node.best_k])
+        node = node.left if x[axis] <= node.best_w else node.right
+    return node
+
+
+def route_row(trees, x):
+    """Route one row down each tree to its leaf; returns the leaves, in tree
+    order.
+
+    The row goes down one tree at a time to a leaf or a tagged node.  Then
+    every tagged node reached, in all trees, grows one level in one
+    materialize() step, and the row goes on from there; this repeats until
+    no tagged node is reached.
+    """
+    reached = [_descend(tree.root, x) for tree in trees]
+    pending = [t for t, node in enumerate(reached) if node.tagged]
+    while pending:
+        materialize([(trees[t], reached[t]) for t in pending])
+        for t in pending:
+            reached[t] = _descend(reached[t], x)
+        pending = [t for t in pending if reached[t].tagged]
+    return reached
+
+
+def _descend_many(t, node, rows, X, out_n, out_pos, tagged):
+    """Route the given rows of X from node down to leaves and tagged nodes.
+
+    A leaf writes its (n, n_pos) into out_n and out_pos at its rows; a
+    tagged node is appended to tagged as (t, node, rows reaching it).
+    """
+    stack = [(node, rows)]
+    while stack:
+        node, rows = stack.pop()
+        if node.left is None:
+            if node.tagged:
+                tagged.append((t, node, rows))
+            else:
+                out_n[rows] = len(node.ids)
+                out_pos[rows] = node.n_pos
+            continue
+        go_left = X[rows, int(node.slots.attrs[node.best_k])] <= node.best_w
+        left, right = rows[go_left], rows[~go_left]
+        if len(left):
+            stack.append((node.left, left))
+        if len(right):
+            stack.append((node.right, right))
+
+
+def route_rows(trees, X):
+    """Route the rows of a float matrix X down each tree to their leaves;
+    returns (n, n_pos) arrays of shape (len(trees), len(X)).
+
+    The rows go down one tree at a time to leaves and tagged nodes.  Then
+    the tagged frontier of all trees grows one level in one materialize()
+    step, and the rows there go on; this repeats until no row reaches a
+    tagged node.
+    """
+    m = len(X)
+    out_n = np.empty((len(trees), m), np.int64)
+    out_pos = np.empty((len(trees), m), np.int64)
+    frontier = []
+    if m:
+        for t, tree in enumerate(trees):
+            _descend_many(t, tree.root, np.arange(m), X, out_n[t], out_pos[t], frontier)
+    while frontier:
+        materialize([(trees[t], node) for t, node, _ in frontier])
+        reached, frontier = frontier, []
+        for t, node, rows in reached:
+            _descend_many(t, node, rows, X, out_n[t], out_pos[t], frontier)
+    return out_n, out_pos
+
+
+def materialize(reached):
+    """Grow one level at each tagged node of reached, a list of distinct
+    (tree, node) pairs, untag the nodes and tag their children.
+
+    Every node draws from its own key and its children's keys come from
+    that key's stream, so the grown trees do not depend on which nodes
+    share a call.  The trees must share one Dataset and one TreeParams.
+    The nodes go to the split kernel in calls of at most as many samples
+    as the largest root among their trees holds, the most a build or
+    flush call can see.  Counters and tag counts go to each node's tree.
+    """
+    kernel = reached[0][0]
+    cap = 0
+    for tree, _ in reached:
+        if tree.ds is not kernel.ds or (tree.params is not kernel.params
+                                        and tree.params != kernel.params):
+            raise ValueError("trees grown together must share one Dataset "
+                             "and one TreeParams")
+        cap = max(cap, tree.root.n)
+    for tree, node in reached:
+        tree._untag([node])
+        tree.telemetry.nodes_materialized += 1
+    call, rows = [], 0
+    for tree, node in reached:
+        if call and rows + node.n > cap:
+            _split_keyed(kernel, call)
+            call, rows = [], 0
+        call.append((tree, node))
+        rows += node.n
+    _split_keyed(kernel, call)
+
+
+def _split_keyed(kernel, pairs):
+    """One kernel call over the (tree, node) pairs' fresh nodes, each
+    drawing from its own key; tags the children with the next two words of
+    their parent's stream."""
+    d, p, s = kernel.d, kernel.p, kernel.s
+    child_keys = {}
+
+    def draw(grow):
+        u = np.empty((len(grow), d + p * s))
+        for row, node in zip(u, grow):
+            child_keys[node] = kernel._key_stream(node.key, row)
+        thr = u[:, d:].reshape(len(grow), p, s)
+        return u[:, :d], lambda flat: thr[~flat]
+
+    kernel._split_level([node for _, node in pairs], draw)
+    for tree, node in pairs:
+        if node.left is not None:
+            node.left.tagged = node.right.tagged = True
+            node.left.key, node.right.key = child_keys[node]
+            tree.n_tagged += 2
 
 
 def build_tree(ds, ids, params, rng=None):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dynforest import tree as tree_mod
 from dynforest.forest import Forest, ForestParams, distribute, subsample_count
 from dynforest.oracle import forest_audit, occupancy_check
-from dynforest.snapshot import save
+from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
-from dynforest.tree import TreeParams
+from dynforest.tree import Tree, TreeParams, materialize
+from test_tree import signature
 
 
 def quick_params(**kw):
@@ -134,6 +138,27 @@ def test_predict_validates_shapes():
         forest.predict(np.zeros(5))
     with pytest.raises(ValueError, match="matrix"):
         forest.predict_many(np.zeros((4, 9)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_rows_before_touching_a_tree(tmp_path, bad):
+    ds = make_dataset(400, d=6, seed=4)
+    forest = Forest.train(ds, quick_params())
+    for sid in range(0, 60, 2):
+        forest.delete(sid)
+    assert forest.tagged_count() > 0
+    save(forest, tmp_path / "before.bin")
+    x = ds.X[3].copy()
+    x[2] = bad
+    with pytest.raises(ValueError, match="finite, row 0 "):
+        forest.predict(x)
+    X = make_dataset(6, d=6, seed=7).X[:6].copy()
+    X[4, 0] = bad
+    X[5, 1] = bad
+    with pytest.raises(ValueError, match="finite, row 4 "):
+        forest.predict_many(X)
+    save(forest, tmp_path / "after.bin")
+    assert (tmp_path / "before.bin").read_bytes() == (tmp_path / "after.bin").read_bytes()
 
 
 def test_prior_tracks_live_samples_and_empty_forest_predicts_half():
@@ -360,4 +385,134 @@ def test_mixed_operations_keep_forest_audit_clean():
             report = forest_audit(forest)
             assert report.ok, "step %d: %s" % (step, report.summary())
     forest.flush()
+    assert forest_audit(forest).ok
+
+
+# -- query growth across trees ---------------------------------------------------
+
+
+def test_cross_tree_growth_equals_tree_by_tree_queries(tmp_path):
+    ds = make_dataset(600, d=8, seed=40)
+    forest = Forest.train(ds, quick_params(n_trees=12, occupancy=0.5, seed=41))
+    rng = np.random.default_rng(9)
+    for sid in rng.choice(ds.live_ids(), 40, replace=False):
+        forest.delete(int(sid))
+    forest.unlearn_batch([int(i) for i in rng.choice(ds.live_ids(), 60, replace=False)])
+    assert forest.tagged_count() > 0
+    save(forest, tmp_path / "tagged.bin")
+    together, by_tree = load(tmp_path / "tagged.bin"), load(tmp_path / "tagged.bin")
+    X = make_dataset(60, d=8, seed=42).X[:60]
+
+    got = [together.predict(x) for x in X[:30]]
+    want = []
+    for x in X[:30]:
+        counts = [tree.query(x) for tree in by_tree.trees]
+        want.append(float(np.mean([pos / n if n else by_tree.prior for n, pos in counts])))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    got = together.predict_many(X[30:])
+    counts = [tree.query_many(X[30:]) for tree in by_tree.trees]
+    want = np.mean([np.where(n > 0, pos / np.maximum(n, 1), by_tree.prior)
+                    for n, pos in counts], axis=0)
+    assert got.tobytes() == want.tobytes()
+
+    assert together.telemetry().nodes_materialized > 0
+    for a, b in zip(together.trees, by_tree.trees):
+        assert signature(a) == signature(b)
+        assert a.n_tagged == b.n_tagged
+        assert a.telemetry.as_dict() == b.telemetry.as_dict()
+    report = forest_audit(together)
+    assert report.ok, report.summary()
+
+
+def spy_on_growth(monkeypatch):
+    """Record the samples each split-kernel call sees and the materialize
+    rounds that make them."""
+    calls, rounds = [], []
+    split_level, grow = Tree._split_level, tree_mod.materialize
+
+    def spy_split(self, nodes, draw):
+        calls.append(sum(node.n for node in nodes))
+        return split_level(self, nodes, draw)
+
+    def spy_grow(reached):
+        rounds.append(len(reached))
+        return grow(reached)
+
+    monkeypatch.setattr(Tree, "_split_level", spy_split)
+    monkeypatch.setattr(tree_mod, "materialize", spy_grow)
+    return calls, rounds
+
+
+def test_tagged_predict_makes_one_kernel_call_per_round(monkeypatch):
+    ds = make_dataset(1500, d=8, seed=2)
+    forest = Forest.train(ds, ForestParams(
+        n_trees=16, occupancy=1.0, seed=2,
+        tree=TreeParams(max_depth=12, n_thresholds=5, min_split_size=4)))
+    x = ds.X[7].copy()
+    forest.delete(7)
+    reached = [tree_mod._descend(tree.root, x.tolist()) for tree in forest.trees]
+    assert sum(node.tagged for node in reached) >= 10
+    calls, rounds = spy_on_growth(monkeypatch)
+    forest.predict(x)
+    assert len(rounds) > 1
+    assert len(calls) <= len(rounds)
+    assert max(calls) <= max(tree.root.n for tree in forest.trees)
+
+
+def test_no_kernel_call_sees_more_rows_than_the_largest_root(monkeypatch):
+    ds = make_dataset(1500, d=8, seed=3)
+    forest = Forest.train(ds, ForestParams(
+        n_trees=16, occupancy=1.0, seed=3,
+        tree=TreeParams(max_depth=10, n_thresholds=5, min_split_size=10)))
+    forest.unlearn_batch(list(range(0, 300, 3)))
+    cap = max(tree.root.n for tree in forest.trees)
+    calls, rounds = spy_on_growth(monkeypatch)
+    X = make_dataset(200, d=8, seed=53).X[:200]
+    for x in X[:20]:
+        forest.predict(x)
+    forest.predict_many(X[20:])
+    assert max(calls) <= cap
+    # the tagged frontier of a batch outgrows one call, so the cap binds
+    assert len(calls) > len(rounds)
+    assert forest_audit(forest).ok
+
+
+def tagged_pairs(forest):
+    """(tree, node) for every tagged node of the forest."""
+    pairs = []
+    for tree in forest.trees:
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.tagged:
+                pairs.append((tree, node))
+            elif node.left is not None:
+                stack.extend((node.left, node.right))
+    return pairs
+
+
+def test_materialize_refuses_trees_that_do_not_share_data_and_params():
+    def tagged_forest(seed):
+        forest = Forest.train(make_dataset(300, d=6, seed=22),
+                              quick_params(n_trees=4, occupancy=1.0, seed=seed))
+        for sid in range(0, 60, 2):
+            forest.delete(sid)
+        return forest
+
+    forest, other = tagged_forest(5), tagged_forest(6)
+    first = tagged_pairs(forest)[0]
+    second = next(pair for pair in tagged_pairs(forest) if pair[0] is not first[0])
+    foreign = tagged_pairs(other)[0]
+    second[0].params = dataclasses.replace(first[0].params, max_depth=7)
+    for pair in (second, foreign):
+        counts = (first[0].n_tagged, pair[0].n_tagged)
+        with pytest.raises(ValueError, match="share one Dataset and one TreeParams"):
+            materialize([first, pair])
+        assert (first[0].n_tagged, pair[0].n_tagged) == counts
+        assert first[1].tagged and pair[1].tagged
+    # equal parameters in distinct objects are one TreeParams
+    second[0].params = dataclasses.replace(first[0].params)
+    materialize([first, second])
+    assert not first[1].tagged and not second[1].tagged
     assert forest_audit(forest).ok
