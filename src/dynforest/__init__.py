@@ -3,8 +3,10 @@
 Samples land in a fixed random subset of trees (occupancy subsampling),
 deletions and additions patch cached path statistics, and subtree
 rebuilds are deferred behind lazy tags until a query needs them.  The
-resulting model is distributed identically to one retrained from scratch
-on the updated data.
+aim is a model distributed identically to one retrained from scratch on
+the updated data; the current protocol misses it, because a tagged node
+redraws the candidates whose scores decided to tag it
+(tests/test_exactness.py records the bias; see ROADMAP item 1).
 """
 
 from .audit import AuditReport, Violation

@@ -120,7 +120,7 @@ def score_matrix(b, c, n, n_pos, criterion="gini"):
     """
     if criterion not in CRITERIA:
         raise ValueError("unknown criterion %r" % (criterion,))
-    if np.asarray(n).min() <= 0:  # any node total non-positive
+    if np.asarray(n).min(initial=1) <= 0:  # any node total non-positive
         raise ValueError("n must be positive")
     nl = np.asarray(b, dtype=np.float64)
     pl = np.asarray(c, dtype=np.float64)

@@ -230,9 +230,6 @@ class Dataset:
     def next_id(self):
         return self._next_id
 
-    def positive_fraction(self):
-        return self._n_pos / self._n_live if self._n_live else 0.0
-
     # -- access -------------------------------------------------------
 
     def is_live(self, sample_id):

@@ -3,22 +3,46 @@
 Layout: an 8-byte magic string, a little-endian uint32 header length, a
 JSON header (sorted keys, compact separators), then the raw bytes of every
 array the header lists, concatenated in listing order (C order, native
-little-endian dtypes).  Everything that affects future behaviour is
-captured: the dataset (including tombstones), the tree assignment, every
-node of every tree with its cached statistics and tags, the exact
-generator states, and, per tree, the array t<i>.keys holding one uint64
-draw key per tagged node in preorder, so a reloaded forest continues
-bit-for-bit like the original.  A query-grown node's Philox stream is set
-up from its key alone, so no Philox state is stored.  Saving the same
-forest twice yields identical bytes.
+little-endian dtypes).  Saving the same forest twice yields identical
+bytes, and a reloaded forest continues bit-for-bit like the original.
 
-VERSION 2 added the keys; a version 1 file raises SnapshotError.
+The file stores each fact once: the dataset (including tombstones), the
+tree assignment, the exact generator states, and per tree t, over its
+nodes in preorder:
+
+  t<t>.flags      the tag and grid bits of every node
+  t<t>.children   every node's two child indices, -1 for a childless node
+  t<t>.ids        the sample ids of the childless nodes (leaves and tagged
+  t<t>.ids_len    nodes), one ids_len entry per childless node
+  t<t>.keys       one uint64 draw key per tagged node; a query-grown
+                  node's Philox stream is set up from its key alone
+  t<t>.slot_*     one row per node with a grid: attrs, amin, amax, thr
+                  (the draws) and the cached counts b and c
+
+Load derives the rest, a whole tree at a time: each node's depth from the
+links; an internal node's ids (ascending, the order training and updates
+keep them in) and n_pos from the childless nodes below it; every grid's
+scores in one score_matrix call; and each split node's best cell as its
+grid's first argmin.
+
+The counts and ranges stay stored.  A vectorized recount of every grid
+of the 10k-row benchmark preset took 0.11-0.12 s on a 2-core VM, against
+0.14-0.16 s for a whole load, so it would add about 80% to a load; and a
+tagged node's ranges are not kept current, so they do not follow from
+its ids.
+
+VERSION 3 dropped the derived arrays; a version 1 or 2 file raises
+SnapshotError.
 
 Loading checks every array against the bytes left in the file before
-reading it, each tree's arrays against one another (shapes, child links,
-id counts, slot rows) before building any node, and the assignment
-against the live ids and every tree's root ids; a file that fails any
-check raises SnapshotError.
+reading it; each tree's arrays for dtype, shape, child links, id counts
+and well-formed draws (attributes strictly increasing in [0, d),
+thresholds sorted and, on untagged nodes, inside their range); that the
+derived splits reproduce the stored tree (every split node untagged,
+gridded, not stopped, with a finite best cell that sends each stored id
+to the side it is stored on; every untagged leaf stopped or with only
+constant slots); and the assignment against the live ids and every
+tree's root ids.  A file that fails any check raises SnapshotError.
 """
 
 from __future__ import annotations
@@ -30,15 +54,20 @@ import struct
 
 import numpy as np
 
+from . import criterion as crit
 from .data import Dataset, Schema
 from .forest import Forest, ForestParams, group_by_tree, subsample_count
 from .tree import Node, SlotBlock, Tree, TreeParams
 
 MAGIC = b"DYNFOR01"
-VERSION = 2
+VERSION = 3
 
 _TAGGED = 1
 _HAS_SLOTS = 2
+
+# the stored grid arrays t<i>.slot_<name>, in SlotBlock argument order
+_SLOT_DTYPES = {"attrs": np.int64, "amin": np.float64, "amax": np.float64,
+                "thr": np.float64, "b": np.int64, "c": np.int64}
 
 
 class SnapshotError(ValueError):
@@ -61,20 +90,10 @@ def _pack_tree(t, tree, put):
     nodes = _preorder(tree.root)
     index = {id(node): i for i, node in enumerate(nodes)}
     m = len(nodes)
-    depth = np.empty(m, np.int32)
-    n_pos = np.empty(m, np.int64)
     flags = np.zeros(m, np.uint8)
-    best = np.full((m, 2), -1, np.int32)
-    best_w = np.zeros(m, np.float64)
     children = np.full((m, 2), -1, np.int32)
-    ids_len = np.empty(m, np.int64)
     slot_rows = []
     for i, node in enumerate(nodes):
-        depth[i] = node.depth
-        n_pos[i] = node.n_pos
-        ids_len[i] = len(node.ids)
-        best[i] = (node.best_k, node.best_i)
-        best_w[i] = node.best_w
         if node.tagged:
             flags[i] |= _TAGGED
         if node.slots is not None:
@@ -82,24 +101,16 @@ def _pack_tree(t, tree, put):
             slot_rows.append(node.slots)
         if node.left is not None:
             children[i] = (index[id(node.left)], index[id(node.right)])
-    put("t%d.depth" % t, depth)
-    put("t%d.n_pos" % t, n_pos)
+    ends = [node for node in nodes if node.left is None]
     put("t%d.flags" % t, flags)
-    put("t%d.best" % t, best)
-    put("t%d.best_w" % t, best_w)
     put("t%d.children" % t, children)
-    put("t%d.ids_len" % t, ids_len)
-    put("t%d.ids" % t, np.concatenate([node.ids for node in nodes])
-        if nodes else np.empty(0, np.int64))
+    put("t%d.ids_len" % t, np.array([len(node.ids) for node in ends], np.int64))
+    put("t%d.ids" % t, np.concatenate([node.ids for node in ends]))
     put("t%d.keys" % t, np.array([node.key for node in nodes if node.tagged], np.uint64))
     if slot_rows:
-        put("t%d.slot_attrs" % t, np.stack([blk.attrs for blk in slot_rows]).astype(np.int64))
-        put("t%d.slot_amin" % t, np.stack([blk.amin for blk in slot_rows]))
-        put("t%d.slot_amax" % t, np.stack([blk.amax for blk in slot_rows]))
-        put("t%d.slot_thr" % t, np.stack([blk.thr for blk in slot_rows]))
-        put("t%d.slot_b" % t, np.stack([blk.b for blk in slot_rows]))
-        put("t%d.slot_c" % t, np.stack([blk.c for blk in slot_rows]))
-        put("t%d.slot_score" % t, np.stack([blk.score for blk in slot_rows]))
+        for key, dtype in _SLOT_DTYPES.items():
+            put("t%d.slot_%s" % (t, key),
+                np.stack([getattr(blk, key) for blk in slot_rows]).astype(dtype, copy=False))
     return m
 
 
@@ -153,30 +164,29 @@ def save(forest, path):
 
 
 def _check_tree(t, n_nodes, arrays, tree):
-    """Check one tree's arrays fit together before any node is built.
+    """Check one tree's arrays fit together and hold well-formed draws
+    before anything is derived from them; returns its flags, children,
+    ids, ids_len, keys and its grid arrays by name.
 
-    Raises ValueError, which load() reports as a SnapshotError.
+    An array with no entries may be left out of the file.  Raises
+    ValueError, which load() reports as a SnapshotError.
     """
     def need(ok, what):
         if not ok:
             raise ValueError("tree %d: %s" % (t, what))
 
-    def array(key):
-        return arrays["t%d.%s" % (t, key)]
+    def array(key, dtype, shape):
+        name = "t%d.%s" % (t, key)
+        a = arrays[name] if shape[0] else arrays.get(name, np.empty(shape, dtype))
+        if a.dtype != dtype or a.shape != shape:
+            raise ValueError("tree %d: %s has shape %s and dtype %s, expected %s %s"
+                             % (t, key, a.shape, a.dtype, shape, np.dtype(dtype)))
+        return a
 
     need(type(n_nodes) is int and n_nodes >= 1, "n_nodes must be a positive integer")
-    for key, shape in (("depth", (n_nodes,)), ("n_pos", (n_nodes,)),
-                       ("flags", (n_nodes,)), ("best", (n_nodes, 2)),
-                       ("best_w", (n_nodes,)), ("children", (n_nodes, 2)),
-                       ("ids_len", (n_nodes,))):
-        need(array(key).shape == shape, "%s has shape %s, expected %s"
-             % (key, array(key).shape, shape))
-    ids, ids_len = array("ids"), array("ids_len")
-    need(ids.ndim == 1 and (ids_len >= 0).all() and ids_len.sum() == len(ids),
-         "ids_len does not sum to the %d stored ids" % ids.size)
-    need(not len(ids) or 0 <= ids.min() and ids.max() < tree.ds.next_id,
-         "sample id out of range")
-    children = array("children")
+    flags = array("flags", np.uint8, (n_nodes,))
+    need(not (flags & ~np.uint8(_TAGGED | _HAS_SLOTS)).any(), "flags hold unknown bits")
+    children = array("children", np.int32, (n_nodes, 2))
     linked = children[:, 0] != -1
     need((linked == (children[:, 1] != -1)).all(), "a node has exactly one child")
     after = np.arange(n_nodes)[:, None] < children
@@ -184,17 +194,25 @@ def _check_tree(t, n_nodes, arrays, tree):
          "child index not -1 and not between its parent and %d" % n_nodes)
     need(np.array_equal(np.sort(children[linked].ravel()), np.arange(1, n_nodes)),
          "nodes other than the root are not each linked exactly once")
-    tagged, keys = int(np.count_nonzero(array("flags") & _TAGGED)), array("keys")
-    need(keys.shape == (tagged,) and keys.dtype == np.uint64,
-         "keys has shape %s and dtype %s, expected (%d,) uint64"
-         % (keys.shape, keys.dtype, tagged))
-    rows = int(np.count_nonzero(array("flags") & _HAS_SLOTS))
-    for key, tail in (("attrs", (tree.p,)), ("amin", (tree.p,)), ("amax", (tree.p,)),
-                      ("thr", (tree.p, tree.s)), ("b", (tree.p, tree.s)),
-                      ("c", (tree.p, tree.s)), ("score", (tree.p, tree.s))):
-        shape = arrays.get("t%d.slot_%s" % (t, key), np.empty((0,) + tail)).shape
-        need(shape == (rows,) + tail, "slot_%s has shape %s for %d nodes with slots"
-             % (key, shape, rows))
+    ids_len = array("ids_len", np.int64, (n_nodes - int(np.count_nonzero(linked)),))
+    ids = arrays["t%d.ids" % t]
+    need(ids.dtype == np.int64 and ids.ndim == 1 and (ids_len >= 0).all()
+         and ids_len.sum() == len(ids), "ids_len does not sum to the %d stored ids" % ids.size)
+    need(not len(ids) or 0 <= ids.min() and ids.max() < tree.ds.next_id,
+         "sample id out of range")
+    keys = array("keys", np.uint64, (int(np.count_nonzero(flags & _TAGGED)),))
+    rows = int(np.count_nonzero(flags & _HAS_SLOTS))
+    slot = {key: array("slot_" + key, dtype, (rows, tree.p) + (tree.s,) * (key in ("thr", "b", "c")))
+            for key, dtype in _SLOT_DTYPES.items()}
+    attrs, thr = slot["attrs"], slot["thr"]
+    need((attrs[:, 1:] > attrs[:, :-1]).all() and (attrs >= 0).all() and (attrs < tree.d).all(),
+         "a slot_attrs row is not strictly increasing in [0, %d)" % tree.d)
+    need((thr[:, :, 1:] >= thr[:, :, :-1]).all(), "a slot_thr row is not sorted")
+    untagged = (flags[flags & _HAS_SLOTS > 0] & _TAGGED) == 0
+    need((thr[untagged, :, 0] >= slot["amin"][untagged]).all()
+         and (thr[untagged, :, -1] <= slot["amax"][untagged]).all(),
+         "thresholds outside [amin, amax] on an untagged node")
+    return flags, children, ids, ids_len, keys, slot
 
 
 def _check_assignment(arrays, ds, fp, trees):
@@ -225,47 +243,88 @@ def _check_assignment(arrays, ds, fp, trees):
 
 
 def _unpack_tree(t, n_nodes, arrays, tree):
-    _check_tree(t, n_nodes, arrays, tree)
-    depth = arrays["t%d.depth" % t]
-    n_pos = arrays["t%d.n_pos" % t]
-    flags = arrays["t%d.flags" % t]
-    best = arrays["t%d.best" % t]
-    best_w = arrays["t%d.best_w" % t]
-    children = arrays["t%d.children" % t]
-    ids_len = arrays["t%d.ids_len" % t]
-    ids_all = arrays["t%d.ids" % t]
+    """Build tree t from its stored arrays, deriving depth, ids, n_pos,
+    scores and best cells a whole tree at a time.
+
+    Raises ValueError, which load() reports as a SnapshotError, unless the
+    derived splits reproduce the stored tree.
+    """
+    def need(ok, what):
+        if not ok:
+            raise ValueError("tree %d: %s" % (t, what))
+
+    flags, children, ids, ids_len, keys, slot = _check_tree(t, n_nodes, arrays, tree)
+    linked = children[:, 0] != -1
+    tagged = flags & _TAGGED > 0
+    rows = np.flatnonzero(flags & _HAS_SLOTS)
+    # depth from the links, one level of nodes at a time
+    depth = np.empty(n_nodes, np.int64)
+    levels = [np.zeros(1, np.int64)]
+    while len(levels[-1]):
+        depth[levels[-1]] = len(levels) - 1
+        levels.append(children[levels[-1][linked[levels[-1]]]].ravel())
+    # a subtree is a run of preorder indices, so the ids under a node are one
+    # run of the stored ids: from its first childless node through its last
+    last = np.arange(n_nodes)
+    for level in reversed(levels):
+        inner = level[linked[level]]
+        last[inner] = last[children[inner, 1]]
+    ahead = np.cumsum(~linked) - ~linked  # childless nodes before each node
     offsets = np.concatenate(([0], ids_len.cumsum()))
-    nodes = []
-    slot_cursor = 0
-    for i in range(n_nodes):
-        node = Node(int(depth[i]), ids_all[offsets[i]:offsets[i + 1]].copy(),
-                    int(n_pos[i]))
-        node.best_k = int(best[i, 0])
-        node.best_i = int(best[i, 1])
-        node.best_w = float(best_w[i])
-        node.tagged = bool(flags[i] & _TAGGED)
-        if flags[i] & _HAS_SLOTS:
-            node.slots = SlotBlock(
-                arrays["t%d.slot_attrs" % t][slot_cursor].copy(),
-                arrays["t%d.slot_amin" % t][slot_cursor].copy(),
-                arrays["t%d.slot_amax" % t][slot_cursor].copy(),
-                arrays["t%d.slot_thr" % t][slot_cursor].copy(),
-                arrays["t%d.slot_b" % t][slot_cursor].copy(),
-                arrays["t%d.slot_c" % t][slot_cursor].copy(),
-                arrays["t%d.slot_score" % t][slot_cursor].copy(),
-            )
-            slot_cursor += 1
-        nodes.append(node)
-    tagged = np.flatnonzero(flags & _TAGGED).tolist()
-    for i, key in zip(tagged, arrays["t%d.keys" % t].tolist()):
+    lo, hi = offsets[ahead], offsets[ahead[last] + 1]
+    n = hi - lo
+    n_pos = np.concatenate(([0], (tree.ds.y[ids] == 1).cumsum()))
+    n_pos = n_pos[hi] - n_pos[lo]
+    stop = tree._stop(depth, n, n_pos)
+    grid_n = n[rows][:, None, None]
+    score = crit.score_matrix(slot["b"], slot["c"], np.maximum(grid_n, 1),
+                              n_pos[rows][:, None, None], tree.params.criterion)
+    degenerate = slot["amin"] == slot["amax"]
+    score[degenerate | (grid_n[:, :, 0] == 0)] = np.inf
+    constant = np.zeros(n_nodes, bool)
+    constant[rows] = degenerate.all(axis=1)
+    need((stop | constant)[~linked & ~tagged].all(),
+         "an untagged leaf could split: it meets no stop rule and not all its slots are constant")
+    split = np.flatnonzero(linked)
+    need(not tagged[split].any(), "a split node is tagged")
+    need((flags[split] & _HAS_SLOTS).all(), "a split node has no grid")
+    need(not stop[split].any(), "a split node meets a stop rule")
+    row = np.cumsum(flags & _HAS_SLOTS > 0)[split] - 1
+    flat = score[row].reshape(len(split), tree.p * tree.s)
+    best = flat.argmin(axis=1)
+    need(np.isfinite(flat.min(axis=1)).all(), "a split node has no finite best cell")
+    best_k, best_i = np.divmod(best, tree.s)
+    best_w = slot["thr"][row, best_k, best_i]
+    # one gather over the split nodes' ids: each lies on the side its
+    # node's derived split sends it to, and sorted they are the node's ids
+    lens = n[split]
+    seg = lens.cumsum() - lens
+    at = np.arange(lens.sum()) + np.repeat(lo[split] - seg, lens)
+    owner = np.repeat(np.arange(len(split)), lens)
+    under = ids[at]
+    goes_left = tree.ds.X[under, slot["attrs"][row, best_k][owner]] <= best_w[owner]
+    need(np.array_equal(goes_left, at < hi[children[split, 0]][owner]),
+         "stored ids do not lie on the sides the derived splits send them to")
+    start = lo.copy()
+    start[split] = len(ids) + seg
+    base = owner * tree.ds.next_id  # sorts by node, then by id
+    pool = np.concatenate((ids, np.sort(base + under) - base))
+    # each node owns copies, so a grid or id list a later update drops is
+    # freed rather than kept alive by the tree's other rows
+    nodes = [Node(dep, pool[a:a + size].copy(), pos) for dep, a, size, pos
+             in zip(depth.tolist(), start.tolist(), n.tolist(), n_pos.tolist())]
+    for i, blk in zip(rows.tolist(), zip(*slot.values(), score)):
+        nodes[i].slots = SlotBlock(*[a.copy() for a in blk])
+    for i, (li, ri), k, j, w in zip(split.tolist(), children[split].tolist(), best_k.tolist(),
+                                    best_i.tolist(), best_w.tolist()):
+        node = nodes[i]
+        node.best_k, node.best_i, node.best_w = k, j, w
+        node.left, node.right = nodes[li], nodes[ri]
+    for i, key in zip(np.flatnonzero(tagged).tolist(), keys.tolist()):
+        nodes[i].tagged = True
         nodes[i].key = key
-    for i, node in enumerate(nodes):
-        li, ri = int(children[i, 0]), int(children[i, 1])
-        if li >= 0:
-            node.left = nodes[li]
-            node.right = nodes[ri]
     tree.root = nodes[0]
-    tree.n_tagged = len(tagged)
+    tree.n_tagged = len(keys)
 
 
 def load(path):

@@ -20,10 +20,12 @@ or many: delete() removes a group of one, and a larger group is split
 at each node by that node's split, so each path node is patched once.
 A node whose recorded value range for some slot is invalidated (a
 boundary value deleted, an outside value added) redraws that slot's
-thresholds uniformly over the new range and recounts them; this is what
-keeps the updated tree distributionally identical to one retrained from
-scratch.  When the winning grid cell moves, the node is *tagged*: its
-subtree is discarded but nothing is rebuilt yet.
+thresholds uniformly over the new range and recounts them, so that its
+thresholds stay uniform over its current range.  When the winning grid
+cell moves, the node is *tagged*: its subtree is discarded but nothing is
+rebuilt yet.  Its later regrowth redraws the candidates whose scores
+decided to tag it, which biases the updated tree away from a retrain
+(tests/test_exactness.py; ROADMAP item 1).
 
 Tagged nodes still receive id and count updates.  A query reaching a
 tagged node materializes exactly one fresh level (redrawing attributes
@@ -213,10 +215,6 @@ class Node:
     def n(self):
         return len(self.ids)
 
-    @property
-    def is_leaf(self):
-        return self.left is None and not self.tagged
-
 
 def sample_thresholds(a_min, a_max, s, rng):
     """Draw s candidate thresholds uniformly over [a_min, a_max], sorted.
@@ -294,9 +292,9 @@ class Tree:
         return self
 
     def _stop(self, depth, n, n_pos):
-        return (depth >= self.params.max_depth
-                or n < self.params.min_split_size
-                or n_pos == 0 or n_pos == n)
+        """The stop rule, for one node's numbers or for arrays of them."""
+        return ((depth >= self.params.max_depth) | (n < self.params.min_split_size)
+                | (n_pos == 0) | (n_pos == n))
 
     def _rescore(self, node):
         """Refresh the score grid from cached counts (n or counts changed)."""

@@ -364,6 +364,21 @@ def test_model_with_corrupt_assignment_exits_2(workspace, tmp_path, capsys):
     assert code == 2 and "assign_ids" in err
 
 
+def test_model_with_bad_draws_or_splits_exits_2(workspace, tmp_path, capsys):
+    def huge_attr(arrays):
+        arrays["t0.slot_attrs"][0, -1] = 10**6
+
+    def tagged_split(arrays):
+        arrays["t0.flags"][0] |= 1
+        arrays["t0.keys"] = np.array([7], np.uint64)
+
+    bad = tmp_path / "bad.bin"
+    for edit, match in ((huge_attr, "slot_attrs"), (tagged_split, "split node is tagged")):
+        bad.write_bytes(edit_arrays(open(workspace["model"], "rb").read(), edit))
+        code, _, err = run_cli(capsys, "audit", "--model", str(bad))
+        assert code == 2 and match in err
+
+
 def test_invalid_hyperparameters_exit_2(workspace, tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--csv", workspace["csv"],
                            "--schema", workspace["schema"],

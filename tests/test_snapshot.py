@@ -8,9 +8,11 @@ import struct
 import numpy as np
 import pytest
 
+from dynforest.criterion import score_matrix
+from dynforest.data import dataset_from_arrays
 from dynforest.forest import Forest, ForestParams
 from dynforest.oracle import forest_audit
-from dynforest.snapshot import MAGIC, VERSION, SnapshotError, load, save
+from dynforest.snapshot import MAGIC, VERSION, SnapshotError, _preorder, load, save
 from dynforest.synth import make_dataset
 from dynforest.tree import TreeParams
 
@@ -234,7 +236,9 @@ def test_load_rejects_unknown_version(tmp_path):
     blob = path.read_bytes()
     current = b'"version":%d' % VERSION
     assert blob.count(current) == 1
-    for old in (1, 9):  # version 1 files predate the per-node draw keys
+    # version 1 files predate the per-node draw keys, version 2 files
+    # store derived state
+    for old in (1, 2, 9):
         path.write_bytes(blob.replace(current, b'"version":%d' % old))
         with pytest.raises(SnapshotError, match="unsupported snapshot version %d" % old):
             load(path)
@@ -273,6 +277,44 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
         flags = arrays["t0.flags"]
         flags[np.flatnonzero((flags & 2) == 0)[0]] |= 2
 
+    def move_root_argmin(arrays):
+        # set one b cell of the root's grid so that another slot wins: the
+        # derived split then sends the stored ids elsewhere
+        ids = arrays["t0.ids"]
+        n, n_pos = len(ids), int(arrays["y"][ids].sum())
+        b, c = arrays["t0.slot_b"][0], arrays["t0.slot_c"][0]
+        flat = arrays["t0.slot_amin"][0] == arrays["t0.slot_amax"][0]
+
+        def best_slot(grid):
+            score = score_matrix(grid, c, n, n_pos)
+            score[flat] = np.inf
+            return np.unravel_index(np.argmin(score), score.shape)[0]
+
+        k = best_slot(b)
+        for cell in np.ndindex(b.shape):
+            for value in range(n + 1):
+                trial = b.copy()
+                trial[cell] = value
+                if best_slot(trial) != k:
+                    b[cell] = value
+                    return
+        raise AssertionError("no single b cell moves the root's argmin")
+
+    def tag_root(arrays):
+        arrays["t0.flags"][0] |= 1
+        arrays["t0.keys"] = np.array([7], np.uint64)
+
+    def flatten_root_grid(arrays):
+        amin = arrays["t0.slot_amin"][0]
+        arrays["t0.slot_amax"][0] = amin
+        arrays["t0.slot_thr"][0] = amin[:, None]
+
+    def unsort_thresholds(arrays):
+        arrays["t0.slot_thr"][0, 0] = arrays["t0.slot_thr"][0, 0, ::-1]
+
+    def widen_thresholds(arrays):
+        arrays["t0.slot_thr"][0, 0, -1] = arrays["t0.slot_amax"][0, 0] + 1.0
+
     def swap_assignment_rows(arrays):
         rows = arrays["assign_trees"]
         other = np.flatnonzero((rows != rows[0]).any(axis=1))[0]
@@ -286,10 +328,16 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
         (set_row("t0.ids_len", 0, 10**6), "ids_len"),
         (set_row("t0.ids_len", 1, -1), "ids_len"),
         (set_row("t0.ids", 0, 10**6), "sample id"),
-        (truncate("t0.depth"), "depth has shape"),
-        (truncate("t1.best"), "best has shape"),
         (truncate("t0.slot_thr"), "slot_thr has shape"),
         (flag_slotless_node, "slot_attrs has shape"),
+        (set_row("t0.flags", 0, 6), "unknown bits"),
+        (set_row("t0.slot_attrs", 0, (0, 1, 10**6)), "slot_attrs row is not strictly"),
+        (set_row("t0.slot_attrs", 0, (2, 1, 3)), "slot_attrs row is not strictly"),
+        (unsort_thresholds, "slot_thr row is not sorted"),
+        (widen_thresholds, "outside \\[amin, amax\\]"),
+        (move_root_argmin, "sides the derived splits send them to"),
+        (tag_root, "split node is tagged"),
+        (flatten_root_grid, "no finite best cell"),
         (set_row("assign_ids", 0, 10**6), "assign_ids are not the live ids"),
         (truncate("assign_ids"), "assign_ids are not the live ids"),
         (truncate("assign_trees"), "assign_trees has shape"),
@@ -308,3 +356,73 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
     path.write_bytes(join_snapshot(header, body))
     with pytest.raises(SnapshotError, match="6 trees stored for n_trees=7"):
         load(path)
+    # slotless leaves that stopped below min_split_size could now split
+    header, body = split_snapshot(blob)
+    header["tree_params"]["min_split_size"] = 2
+    path.write_bytes(join_snapshot(header, body))
+    with pytest.raises(SnapshotError, match="untagged leaf could split"):
+        load(path)
+
+
+def test_snapshot_stores_no_derived_state(tmp_path):
+    forest = tagged_forest(seed=4)
+    path = tmp_path / "m.bin"
+    save(forest, path)
+    header, _ = split_snapshot(path.read_bytes())
+    shapes = {name: shape for name, _, shape in header["arrays"]}
+    stored = {name.partition(".")[2] for name in shapes if name.startswith("t")}
+    assert stored == {"flags", "children", "ids", "ids_len", "keys", "slot_attrs",
+                      "slot_amin", "slot_amax", "slot_thr", "slot_b", "slot_c"}
+    for t, tree in enumerate(forest.trees):
+        ends = [node for node in _preorder(tree.root) if node.left is None]
+        assert shapes["t%d.ids_len" % t] == [len(ends)]
+        assert shapes["t%d.ids" % t] == [sum(node.n for node in ends)]
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_reloaded_forest_follows_a_mixed_stream_bit_for_bit(tmp_path, criterion):
+    # features on a coarse grid give many tied scores, so a derived best
+    # cell that broke ties differently would show
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 4, (300, 5)).astype(np.float64)
+    y = (X[:, 0] + X[:, 1] + rng.integers(0, 2, 300) > 3).astype(np.int8)
+    forest = Forest.train(dataset_from_arrays(X, y), ForestParams(
+        n_trees=6, occupancy=0.5, seed=3,
+        tree=TreeParams(max_depth=6, n_thresholds=4, criterion=criterion)))
+    for sample_id in rng.choice(300, 40, replace=False):
+        forest.delete(int(sample_id))
+    assert forest.tagged_count() > 0
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    save(forest, a)
+    back = load(a)
+    save(back, b)
+    assert a.read_bytes() == b.read_bytes()
+    Q = rng.integers(0, 4, (40, 5)).astype(np.float64)
+    for step in range(300):
+        live = forest.ds.live_ids()
+        if step % 4 == 0:
+            sample_id = int(rng.choice(live))
+            forest.delete(sample_id)
+            back.delete(sample_id)
+        elif step % 4 == 1:
+            row, label = Q[step % len(Q)], int(step % 3 == 0)
+            assert forest.add(row, label) == back.add(row, label)
+        elif step % 4 == 2:
+            row = Q[(7 * step) % len(Q)]
+            assert forest.predict(row) == back.predict(row)
+        elif step % 20 == 3:
+            batch = rng.choice(live, 3, replace=False)
+            forest.unlearn_batch(batch)
+            back.unlearn_batch(batch)
+        else:
+            assert np.array_equal(forest.predict_many(Q[:8]), back.predict_many(Q[:8]))
+        if step % 50 == 49:
+            save(forest, a)
+            save(back, b)
+            assert a.read_bytes() == b.read_bytes()
+    forest.flush()
+    back.flush()
+    save(forest, a)
+    save(back, b)
+    assert a.read_bytes() == b.read_bytes()
+    assert forest_audit(back).ok
