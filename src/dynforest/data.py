@@ -172,8 +172,9 @@ class Dataset:
     """Encoded samples addressed by stable integer id.
 
     Ids are assigned 0, 1, 2, ... in insertion order and never reused.
-    Deletion tombstones the row; the storage slot stays allocated.  Rows
-    must have finite features and 0/1 labels.
+    Deletion tombstones the row: its storage slot stays allocated, but its
+    features and label are zeroed.  Rows must have finite features and 0/1
+    labels.
     """
 
     def __init__(self, n_attrs, schema=None, capacity=1024):
@@ -285,11 +286,26 @@ class Dataset:
         return np.arange(lo, self._next_id, dtype=np.int64)
 
     def tombstone(self, sample_id):
-        """Mark a live sample dead.  The id is never reused."""
-        self._check_live(sample_id)
-        self._live[sample_id] = False
-        self._n_live -= 1
-        self._n_pos -= int(self._y[sample_id])
+        """Mark a live sample dead and zero its row, so that its features
+        and label leave memory.  The id is never reused."""
+        self.tombstone_many([sample_id])
+
+    def tombstone_many(self, ids):
+        """Tombstone distinct live ids as tombstone() does one, zeroing
+        their rows in one assignment.
+
+        Every id is checked before any row changes.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        for sample_id in ids.tolist():
+            self._check_live(sample_id)
+        if len(np.unique(ids)) != len(ids):
+            raise KeyError("ids to tombstone must be distinct")
+        self._live[ids] = False
+        self._n_live -= len(ids)
+        self._n_pos -= int(np.count_nonzero(self._y[ids]))
+        self._X[ids] = 0.0
+        self._y[ids] = 0
 
 
 def load_csv(path, schema):

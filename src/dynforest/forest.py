@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .tree import Telemetry, Tree, TreeParams, route_row, route_rows
+from .tree import Telemetry, Tree, TreeParams, route_row, route_rows, update_paths
 
 
 def subsample_count(occupancy, n_trees):
@@ -176,7 +176,10 @@ class Forest:
     def add(self, features, label):
         """Add a sample to the dataset and to k freshly drawn trees.
 
-        Returns the new sample id.
+        The k trees take it in one path walk (see tree.update_paths):
+        each is routed, all their path grids are patched and scored
+        together, then each tree settles its redraws and tag.  Returns
+        the new sample id.
         """
         sample_id = self.ds.add(features, label)
         chosen = np.sort(self.rng.choice(self.params.n_trees, size=self.k,
@@ -187,36 +190,41 @@ class Forest:
             grown[:len(self.assignment)] = self.assignment
             self.assignment = grown
         self.assignment[sample_id] = chosen
-        for t in chosen:
-            tagged = self.trees[t].add(sample_id)
-            if tagged is not None and not self.lazy:
-                self.trees[t].rebuild_node(tagged)
+        self._update(chosen, sample_id, add=True)
         return sample_id
 
     def delete(self, sample_id):
-        """Remove a live sample from its k trees and tombstone it.
+        """Remove a live sample from its k trees and tombstone it, which
+        zeroes its row.
 
+        The k trees drop it in one path walk, as add() inserts one.
         Raises KeyError for unknown or already-deleted ids.
         """
         sample_id = int(sample_id)
         if not self.ds.is_live(sample_id):
             raise KeyError("sample id %d is not live" % sample_id)
-        for t in self.assignment[sample_id]:
-            tagged = self.trees[t].delete(sample_id)
-            if tagged is not None and not self.lazy:
-                self.trees[t].rebuild_node(tagged)
+        self._update(self.assignment[sample_id], sample_id, add=False)
         self.assignment[sample_id] = -1
         self.ds.tombstone(sample_id)
+
+    def _update(self, tree_ids, sample_id, add):
+        """One path walk over the trees tree_ids names (see
+        tree.update_paths); in eager mode each tagged node is then rebuilt."""
+        trees = [self.trees[t] for t in tree_ids]
+        for tree, tagged in zip(trees, update_paths(trees, sample_id, add)):
+            if tagged is not None and not self.lazy:
+                tree.rebuild_node(tagged)
 
     def unlearn_batch(self, ids, finalize=False):
         """Delete many samples in one grouped pass per tree; optionally
         flush tagged subtrees afterwards.
 
-        Each tree removes its share of the batch in a single traversal,
-        the same walk delete() takes for one id, so per-node grid updates
-        amortize across the batch.  The id list is
-        validated up front: one unknown, dead, or repeated id rejects the
-        whole batch before anything is deleted.
+        Each tree removes its share of the batch in a single traversal
+        (Tree.delete_group) that splits the group at each node, so
+        per-node grid updates amortize across the batch; the batch's rows
+        are then zeroed in one step.  The id list is validated up front:
+        one unknown, dead, or repeated id rejects the whole batch before
+        anything is deleted.
         """
         ids = [int(i) for i in ids]
         seen = set()
@@ -234,8 +242,7 @@ class Forest:
                 for node in tagged:
                     self.trees[t].rebuild_node(node)
         self.assignment[batch] = -1
-        for sample_id in ids:
-            self.ds.tombstone(sample_id)
+        self.ds.tombstone_many(batch)
         if finalize:
             self.flush()
 

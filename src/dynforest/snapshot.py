@@ -6,7 +6,7 @@ array the header lists, concatenated in listing order (C order, native
 little-endian dtypes).  Saving the same forest twice yields identical
 bytes, and a reloaded forest continues bit-for-bit like the original.
 
-The file stores each fact once: the dataset (including tombstones), the
+The file stores each fact once: the dataset (a dead row as zeros), the
 tree assignment, the exact generator states, and per tree t, over its
 nodes in preorder:
 
@@ -379,8 +379,7 @@ def _build(header, arrays):
     next_id = header["data"]["next_id"]
     ds = Dataset(d, schema=schema, capacity=max(next_id, 16))
     ds.add_many(arrays["X"], arrays["y"])
-    for i in np.flatnonzero(arrays["live"] == 0):
-        ds.tombstone(int(i))
+    ds.tombstone_many(np.flatnonzero(arrays["live"] == 0))
 
     tp = TreeParams(**header["tree_params"])
     fp = ForestParams(n_trees=header["forest"]["n_trees"],

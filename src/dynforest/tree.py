@@ -14,23 +14,52 @@ thresholds in ascending order.
 
 Updates
 -------
-Additions and deletions walk the root-to-leaf path, patching ids, counts
-and the cached grids in O(s) per slot.  Deletion is one walk for one id
-or many: delete() removes a group of one, and a larger group is split
-at each node by that node's split, so each path node is patched once.
-A node whose recorded value range for some slot is invalidated (a
-boundary value deleted, an outside value added) redraws that slot's
-thresholds uniformly over the new range and recounts them, so that its
-thresholds stay uniform over its current range.  When the winning grid
-cell moves, the node is *tagged*: its subtree is discarded but nothing is
-rebuilt yet.  Its later regrowth redraws the candidates whose scores
-decided to tag it, which biases the updated tree away from a retrain
-(tests/test_exactness.py; ROADMAP item 1).
+A single-sample deletion or addition is one walk over the k trees that
+hold the sample, update_paths: Forest.delete and Forest.add pass their k
+trees, and Tree.delete and Tree.add are one-tree calls into it.  It has
+three steps.
 
-Tagged nodes still receive id and count updates.  A query reaching a
-tagged node materializes exactly one fresh level (redrawing attributes
-and thresholds), untags it, tags the new children, and walks on.
-Queries are batched across trees: route_row (one row) and route_rows (a
+  Route.   Each tree's path is walked top down on its current splits; the
+           id leaves (or joins) every node's ids and n_pos follows.  The
+           walk stops at a tagged node, a leaf, or (deleting) a split node
+           whose stop rule now holds.
+  Stack.   The grids of every visited node of all k trees are patched at
+           once (-1 or +1 in each cell whose threshold is at or above the
+           sample's value), tested for range hits (deleting: the value
+           sits on a boundary) and widenings (adding: it lies outside),
+           scored in one score_matrix call, and each grid's first argmin
+           cell is taken.
+  Settle.  Each tree goes down its path in order.  A slot whose range
+           really changed (rescanned after a hit, or widened) redraws its
+           thresholds uniformly over the new range and recounts them, so
+           that they stay uniform over the node's current range, and that
+           node alone is rescored.  The walk then ends as a per-node walk
+           would: at a tagged node or a leaf, or by tagging a split node
+           whose stop rule now holds (tags_stopped), a node whose winning
+           cell moved (tags_moved: another cell, the same cell at another
+           threshold, or no usable cell), or a grid leaf that an added
+           value widened (tags_widened).  Nodes the route patched below a
+           node tagged here are discarded with its subtree.
+
+Deleting a group (delete_group, Forest.unlearn_batch) keeps a recursive
+walk: the group is split at each node by that node's split, so each path
+node is patched once.  Both deletion walks then settle each node through
+one helper (_settle_deleted), so they apply the same rules, and a group
+of one leaves the tree exactly as delete() does.  A tagged node's
+subtree is discarded but nothing is rebuilt yet.  Its later regrowth
+redraws the candidates whose scores decided to tag it, which biases the
+updated tree away from a retrain (tests/test_exactness.py; ROADMAP item
+1).
+
+Tagged nodes still receive id and count updates, and a deletion rescans
+(without a redraw) the ranges of a tagged or newly stop-tagged node where
+the deleted value sat on a boundary, so that no grid keeps a deleted
+value.  A node emptied by deletions has no value left to rescan to; its
+ranges and thresholds are zeroed.
+
+A query reaching a tagged node materializes exactly one fresh level
+(redrawing attributes and thresholds), untags it, tags the new children,
+and walks on.  Queries are batched across trees: route_row (one row) and route_rows (a
 batch) take a list of trees, route down each tree in turn to the leaves
 and tagged nodes reached, then grow every reached tagged node of all the
 trees one level in one materialize() step, and repeat from there.
@@ -54,9 +83,14 @@ order, reads one (m, d) block of uniforms, whose p smallest keys in each
 row give that node's attribute subset, then one block of s uniforms per
 non-degenerate slot, node by node and in slot order, scaled onto the
 slot's range [amin, amax] and sorted.  A degenerate slot draws nothing.
-Range resampling on the update path draws s uniforms per affected slot,
-in slot order, and every tag event draws one 64-bit key for the tagged
-node.
+
+On the update path only the settle step draws, tree by tree and in path
+order: s uniforms per redrawn slot, in slot order, then one 64-bit key
+for the node the update tags, which an eager forest then rebuilds from
+the same stream (rebuild_node).  Routing and stacking draw nothing, so a
+tree reads the same draws whether its grids were stacked with other
+trees' or not: a k-tree update leaves each tree as k one-tree updates
+would.
 
 Growth driven by queries reads node keys instead.  A node materialized by
 a query reads d + p*s uniforms (the attribute keys, then s per slot; a
@@ -94,6 +128,7 @@ seed-to-tree map differs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -257,6 +292,14 @@ def _argmin_grid(score):
     """First (slot, threshold) cell attaining the minimum score."""
     flat = int(np.argmin(score))
     return divmod(flat, score.shape[1])
+
+
+def _moved(node, k, i):
+    """Is cell (k, i) of a split node's current grid not its recorded split:
+    unusable, another cell, or the same cell at another threshold value?"""
+    blk = node.slots
+    return (not math.isfinite(blk.score[k, i]) or k != node.best_k or i != node.best_i
+            or blk.thr[k, i] != node.best_w)
 
 
 class Tree:
@@ -449,14 +492,6 @@ class Tree:
         setattr(self.telemetry, cause, getattr(self.telemetry, cause) + 1)
         return node
 
-    def _patch_counts(self, node, x, label):
-        """Count one added sample into a node's cached count grid."""
-        blk = node.slots
-        covered = blk.thr >= x[blk.attrs][:, None]
-        blk.b[covered] += 1
-        if label:
-            blk.c[covered] += 1
-
     def _resample_slots(self, node, which):
         """Redraw thresholds (and recount) for the flagged slots."""
         blk = node.slots
@@ -477,15 +512,22 @@ class Tree:
         Returns the node that became tagged, or None.  The sample must
         still be live in the dataset when this is called.
         """
-        tagged = self.delete_group([sample_id])
-        return tagged[0] if tagged else None
+        return update_paths([self], sample_id, add=False)[0]
+
+    def add(self, sample_id):
+        """Insert a live sample into the tree's path statistics.
+
+        Returns the node that became tagged, or None.
+        """
+        return update_paths([self], sample_id, add=True)[0]
 
     def delete_group(self, group):
         """Remove a set of samples in one traversal; returns the nodes that
         became tagged.
 
         Equivalent in distribution to deleting them one by one; grouping
-        lets the per-node grid work amortize across the batch.
+        lets the per-node grid work amortize across the batch.  A group of
+        one leaves the tree exactly as delete() does.
         """
         group = np.asarray(group, dtype=np.int64)
         tagged = []
@@ -505,6 +547,7 @@ class Tree:
         n_pos = np.count_nonzero(labels)
         node.n_pos -= n_pos
         blk = node.slots
+        hit = None
         if blk is not None:
             vals = self.ds.X[group[:, None], blk.attrs]
             covered = blk.thr >= vals[:, :, None]
@@ -512,19 +555,13 @@ class Tree:
             blk.b -= db
             if n_pos:
                 blk.c -= db if n_pos == len(group) else covered[labels].sum(axis=0)
-        self.telemetry.nodes_updated += 1
-        if node.tagged:
-            return
-        if node.left is not None and self._stop(node.depth, node.n, node.n_pos):
-            tagged.append(self._tag(node, "tags_stopped"))
-            return
-        if blk is not None:
-            self._shrink_ranges(node, vals)
-            self._rescore(node)
+            hit = ((vals == blk.amin) | (vals == blk.amax)).any(axis=0)
+            if not hit.any():
+                hit = None
+        tag = self._settle_deleted(node, hit, functools.partial(self._rescored_cell, node))
+        if tag is not None:
+            tagged.append(tag)
         if node.left is None:
-            return
-        if self._best_moved(node):
-            tagged.append(self._tag(node, "tags_moved"))
             return
         go_left = vals[:, node.best_k] <= node.best_w
         for child, side in ((node.left, go_left), (node.right, ~go_left)):
@@ -534,79 +571,160 @@ class Tree:
             elif routed:
                 self._delete_group(child, group[side], labels[side], member, tagged)
 
-    def _shrink_ranges(self, node, vals):
-        """Rescan the ranges of slots where a removed value (a row of vals)
-        sat on a boundary; redraw the slots whose range shrank."""
+    def _rescored_cell(self, node):
+        """Rescore node's grid; returns its first argmin cell."""
+        self._rescore(node)
+        return _argmin_grid(node.slots.score)
+
+    def _settle_deleted(self, node, hit, scored):
+        """Settle one node whose ids, n_pos and counts a deletion has
+        patched, by the same rules in both deletion walks; returns the node
+        if it was tagged here, else None.  The walk goes on below the node
+        only if it still has children.
+
+        hit marks the slots where a removed value sat on a range boundary,
+        or is None if there are none (or the node has no grid).  scored()
+        stores the patched grid's scores and returns their first argmin
+        cell; it is called unless a slot is redrawn.
+        """
+        self.telemetry.nodes_updated += 1
         blk = node.slots
-        hit = (vals == blk.amin) | (vals == blk.amax)
-        if node.n == 0 or not hit.any():
-            return
-        hit = hit.any(axis=0)
+        stopped = node.left is not None and self._stop(node.depth, node.n, node.n_pos)
+        if node.tagged or stopped:
+            if hit is not None:
+                self._rescan_ranges(node, hit)
+            return self._tag(node, "tags_stopped") if stopped else None
+        if blk is None:
+            return None
+        which = None if hit is None else self._rescan_ranges(node, hit)
+        if which is None:
+            cell = scored()
+        else:
+            self._resample_slots(node, which)
+            cell = self._rescored_cell(node)
+        if node.left is None or not _moved(node, *cell):
+            return None
+        return self._tag(node, "tags_moved")
+
+    def _rescan_ranges(self, node, hit):
+        """Rescan the ranges of the slots hit marks, so that no range keeps
+        a removed value; returns the mask of slots whose range shrank, or
+        None.  Nothing is redrawn: a tagged node's grid is dropped when it
+        regrows.
+
+        A node's bounds are always values of its live rows, so the last
+        row removed from a node sits on every boundary and an emptied node
+        always comes here.  With no value left to rescan to, its ranges and
+        thresholds are zeroed, as its dead rows are.
+        """
+        blk = node.slots
+        if node.n == 0:
+            blk.amin[:] = 0.0
+            blk.amax[:] = 0.0
+            blk.thr[:] = 0.0
+            return None
         cols = blk.attrs[hit]
         sub = self.ds.X[node.ids[:, None], cols]
         new_min = sub.min(axis=0)
         new_max = sub.max(axis=0)
         changed = (new_min != blk.amin[hit]) | (new_max != blk.amax[hit])
         if not changed.any():
-            return
+            return None
         which = np.zeros(blk.p, bool)
         which[np.flatnonzero(hit)[changed]] = True
         blk.amin[which] = new_min[changed]
         blk.amax[which] = new_max[changed]
-        self._resample_slots(node, which)
+        return which
 
-    def _best_moved(self, node):
-        """Did the winning grid cell change identity or threshold value?"""
+    def _widen_ranges(self, node, xs, widened):
+        """Stretch the flagged slots' ranges over an added value (xs holds
+        it per slot), redraw those slots and rescore the node; returns its
+        first argmin cell."""
         blk = node.slots
-        k, i = _argmin_grid(blk.score)
-        if not np.isfinite(blk.score[k, i]):
-            return True
-        return (k != node.best_k or i != node.best_i
-                or blk.thr[k, i] != node.best_w)
+        blk.amin[widened] = np.minimum(blk.amin[widened], xs[widened])
+        blk.amax[widened] = np.maximum(blk.amax[widened], xs[widened])
+        self._resample_slots(node, widened)
+        return self._rescored_cell(node)
 
-    def add(self, sample_id):
-        """Insert a live sample into the tree's path statistics.
+    def _route_delete(self, sample_id, label, x):
+        """Take the id out of each node on its path, top down; returns the
+        path.  The walk stops at a tagged node, a leaf, or a split node
+        whose stop rule now holds."""
+        path = []
+        node = self.root
+        while True:
+            keep = node.ids[node.ids != sample_id]
+            if len(keep) == len(node.ids):
+                raise ValueError("1 of 1 ids not present at depth %d; tree and "
+                                 "routing disagree" % node.depth)
+            node.ids = keep
+            node.n_pos -= label
+            path.append(node)
+            if (node.tagged or node.left is None
+                    or self._stop(node.depth, len(keep), node.n_pos)):
+                return path
+            node = node.left if x[node.slots.attrs[node.best_k]] <= node.best_w else node.right
 
-        Returns the node that became tagged, or None.
-        """
-        x = self.ds.X[sample_id]
-        label = int(self.ds.y[sample_id])
+    def _route_add(self, sample_id, label, x):
+        """Append the id to each node on its path, top down; returns the
+        path.  The walk stops at a tagged node or a leaf."""
         node = self.root
         if (node.ids == sample_id).any():
             raise ValueError("sample %d already present in tree" % sample_id)
+        path = []
         while True:
             node.ids = np.append(node.ids, sample_id)
             node.n_pos += label
-            if node.slots is not None:
-                self._patch_counts(node, x, label)
+            path.append(node)
+            if node.tagged or node.left is None:
+                return path
+            node = node.left if x[node.slots.attrs[node.best_k]] <= node.best_w else node.right
+
+    def _settle_delete(self, path, grids, j):
+        """Settle a routed deletion top down, from row j of the stacked
+        grids on; returns the node it tagged, or None."""
+        for node in path:
+            blk = node.slots
+            hit = scored = None
+            if blk is not None:
+                grids.patch(blk, j)
+                hit = grids.flags[j] if grids.flagged[j] else None
+                scored = functools.partial(grids.scored, blk, j)
+                j += 1
+            tag = self._settle_deleted(node, hit, scored)
+            if tag is not None or node.left is None:
+                return tag
+        return None
+
+    def _settle_add(self, path, x, grids, j):
+        """Settle a routed addition top down, from row j of the stacked
+        grids on; returns the node it tagged, or None."""
+        for node in path:
             self.telemetry.nodes_updated += 1
+            blk = node.slots
+            if blk is not None:
+                grids.patch(blk, j)
             if node.tagged:
                 return None
-            if node.slots is not None:
-                xs = x[node.slots.attrs]
-                widened = (xs < node.slots.amin) | (xs > node.slots.amax)
+            if blk is None:
+                # slotless leaf: tag once every stop criterion has lifted
+                if not self._stop(node.depth, node.n, node.n_pos):
+                    return self._tag(node, "tags_stopped")
+                return None
+            if grids.flagged[j]:
                 if node.left is None:
                     # leaf kept its grid because every slot was degenerate;
                     # a widening value makes it splittable again
-                    if widened.any():
-                        return self._tag(node, "tags_widened")
-                    self._rescore(node)
-                    return None
-                if widened.any():
-                    blk = node.slots
-                    blk.amin[widened] = np.minimum(blk.amin[widened], xs[widened])
-                    blk.amax[widened] = np.maximum(blk.amax[widened], xs[widened])
-                    self._resample_slots(node, widened)
-                self._rescore(node)
-                if self._best_moved(node):
-                    return self._tag(node, "tags_moved")
-                axis = int(node.slots.attrs[node.best_k])
-                node = node.left if x[axis] <= node.best_w else node.right
-                continue
-            # slotless leaf: tag once every stop criterion has lifted
-            if not self._stop(node.depth, node.n, node.n_pos):
-                return self._tag(node, "tags_stopped")
-            return None
+                    return self._tag(node, "tags_widened")
+                cell = self._widen_ranges(node, x[blk.attrs], grids.flags[j])
+            else:
+                cell = grids.scored(blk, j)
+            j += 1
+            if node.left is None:
+                return None
+            if _moved(node, *cell):
+                return self._tag(node, "tags_moved")
+        return None
 
     # -- queries ----------------------------------------------------------
 
@@ -664,6 +782,81 @@ class Tree:
                 stack.append(node.right)
                 stack.append(node.left)
         return count
+
+
+# -- single-sample updates ---------------------------------------------------
+
+
+def update_paths(trees, sample_id, add):
+    """Delete (add=False) or add (add=True) one sample in each of trees;
+    returns, per tree, the node the update tagged or None.
+
+    Routes every tree, stacks the visited grids of all of them into one
+    patch and one kernel call, then settles each tree in path order (see
+    the module docstring, Updates).  The trees must share one Dataset and
+    one TreeParams; an added sample must already be in the Dataset, and a
+    deleted one must still be live there.
+    """
+    ds = trees[0].ds
+    x = ds.X[sample_id]
+    label = int(ds.y[sample_id])
+    row = x.tolist()  # routing compares Python floats faster
+    paths = [tree._route_add(sample_id, label, row) if add
+             else tree._route_delete(sample_id, label, row) for tree in trees]
+    nodes = [node for path in paths for node in path if node.slots is not None]
+    grids = _StackedGrids(trees[0], nodes, x, label, add) if nodes else None
+    tagged, j = [], 0
+    for tree, path in zip(trees, paths):
+        tagged.append(tree._settle_add(path, x, grids, j) if add
+                      else tree._settle_delete(path, grids, j))
+        j += sum(node.slots is not None for node in path)
+    return tagged
+
+
+class _StackedGrids:
+    """The grids of every node an update visited, in path order, patched
+    by the one sample and scored in one kernel call.
+
+    flags marks per slot a range hit (delete: the value sits on a range
+    boundary) or widening (add: the value lies outside the range), and
+    cells is each grid's first argmin cell.
+    """
+
+    def __init__(self, tree, nodes, x, label, add):
+        blks = [node.slots for node in nodes]
+        thr = np.array([blk.thr for blk in blks])
+        amin = np.array([blk.amin for blk in blks])
+        amax = np.array([blk.amax for blk in blks])
+        xs = x[np.array([blk.attrs for blk in blks])]
+        step = np.where(thr >= xs[:, :, None], 1 if add else -1, 0)
+        self.b = np.array([blk.b for blk in blks]) + step
+        self.c = np.array([blk.c for blk in blks])
+        if label:
+            self.c += step
+        self.label = label
+        self.flags = (xs < amin) | (xs > amax) if add else (xs == amin) | (xs == amax)
+        self.flagged = self.flags.any(axis=1).tolist()
+        n = np.array([node.n for node in nodes])
+        n_pos = np.array([node.n_pos for node in nodes])
+        score = crit.score_matrix(self.b, self.c, np.maximum(n, 1)[:, None, None],
+                                  n_pos[:, None, None], tree.params.criterion)
+        score[amin == amax] = np.inf
+        score[n == 0] = np.inf
+        k, i = np.divmod(score.reshape(len(nodes), -1).argmin(axis=1), tree.s)
+        self.score = score
+        self.cells = list(zip(k.tolist(), i.tolist()))
+
+    def patch(self, blk, j):
+        """Write row j's patched counts back into its node's grid."""
+        blk.b[...] = self.b[j]
+        if self.label:
+            blk.c[...] = self.c[j]
+
+    def scored(self, blk, j):
+        """Store row j's scores in its node's grid; returns its first
+        argmin cell."""
+        blk.score = self.score[j].copy()
+        return self.cells[j]
 
 
 # -- query routing ----------------------------------------------------------

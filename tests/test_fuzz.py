@@ -1,5 +1,7 @@
 """Property-based fuzz of forest operations: valid ones interleaved with ones
-the forest must reject, each rejection leaving the forest exactly as it was."""
+the forest must reject, each rejection leaving the forest exactly as it was;
+and single-sample updates walking all k trees together against the same
+updates sent to the trees one at a time."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from dynforest.oracle import forest_audit
 from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
 from test_forest import quick_params
+from test_updates import TreeByTree
 
 D = 6
 PROBE = make_dataset(40, d=D, seed=61).X[:40]
@@ -113,3 +116,41 @@ def test_rejected_operations_leave_the_forest_unchanged(workdir, data):
         assert snapshot_bytes(forest, scratch) == before, op
         report = forest_audit(forest)
         assert report.ok, "%s: %s" % (op, report.summary())
+
+
+def draw_request(forest, op, data):
+    """The arguments of one delete, add or predict, drawn once so that
+    twin forests can replay it."""
+    if op == "delete":
+        return data.draw(st.sampled_from(forest.ds.live_ids().tolist()), label="delete id")
+    if op == "add":
+        x = probe_rows(data, "add row")[0] + data.draw(st.floats(-0.05, 0.05), label="shift")
+        return x, data.draw(st.integers(0, 1), label="label")
+    if op == "predict":
+        return probe_rows(data, "predict row")[0]
+    return probe_rows(data, "predict rows")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), lazy=st.booleans())
+def test_stacked_updates_save_the_bytes_of_tree_by_tree_updates(workdir, data, lazy):
+    stacked = load(os.path.join(workdir, "base.bin"))
+    by_tree = load(os.path.join(workdir, "base.bin"))
+    by_tree.__class__ = TreeByTree
+    stacked.lazy = by_tree.lazy = lazy
+    ops = data.draw(st.lists(st.sampled_from(("delete", "add", "predict", "predict_many")),
+                             min_size=1, max_size=20), label="ops")
+    for op in ops:
+        arg = draw_request(stacked, op, data)
+        if op == "delete":
+            stacked.delete(arg)
+            by_tree.delete(arg)
+        elif op == "add":
+            assert stacked.add(*arg) == by_tree.add(*arg)
+        else:
+            call = "predict" if op == "predict" else "predict_many"
+            got = np.asarray(getattr(stacked, call)(arg))
+            assert got.tobytes() == np.asarray(getattr(by_tree, call)(arg)).tobytes()
+    assert (snapshot_bytes(stacked, os.path.join(workdir, "stacked.bin"))
+            == snapshot_bytes(by_tree, os.path.join(workdir, "by_tree.bin")))
+    assert stacked.telemetry() == by_tree.telemetry()
