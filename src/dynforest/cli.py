@@ -55,20 +55,28 @@ def _forest_params(args, seed):
 
 def _pick_ids(args, forest, seed):
     """Ids from --ids, --ids-file, or --count random live draws."""
-    given = [opt for opt in ("ids", "ids_file", "count") if getattr(args, opt, None)]
+    given = [opt for opt in ("ids", "ids_file", "count") if getattr(args, opt, None) is not None]
     if len(given) != 1:
         raise SchemaError("give exactly one of --ids, --ids-file, --count")
-    if args.ids:
+    if args.ids is not None:
         try:
-            return [int(v) for v in args.ids.split(",") if v.strip()]
+            ids = [int(v) for v in args.ids.split(",") if v.strip()]
         except ValueError:
             raise SchemaError("--ids must be a comma-separated integer list") from None
-    if args.ids_file:
+        if not ids:
+            raise SchemaError("--ids names no sample id")
+        return ids
+    if args.ids_file is not None:
         with open(args.ids_file) as f:
             try:
-                return [int(line) for line in f if line.strip()]
+                ids = [int(line) for line in f if line.strip()]
             except ValueError:
                 raise SchemaError("--ids-file must hold one integer per line") from None
+        if not ids:
+            raise SchemaError("--ids-file %s names no sample id" % args.ids_file)
+        return ids
+    if args.count < 1:
+        raise SchemaError("--count must be >= 1, got %d" % args.count)
     live = forest.ds.live_ids()
     if args.count > len(live):
         raise SchemaError("--count %d exceeds %d live samples" % (args.count, len(live)))

@@ -142,13 +142,15 @@ class Forest:
         if x.shape != (self.ds.n_attrs,):
             raise ValueError("expected %d features, got shape %s"
                              % (self.ds.n_attrs, x.shape))
-        if not np.isfinite(x).all():
+        row = x.tolist()  # routing compares Python floats faster than numpy scalars
+        if not all(map(math.isfinite, row)):
             raise ValueError("features must be finite, row 0 is not")
-        # routing compares Python floats faster than numpy scalars
-        leaves = route_row(self.trees, x.tolist())
+        leaves = route_row(self.trees, row)
         prior = self.prior
-        return float(np.mean([leaf.n_pos / len(leaf.ids) if len(leaf.ids) else prior
-                              for leaf in leaves]))
+        fractions = np.fromiter((leaf.n_pos / len(leaf.ids) if len(leaf.ids) else prior
+                                 for leaf in leaves), np.float64, len(leaves))
+        # np.mean's sum and division, without its Python-level wrapper
+        return float(np.add.reduce(fractions) / len(leaves))
 
     def predict_many(self, X):
         """Vectorized predict over the rows of X.

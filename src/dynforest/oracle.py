@@ -1,11 +1,13 @@
 """Independent reference implementations used to validate the fast paths.
 
 Nothing here shares code with the hot paths it checks: counts come from a
-pure-Python sort-merge instead of vectorized binary search, retraining
-builds a fresh forest instead of patching one, and the occupancy checker
-rescans every tree.  Slow and simple on purpose.  score_candidates is the
-exception: it scores one slot through the per-slot prefix_counts of the
-update path, so that path can be checked against sortmerge_best_split.
+pure-Python sort-merge instead of vectorized binary search, routing reads
+each split from its node's grid instead of the stored axis and threshold,
+retraining builds a fresh forest instead of patching one, and the
+occupancy checker rescans every tree.  Slow and simple on purpose.
+score_candidates is the exception: it scores one slot through the
+per-slot prefix_counts of the update path, so that path can be checked
+against sortmerge_best_split.
 """
 
 from __future__ import annotations
@@ -85,6 +87,37 @@ def sortmerge_best_split(values, positive, thresholds):
         b[i] = seen
         c[i] = seen_pos
     return b, c
+
+
+def reference_leaf(tree, x):
+    """(n, n_pos) at the leaf that row x reaches in a tree with no tags.
+
+    Each split is read from its node's grid, as attribute
+    slots.attrs[best_k] and threshold slots.thr[best_k, best_i], one row
+    and one node at a time; a row goes left when its value is at or below
+    the threshold.  Raises ValueError on reaching a tagged node.
+    """
+    node = tree.root
+    while node.left is not None:
+        blk = node.slots
+        attr = blk.attrs[node.best_k]
+        node = node.left if x[attr] <= blk.thr[node.best_k, node.best_i] else node.right
+    if node.tagged:
+        raise ValueError("row reached a tagged node; flush the tree first")
+    return len(node.ids), node.n_pos
+
+
+def reference_fractions(forest, X):
+    """Positive fraction of the leaf each row of X reaches, per tree, as a
+    (n_trees, len(X)) array, routed by reference_leaf; an empty leaf gives
+    the forest's prior.  Averaging a column gives the row's prediction."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty((len(forest.trees), len(X)))
+    for t, tree in enumerate(forest.trees):
+        for r, x in enumerate(X):
+            n, n_pos = reference_leaf(tree, x)
+            out[t, r] = n_pos / n if n else forest.prior
+    return out
 
 
 def naive_retrain(ds, params, seed=None):

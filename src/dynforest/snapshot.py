@@ -23,7 +23,8 @@ Load derives the rest, a whole tree at a time: each node's depth from the
 links; an internal node's ids (ascending, the order training and updates
 keep them in) and n_pos from the childless nodes below it; every grid's
 scores in one score_matrix call; and each split node's best cell as its
-grid's first argmin.
+grid's first argmin, with that cell's threshold (best_w) and attribute
+(axis), which routing reads.
 
 The counts and ranges stay stored.  A vectorized recount of every grid
 of the 10k-row benchmark preset took 0.11-0.12 s on a 2-core VM, against
@@ -295,6 +296,7 @@ def _unpack_tree(t, n_nodes, arrays, tree):
     need(np.isfinite(flat.min(axis=1)).all(), "a split node has no finite best cell")
     best_k, best_i = np.divmod(best, tree.s)
     best_w = slot["thr"][row, best_k, best_i]
+    axis = slot["attrs"][row, best_k]
     # one gather over the split nodes' ids: each lies on the side its
     # node's derived split sends it to, and sorted they are the node's ids
     lens = n[split]
@@ -302,7 +304,7 @@ def _unpack_tree(t, n_nodes, arrays, tree):
     at = np.arange(lens.sum()) + np.repeat(lo[split] - seg, lens)
     owner = np.repeat(np.arange(len(split)), lens)
     under = ids[at]
-    goes_left = tree.ds.X[under, slot["attrs"][row, best_k][owner]] <= best_w[owner]
+    goes_left = tree.ds.X[under, axis[owner]] <= best_w[owner]
     need(np.array_equal(goes_left, at < hi[children[split, 0]][owner]),
          "stored ids do not lie on the sides the derived splits send them to")
     start = lo.copy()
@@ -315,10 +317,10 @@ def _unpack_tree(t, n_nodes, arrays, tree):
              in zip(depth.tolist(), start.tolist(), n.tolist(), n_pos.tolist())]
     for i, blk in zip(rows.tolist(), zip(*slot.values(), score)):
         nodes[i].slots = SlotBlock(*[a.copy() for a in blk])
-    for i, (li, ri), k, j, w in zip(split.tolist(), children[split].tolist(), best_k.tolist(),
-                                    best_i.tolist(), best_w.tolist()):
+    for i, (li, ri), k, j, w, a in zip(split.tolist(), children[split].tolist(), best_k.tolist(),
+                                       best_i.tolist(), best_w.tolist(), axis.tolist()):
         node = nodes[i]
-        node.best_k, node.best_i, node.best_w = k, j, w
+        node.best_k, node.best_i, node.best_w, node.axis = k, j, w, a
         node.left, node.right = nodes[li], nodes[ri]
     for i, key in zip(np.flatnonzero(tagged).tolist(), keys.tolist()):
         nodes[i].tagged = True

@@ -10,7 +10,11 @@ candidate thresholds together with the number of covered samples (b)
 and covered positives (c) at or below each threshold, plus the
 resulting criterion scores.  The chosen split is the first grid cell
 attaining the minimum score, scanning slots in draw order and
-thresholds in ascending order.
+thresholds in ascending order.  best_k and best_i locate that cell in
+the grid, and update decisions compare against them; a split node also
+stores the cell's attribute (axis, a Python int) and threshold (best_w,
+a Python float), which every router reads, so that sending a row to a
+child indexes no numpy array.
 
 Updates
 -------
@@ -227,11 +231,17 @@ class SlotBlock:
 
 class Node:
     """Tree node.  Leaves may keep their slot grid (all-degenerate draw);
-    tagged nodes have no children and best_k == -1.  key is the 64-bit key
-    of a tagged node's own draws; it is not read once the node is untagged."""
+    tagged nodes have no children and best_k == -1.
+
+    A split node's (best_k, best_i) locates its split cell in the grid.
+    axis and best_w are that cell's attribute and threshold, stored as a
+    Python int and float for routing: a row goes left when
+    row[axis] <= best_w.  A node that does not split has axis -1.  key is
+    the 64-bit key of a tagged node's own draws; it is not read once the
+    node is untagged."""
 
     __slots__ = ("depth", "ids", "n_pos", "slots", "best_k", "best_i", "best_w",
-                 "left", "right", "tagged", "key")
+                 "axis", "left", "right", "tagged", "key")
 
     def __init__(self, depth, ids, n_pos):
         self.depth = depth
@@ -241,6 +251,7 @@ class Node:
         self.best_k = -1
         self.best_i = -1
         self.best_w = 0.0
+        self.axis = -1
         self.left = None
         self.right = None
         self.tagged = False
@@ -407,13 +418,15 @@ class Tree:
         rows = np.arange(m)
         usable = np.isfinite(score[rows, best_k, best_i]).tolist()
         best_w = thr[rows, best_k, best_i]
+        axis = attrs[rows, best_k]
         # stable partition by (node, side) keeps each child's ids in order
-        right = X[ids, np.repeat(attrs[rows, best_k], lens)] > np.repeat(best_w, lens)
+        right = X[ids, np.repeat(axis, lens)] > np.repeat(best_w, lens)
         side = 2 * np.repeat(rows, lens) + right
         ids = ids[np.argsort(side, kind="stable")]
         bounds = np.concatenate(([0], np.bincount(side, minlength=2 * m).cumsum())).tolist()
         side_pos = np.bincount(side[positive], minlength=2 * m).tolist()
-        best_k, best_i, best_w = best_k.tolist(), best_i.tolist(), best_w.tolist()
+        best_k, best_i, best_w, axis = (best_k.tolist(), best_i.tolist(), best_w.tolist(),
+                                        axis.tolist())
         children = []
         for j, node in enumerate(grow):
             node.slots = SlotBlock(attrs[j].copy(), amin[j].copy(), amax[j].copy(),
@@ -424,6 +437,7 @@ class Tree:
             node.best_k = best_k[j]
             node.best_i = best_i[j]
             node.best_w = best_w[j]
+            node.axis = axis[j]
             start, mid, end = bounds[2 * j:2 * j + 3]
             node.left = Node(node.depth + 1, ids[start:mid].copy(), side_pos[2 * j])
             node.right = Node(node.depth + 1, ids[mid:end].copy(), side_pos[2 * j + 1])
@@ -487,6 +501,7 @@ class Tree:
         node.best_k = -1
         node.best_i = -1
         node.best_w = 0.0
+        node.axis = -1
         node.key = self.rng.bit_generator.random_raw()
         self.n_tagged += 1
         setattr(self.telemetry, cause, getattr(self.telemetry, cause) + 1)
@@ -663,7 +678,7 @@ class Tree:
             if (node.tagged or node.left is None
                     or self._stop(node.depth, len(keep), node.n_pos)):
                 return path
-            node = node.left if x[node.slots.attrs[node.best_k]] <= node.best_w else node.right
+            node = node.left if x[node.axis] <= node.best_w else node.right
 
     def _route_add(self, sample_id, label, x):
         """Append the id to each node on its path, top down; returns the
@@ -678,7 +693,7 @@ class Tree:
             path.append(node)
             if node.tagged or node.left is None:
                 return path
-            node = node.left if x[node.slots.attrs[node.best_k]] <= node.best_w else node.right
+            node = node.left if x[node.axis] <= node.best_w else node.right
 
     def _settle_delete(self, path, grids, j):
         """Settle a routed deletion top down, from row j of the stacked
@@ -865,8 +880,7 @@ class _StackedGrids:
 def _descend(node, x):
     """Route row x from node down to the first leaf or tagged node."""
     while node.left is not None:
-        axis = int(node.slots.attrs[node.best_k])
-        node = node.left if x[axis] <= node.best_w else node.right
+        node = node.left if x[node.axis] <= node.best_w else node.right
     return node
 
 
@@ -905,7 +919,7 @@ def _descend_many(t, node, rows, X, out_n, out_pos, tagged):
                 out_n[rows] = len(node.ids)
                 out_pos[rows] = node.n_pos
             continue
-        go_left = X[rows, int(node.slots.attrs[node.best_k])] <= node.best_w
+        go_left = X[rows, node.axis] <= node.best_w
         left, right = rows[go_left], rows[~go_left]
         if len(left):
             stack.append((node.left, left))
@@ -1060,6 +1074,8 @@ def _audit_node(tree, node, path, report, leaf_ids):
             report.flag(path, "tagged node has children")
         if node.best_k != -1:
             report.flag(path, "tagged node keeps a best split")
+        if node.axis != -1:
+            report.flag(path, "tagged node keeps a split axis", "axis=%r" % (node.axis,))
         if node.key is None:
             report.flag(path, "tagged node without a draw key")
         leaf_ids.append(ids)
@@ -1069,6 +1085,8 @@ def _audit_node(tree, node, path, report, leaf_ids):
             report.flag(path, "half-linked children")
         if node.best_k != -1:
             report.flag(path, "leaf keeps a best split")
+        if node.axis != -1:
+            report.flag(path, "leaf keeps a split axis", "axis=%r" % (node.axis,))
         leaf_ids.append(ids)
         return
 
@@ -1084,6 +1102,9 @@ def _audit_node(tree, node, path, report, leaf_ids):
     if not np.isfinite(blk.score[node.best_k, node.best_i]):
         report.flag(path, "split on an unusable slot")
     axis = int(blk.attrs[node.best_k])
+    if node.axis != axis:
+        report.flag(path, "split axis is not the best slot's attribute",
+                    "stored %r attribute %d" % (node.axis, axis))
     go_left = ds.X[ids, axis] <= node.best_w
     want_left = np.sort(ids[go_left])
     want_right = np.sort(ids[~go_left])

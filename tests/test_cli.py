@@ -6,11 +6,13 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dynforest import snapshot
 from dynforest.cli import main
 from dynforest.snapshot import load
 
@@ -195,6 +197,30 @@ def test_unlearn_seq_ids_file_and_count(workspace, tmp_path, capsys):
     assert code == 2 and "exceeds" in err
 
 
+@pytest.mark.parametrize("command", ["unlearn-seq", "unlearn-batch"])
+def test_unlearn_rejects_an_empty_id_list(workspace, tmp_path, capsys, command):
+    ids_file = tmp_path / "ids.txt"
+    ids_file.write_text("\n \n")
+    extra = ["--skip-naive"] if command == "unlearn-seq" else []
+    for source in (["--ids", ","], ["--ids", ""], ["--ids-file", str(ids_file)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, command, "--model", workspace["model"], *source,
+                                   *extra)
+        assert code == 2
+        assert "names no sample id" in err, err
+
+
+@pytest.mark.parametrize("command", ["unlearn-seq", "unlearn-batch"])
+def test_unlearn_rejects_a_count_below_one(workspace, capsys, command):
+    extra = ["--skip-naive"] if command == "unlearn-seq" else []
+    for count in ("0", "-3"):
+        code, _, err = run_cli(capsys, command, "--model", workspace["model"], "--count", count,
+                               *extra)
+        assert code == 2
+        assert "--count must be >= 1, got %s" % count in err, err
+
+
 def test_unlearn_batch_chunks_and_saves(workspace, tmp_path, capsys):
     model_out = str(tmp_path / "after.bin")
     code, pairs, _ = run_cli(capsys, "unlearn-batch", "--model", workspace["model"],
@@ -279,6 +305,22 @@ def test_audit_flags_a_stale_count_that_loads_silently(workspace, tmp_path, caps
     bad.write_bytes(b"\x00" * 32)
     code, _, err = run_cli(capsys, "audit", "--model", str(bad))
     assert code == 2 and "magic" in err
+
+
+def test_audit_flags_a_split_axis_that_disagrees_with_its_grid(workspace, capsys, monkeypatch):
+    # the axis is derived at load, so no file can carry a stale one: corrupt
+    # it in the loaded forest
+    def load_and_corrupt(path):
+        forest = load(path)
+        root = forest.trees[3].root
+        root.axis = (root.axis + 1) % forest.ds.n_attrs
+        return forest
+
+    monkeypatch.setattr(snapshot, "load", load_and_corrupt)
+    code = main(["audit", "--model", workspace["model"]])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert any("tree 3" in v and "split axis" in v for v in report["violations"])
 
 
 # -- failure modes ----------------------------------------------------------------

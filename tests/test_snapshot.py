@@ -117,6 +117,20 @@ def test_round_trip_with_tags_pending_grows_identically(tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
+def test_round_trip_derives_every_split_axis(tmp_path):
+    forest = tagged_forest(seed=3, n_deletes=20)
+    save(forest, tmp_path / "model.bin")
+    back = load(tmp_path / "model.bin")
+
+    def axes(forest):
+        return [[(node.axis, type(node.axis)) for node in _preorder(tree.root)]
+                for tree in forest.trees]
+
+    assert axes(back) == axes(forest)
+    assert {kind for tree in axes(back) for _, kind in tree} == {int}
+    assert any(axis != -1 for tree in axes(back) for axis, _ in tree)
+
+
 def test_load_rejects_keys_that_do_not_match_the_tags(tmp_path):
     forest = tagged_forest(seed=3)
     path = tmp_path / "m.bin"

@@ -100,7 +100,7 @@ def node_state(tree):
     while stack:
         node = stack.pop()
         out.append((node.depth, node.ids.tobytes(), node.n_pos, node.best_k, node.best_i,
-                    np.float64(node.best_w).tobytes(), node.tagged,
+                    np.float64(node.best_w).tobytes(), node.axis, node.tagged,
                     node.key if node.tagged else None, node.left is None))
         blk = node.slots
         if blk is not None:
