@@ -159,7 +159,9 @@ class Forest:
         tagged frontier of all trees then grows one level together, in
         kernel calls of at most as many samples as the largest root holds
         (see tree.route_rows), and the rows there go on.  Keyed draws make
-        the result equal to tree-by-tree Tree.query_many calls.
+        the result equal to tree-by-tree Tree.query_many calls, and each
+        row's trees are averaged as predict averages them, so a row gets
+        the same bits from either call.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.ds.n_attrs:
@@ -171,7 +173,9 @@ class Forest:
         n, pos = route_rows(self.trees, X)
         with np.errstate(invalid="ignore"):
             probs = np.where(n > 0, pos / np.maximum(n, 1), self.prior)
-        return probs.mean(axis=0)
+        # np.add.reduce sums a contiguous axis pairwise, as in predict; down
+        # the trees axis of probs it would add the trees in order
+        return np.add.reduce(np.ascontiguousarray(probs.T), axis=1) / len(self.trees)
 
     # -- updates ------------------------------------------------------------
 

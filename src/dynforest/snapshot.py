@@ -21,10 +21,10 @@ nodes in preorder:
 
 Load derives the rest, a whole tree at a time: each node's depth from the
 links; an internal node's ids (ascending, the order training and updates
-keep them in) and n_pos from the childless nodes below it; every grid's
-scores in one score_matrix call; and each split node's best cell as its
-grid's first argmin, with that cell's threshold (best_w) and attribute
-(axis), which routing reads.
+keep them in) and n_pos from the childless nodes below it; and each
+split node's best cell, scored from its stored counts in one best_cells
+call over all the split nodes, with that cell's threshold (best_w) and
+attribute (axis), which routing reads.  No score is kept.
 
 The counts and ranges stay stored.  A vectorized recount of every grid
 of the 10k-row benchmark preset took 0.11-0.12 s on a 2-core VM, against
@@ -55,10 +55,9 @@ import struct
 
 import numpy as np
 
-from . import criterion as crit
 from .data import Dataset, Schema
 from .forest import Forest, ForestParams, group_by_tree, subsample_count
-from .tree import Node, SlotBlock, Tree, TreeParams
+from .tree import Node, SlotBlock, Tree, TreeParams, best_cells
 
 MAGIC = b"DYNFOR01"
 VERSION = 3
@@ -244,8 +243,8 @@ def _check_assignment(arrays, ds, fp, trees):
 
 
 def _unpack_tree(t, n_nodes, arrays, tree):
-    """Build tree t from its stored arrays, deriving depth, ids, n_pos,
-    scores and best cells a whole tree at a time.
+    """Build tree t from its stored arrays, deriving depth, ids, n_pos and
+    best cells a whole tree at a time.
 
     Raises ValueError, which load() reports as a SnapshotError, unless the
     derived splits reproduce the stored tree.
@@ -277,11 +276,7 @@ def _unpack_tree(t, n_nodes, arrays, tree):
     n_pos = np.concatenate(([0], (tree.ds.y[ids] == 1).cumsum()))
     n_pos = n_pos[hi] - n_pos[lo]
     stop = tree._stop(depth, n, n_pos)
-    grid_n = n[rows][:, None, None]
-    score = crit.score_matrix(slot["b"], slot["c"], np.maximum(grid_n, 1),
-                              n_pos[rows][:, None, None], tree.params.criterion)
     degenerate = slot["amin"] == slot["amax"]
-    score[degenerate | (grid_n[:, :, 0] == 0)] = np.inf
     constant = np.zeros(n_nodes, bool)
     constant[rows] = degenerate.all(axis=1)
     need((stop | constant)[~linked & ~tagged].all(),
@@ -291,10 +286,9 @@ def _unpack_tree(t, n_nodes, arrays, tree):
     need((flags[split] & _HAS_SLOTS).all(), "a split node has no grid")
     need(not stop[split].any(), "a split node meets a stop rule")
     row = np.cumsum(flags & _HAS_SLOTS > 0)[split] - 1
-    flat = score[row].reshape(len(split), tree.p * tree.s)
-    best = flat.argmin(axis=1)
-    need(np.isfinite(flat.min(axis=1)).all(), "a split node has no finite best cell")
-    best_k, best_i = np.divmod(best, tree.s)
+    best_k, best_i, usable = best_cells(slot["b"][row], slot["c"][row], n[split], n_pos[split],
+                                        degenerate[row], tree.params.criterion)
+    need(usable.all(), "a split node has no finite best cell")
     best_w = slot["thr"][row, best_k, best_i]
     axis = slot["attrs"][row, best_k]
     # one gather over the split nodes' ids: each lies on the side its
@@ -315,7 +309,7 @@ def _unpack_tree(t, n_nodes, arrays, tree):
     # freed rather than kept alive by the tree's other rows
     nodes = [Node(dep, pool[a:a + size].copy(), pos) for dep, a, size, pos
              in zip(depth.tolist(), start.tolist(), n.tolist(), n_pos.tolist())]
-    for i, blk in zip(rows.tolist(), zip(*slot.values(), score)):
+    for i, blk in zip(rows.tolist(), zip(*slot.values())):
         nodes[i].slots = SlotBlock(*[a.copy() for a in blk])
     for i, (li, ri), k, j, w, a in zip(split.tolist(), children[split].tolist(), best_k.tolist(),
                                        best_i.tolist(), best_w.tolist(), axis.tolist()):

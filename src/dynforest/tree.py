@@ -7,14 +7,16 @@ Every node keeps the ids of the training samples it covers and their
 positive count n_pos (its size n is len(ids)).  A splittable node
 additionally caches, for each of p candidate attributes, s sorted
 candidate thresholds together with the number of covered samples (b)
-and covered positives (c) at or below each threshold, plus the
-resulting criterion scores.  The chosen split is the first grid cell
-attaining the minimum score, scanning slots in draw order and
-thresholds in ascending order.  best_k and best_i locate that cell in
-the grid, and update decisions compare against them; a split node also
-stores the cell's attribute (axis, a Python int) and threshold (best_w,
-a Python float), which every router reads, so that sending a row to a
-child indexes no numpy array.
+and covered positives (c) at or below each threshold.  The chosen split
+is the first grid cell attaining the minimum criterion score, scanning
+slots in draw order and thresholds in ascending order; a slot whose
+range is a single value cannot split.  Scores are never stored: every
+decision scores the current counts through one rule, best_cells.
+best_k and best_i locate the chosen cell in the grid, and update
+decisions compare against them; a split node also stores the cell's
+attribute (axis, a Python int) and threshold (best_w, a Python float),
+which every router reads, so that sending a row to a child indexes no
+numpy array.
 
 Updates
 -------
@@ -31,8 +33,7 @@ three steps.
            once (-1 or +1 in each cell whose threshold is at or above the
            sample's value), tested for range hits (deleting: the value
            sits on a boundary) and widenings (adding: it lies outside),
-           scored in one score_matrix call, and each grid's first argmin
-           cell is taken.
+           and their first argmin cells taken in one best_cells call.
   Settle.  Each tree goes down its path in order.  A slot whose range
            really changed (rescanned after a hit, or widened) redraws its
            thresholds uniformly over the new range and recounts them, so
@@ -132,7 +133,6 @@ seed-to-tree map differs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -211,18 +211,18 @@ class Telemetry:
 
 
 class SlotBlock:
-    """Dense per-node storage for p attribute slots with s thresholds each."""
+    """Dense per-node storage for p attribute slots with s thresholds each:
+    the draws and the counts b and c, from which best_cells scores them."""
 
-    __slots__ = ("attrs", "amin", "amax", "thr", "b", "c", "score")
+    __slots__ = ("attrs", "amin", "amax", "thr", "b", "c")
 
-    def __init__(self, attrs, amin, amax, thr, b, c, score=None):
+    def __init__(self, attrs, amin, amax, thr, b, c):
         self.attrs = attrs
         self.amin = amin
         self.amax = amax
         self.thr = thr
         self.b = b
         self.c = c
-        self.score = score
 
     @property
     def p(self):
@@ -299,18 +299,42 @@ def prefix_counts(values, positive, thresholds):
     return b, c
 
 
-def _argmin_grid(score):
-    """First (slot, threshold) cell attaining the minimum score."""
-    flat = int(np.argmin(score))
-    return divmod(flat, score.shape[1])
+def best_cells(b, c, n, n_pos, flat, criterion):
+    """Score one (p, s) count grid, or an (m, p, s) stack of them, and
+    return each grid's first minimum cell as best_k, best_i and whether it
+    is usable: Python ints and a bool for one grid, (m,) arrays for a stack.
+
+    n and n_pos are the node totals, ints or (m,) arrays.  flat, (p,) or
+    (m, p), marks the slots whose range is a single value: they score
+    +inf, so an all-flat grid has no usable cell.  Ties go to the first
+    cell in row-major order (slots in draw order, thresholds ascending).
+    An empty node is scored as if it held one sample; no caller reads its
+    cell.
+    """
+    s = b.shape[-1]
+    if b.ndim == 2:
+        score = crit.score_matrix(b, c, max(n, 1), n_pos, criterion)
+        score[flat] = np.inf
+        cells = score.ravel()
+        best = int(cells.argmin())
+        return best // s, best % s, math.isfinite(cells[best])
+    m = len(b)
+    score = crit.score_matrix(b, c, np.maximum(n, 1)[:, None, None], n_pos[:, None, None],
+                              criterion)
+    score[flat] = np.inf
+    cells = score.reshape(m, b.shape[1] * s)
+    best = cells.argmin(axis=1)
+    best_k, best_i = np.divmod(best, s)
+    return best_k, best_i, np.isfinite(cells[np.arange(m), best])
 
 
-def _moved(node, k, i):
-    """Is cell (k, i) of a split node's current grid not its recorded split:
-    unusable, another cell, or the same cell at another threshold value?"""
-    blk = node.slots
-    return (not math.isfinite(blk.score[k, i]) or k != node.best_k or i != node.best_i
-            or blk.thr[k, i] != node.best_w)
+def _moved(node, cell):
+    """Is cell (k, i, usable) of a split node's current grid not its
+    recorded split: unusable, another cell, or the same cell at another
+    threshold value?"""
+    k, i, usable = cell
+    return (not usable or k != node.best_k or i != node.best_i
+            or node.slots.thr[k, i] != node.best_w)
 
 
 class Tree:
@@ -350,15 +374,12 @@ class Tree:
         return ((depth >= self.params.max_depth) | (n < self.params.min_split_size)
                 | (n_pos == 0) | (n_pos == n))
 
-    def _rescore(self, node):
-        """Refresh the score grid from cached counts (n or counts changed)."""
+    def _best_cell(self, node):
+        """Score node's grid from its counts; returns its first argmin cell
+        as (k, i, usable)."""
         blk = node.slots
-        if node.n == 0:
-            blk.score = np.full((blk.p, self.s), np.inf)
-            return
-        sc = crit.score_matrix(blk.b, blk.c, node.n, node.n_pos, self.params.criterion)
-        sc[blk.amin == blk.amax] = np.inf
-        blk.score = sc
+        return best_cells(blk.b, blk.c, node.n, node.n_pos, blk.amin == blk.amax,
+                          self.params.criterion)
 
     def _split_level(self, nodes, draw):
         """Split every non-stopping node of a frontier in one vectorized pass.
@@ -411,12 +432,9 @@ class Tree:
         c = np.bincount(cell[positive].ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
         b = b.cumsum(axis=2)
         c = c.cumsum(axis=2)
-        score = crit.score_matrix(b, c, lens[:, None, None], n_pos[:, None, None],
-                                  self.params.criterion)
-        score[flat] = np.inf
-        best_k, best_i = np.divmod(score.reshape(m, p * s).argmin(axis=1), s)
+        best_k, best_i, usable = best_cells(b, c, lens, n_pos, flat, self.params.criterion)
+        usable = usable.tolist()
         rows = np.arange(m)
-        usable = np.isfinite(score[rows, best_k, best_i]).tolist()
         best_w = thr[rows, best_k, best_i]
         axis = attrs[rows, best_k]
         # stable partition by (node, side) keeps each child's ids in order
@@ -430,8 +448,7 @@ class Tree:
         children = []
         for j, node in enumerate(grow):
             node.slots = SlotBlock(attrs[j].copy(), amin[j].copy(), amax[j].copy(),
-                                   thr[j].copy(), b[j].copy(), c[j].copy(),
-                                   score[j].copy())
+                                   thr[j].copy(), b[j].copy(), c[j].copy())
             if not usable[j]:
                 continue
             node.best_k = best_k[j]
@@ -573,7 +590,7 @@ class Tree:
             hit = ((vals == blk.amin) | (vals == blk.amax)).any(axis=0)
             if not hit.any():
                 hit = None
-        tag = self._settle_deleted(node, hit, functools.partial(self._rescored_cell, node))
+        tag = self._settle_deleted(node, hit, None)
         if tag is not None:
             tagged.append(tag)
         if node.left is None:
@@ -586,21 +603,16 @@ class Tree:
             elif routed:
                 self._delete_group(child, group[side], labels[side], member, tagged)
 
-    def _rescored_cell(self, node):
-        """Rescore node's grid; returns its first argmin cell."""
-        self._rescore(node)
-        return _argmin_grid(node.slots.score)
-
-    def _settle_deleted(self, node, hit, scored):
+    def _settle_deleted(self, node, hit, cell):
         """Settle one node whose ids, n_pos and counts a deletion has
         patched, by the same rules in both deletion walks; returns the node
         if it was tagged here, else None.  The walk goes on below the node
         only if it still has children.
 
         hit marks the slots where a removed value sat on a range boundary,
-        or is None if there are none (or the node has no grid).  scored()
-        stores the patched grid's scores and returns their first argmin
-        cell; it is called unless a slot is redrawn.
+        or is None if there are none (or the node has no grid).  cell is
+        the patched grid's first argmin cell, or None to score the node
+        here; it is not used if a slot is redrawn.
         """
         self.telemetry.nodes_updated += 1
         blk = node.slots
@@ -612,14 +624,14 @@ class Tree:
         if blk is None:
             return None
         which = None if hit is None else self._rescan_ranges(node, hit)
-        if which is None:
-            cell = scored()
-        else:
+        if which is not None:
             self._resample_slots(node, which)
-            cell = self._rescored_cell(node)
-        if node.left is None or not _moved(node, *cell):
+            cell = None
+        if node.left is None:
             return None
-        return self._tag(node, "tags_moved")
+        if cell is None:
+            cell = self._best_cell(node)
+        return self._tag(node, "tags_moved") if _moved(node, cell) else None
 
     def _rescan_ranges(self, node, hit):
         """Rescan the ranges of the slots hit marks, so that no range keeps
@@ -659,7 +671,7 @@ class Tree:
         blk.amin[widened] = np.minimum(blk.amin[widened], xs[widened])
         blk.amax[widened] = np.maximum(blk.amax[widened], xs[widened])
         self._resample_slots(node, widened)
-        return self._rescored_cell(node)
+        return self._best_cell(node)
 
     def _route_delete(self, sample_id, label, x):
         """Take the id out of each node on its path, top down; returns the
@@ -700,13 +712,13 @@ class Tree:
         grids on; returns the node it tagged, or None."""
         for node in path:
             blk = node.slots
-            hit = scored = None
+            hit = cell = None
             if blk is not None:
                 grids.patch(blk, j)
                 hit = grids.flags[j] if grids.flagged[j] else None
-                scored = functools.partial(grids.scored, blk, j)
+                cell = grids.cells[j]
                 j += 1
-            tag = self._settle_deleted(node, hit, scored)
+            tag = self._settle_deleted(node, hit, cell)
             if tag is not None or node.left is None:
                 return tag
         return None
@@ -733,11 +745,11 @@ class Tree:
                     return self._tag(node, "tags_widened")
                 cell = self._widen_ranges(node, x[blk.attrs], grids.flags[j])
             else:
-                cell = grids.scored(blk, j)
+                cell = grids.cells[j]
             j += 1
             if node.left is None:
                 return None
-            if _moved(node, *cell):
+            if _moved(node, cell):
                 return self._tag(node, "tags_moved")
         return None
 
@@ -830,11 +842,11 @@ def update_paths(trees, sample_id, add):
 
 class _StackedGrids:
     """The grids of every node an update visited, in path order, patched
-    by the one sample and scored in one kernel call.
+    by the one sample and scored in one best_cells call.
 
     flags marks per slot a range hit (delete: the value sits on a range
     boundary) or widening (add: the value lies outside the range), and
-    cells is each grid's first argmin cell.
+    cells is each grid's first argmin cell as (k, i, usable).
     """
 
     def __init__(self, tree, nodes, x, label, add):
@@ -853,25 +865,15 @@ class _StackedGrids:
         self.flagged = self.flags.any(axis=1).tolist()
         n = np.array([node.n for node in nodes])
         n_pos = np.array([node.n_pos for node in nodes])
-        score = crit.score_matrix(self.b, self.c, np.maximum(n, 1)[:, None, None],
-                                  n_pos[:, None, None], tree.params.criterion)
-        score[amin == amax] = np.inf
-        score[n == 0] = np.inf
-        k, i = np.divmod(score.reshape(len(nodes), -1).argmin(axis=1), tree.s)
-        self.score = score
-        self.cells = list(zip(k.tolist(), i.tolist()))
+        k, i, usable = best_cells(self.b, self.c, n, n_pos, amin == amax,
+                                  tree.params.criterion)
+        self.cells = list(zip(k.tolist(), i.tolist(), usable.tolist()))
 
     def patch(self, blk, j):
         """Write row j's patched counts back into its node's grid."""
         blk.b[...] = self.b[j]
         if self.label:
             blk.c[...] = self.c[j]
-
-    def scored(self, blk, j):
-        """Store row j's scores in its node's grid; returns its first
-        argmin cell."""
-        blk.score = self.score[j].copy()
-        return self.cells[j]
 
 
 # -- query routing ----------------------------------------------------------
@@ -1030,6 +1032,16 @@ def _audit_node(tree, node, path, report, leaf_ids):
     if blk is not None:
         vals = ds.X[ids[:, None], blk.attrs] if len(ids) else np.empty((0, blk.p))
         positive = ds.y[ids] == 1
+        # recount from raw values by direct comparison, not binary search
+        below = vals[:, :, None] <= blk.thr
+        b_true = below.sum(axis=0)
+        c_true = below[positive].sum(axis=0)
+        if not node.tagged and len(ids):
+            # the kernel's scores of the recount against the scalar criterion;
+            # totals come from the ids, so an inconsistent node cannot crash it
+            rule = crit.CRITERIA[tree.params.criterion]
+            kernel = crit.score_matrix(b_true, c_true, len(ids), true_pos,
+                                       tree.params.criterion)
         for k in range(blk.p):
             tag = "%s slot %d (attr %d)" % (path, k, blk.attrs[k])
             thr = blk.thr[k]
@@ -1043,31 +1055,17 @@ def _audit_node(tree, node, path, report, leaf_ids):
                                    vals[:, k].min(), vals[:, k].max()))
                 if thr.min() < blk.amin[k] or thr.max() > blk.amax[k]:
                     report.flag(tag, "thresholds outside range")
-            # recount from raw values by direct comparison, not binary search
-            b_true = (vals[:, k][:, None] <= thr[None, :]).sum(axis=0)
-            c_true = (vals[positive, k][:, None] <= thr[None, :]).sum(axis=0)
-            if not np.array_equal(blk.b[k], b_true):
+                for i, (bi, ci) in enumerate(zip(b_true[k].tolist(), c_true[k].tolist())):
+                    want = rule(crit.SplitCounts(bi, ci, len(ids) - bi, true_pos - ci))
+                    if abs(kernel[k, i] - want) > 1e-9:
+                        report.flag(tag, "kernel score off the criterion",
+                                    "i=%d kernel=%.12g scalar=%.12g" % (i, kernel[k, i], want))
+            if not np.array_equal(blk.b[k], b_true[k]):
                 report.flag(tag, "b counts stale",
-                            "stored=%s actual=%s" % (blk.b[k], b_true))
-            if not np.array_equal(blk.c[k], c_true):
+                            "stored=%s actual=%s" % (blk.b[k], b_true[k]))
+            if not np.array_equal(blk.c[k], c_true[k]):
                 report.flag(tag, "c counts stale",
-                            "stored=%s actual=%s" % (blk.c[k], c_true))
-            if not node.tagged and len(ids) > 0:
-                # reference totals come from the ids themselves so the check
-                # cannot crash on an already-inconsistent node
-                degenerate = blk.amin[k] == blk.amax[k]
-                for i in range(tree.s):
-                    want = np.inf if degenerate else crit.CRITERIA[tree.params.criterion](
-                        crit.SplitCounts(int(b_true[i]), int(c_true[i]),
-                                         len(ids) - int(b_true[i]),
-                                         true_pos - int(c_true[i])))
-                    got = blk.score[k, i]
-                    if want == np.inf:
-                        if np.isfinite(got):
-                            report.flag(tag, "score should be +inf", "i=%d got=%g" % (i, got))
-                    elif abs(got - want) > 1e-9:
-                        report.flag(tag, "score stale",
-                                    "i=%d stored=%.12g recomputed=%.12g" % (i, got, want))
+                            "stored=%s actual=%s" % (blk.c[k], c_true[k]))
 
     if node.tagged:
         if node.left is not None or node.right is not None:
@@ -1093,13 +1091,14 @@ def _audit_node(tree, node, path, report, leaf_ids):
     if blk is None:
         report.flag(path, "split node without slots")
         return
-    k, i = _argmin_grid(blk.score)
+    k, i, _ = best_cells(b_true, c_true, len(ids), true_pos, blk.amin == blk.amax,
+                         tree.params.criterion)
     if (k, i) != (node.best_k, node.best_i):
         report.flag(path, "best split not the grid argmin",
                     "stored (%d,%d) argmin (%d,%d)" % (node.best_k, node.best_i, k, i))
     elif blk.thr[k, i] != node.best_w:
         report.flag(path, "best threshold value stale")
-    if not np.isfinite(blk.score[node.best_k, node.best_i]):
+    if blk.amin[node.best_k] == blk.amax[node.best_k]:
         report.flag(path, "split on an unusable slot")
     axis = int(blk.attrs[node.best_k])
     if node.axis != axis:
@@ -1122,9 +1121,10 @@ def audit_tree(tree, label="tree"):
     """Recompute every cached statistic from raw data and report drift.
 
     Checks id conservation, counts, ranges (on untagged nodes), per-cell
-    b/c counts against direct comparison counting, criterion scores
-    against the scalar reference, argmin consistency of stored splits,
-    and child partitions.  Returns an AuditReport.
+    b/c counts against direct comparison counting, the kernel's scores of
+    those recounts against the scalar criterion, that each stored split is
+    best_cells of its node's recount, and child partitions.  Returns an
+    AuditReport.
     """
     report = AuditReport()
     leaf_ids = []

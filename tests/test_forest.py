@@ -118,6 +118,19 @@ def test_predict_many_matches_scalar_predict():
     assert vec == pytest.approx([forest.predict(X[r]) for r in range(50)])
 
 
+@pytest.mark.parametrize("pending", [False, True])
+def test_predict_many_gives_each_row_the_bits_of_predict(tmp_path, pending):
+    forest = Forest.train(make_dataset(400, d=6, seed=4), quick_params(n_trees=30))
+    if pending:
+        forest.unlearn_batch(list(range(0, 80, 2)))
+        assert forest.tagged_count() > 0
+    save(forest, tmp_path / "model.bin")
+    twin = load(tmp_path / "model.bin")
+    X = make_dataset(200, d=6, seed=7).X[:200]
+    together = forest.predict_many(X).tolist()
+    assert [twin.predict(x) for x in X] == together
+
+
 def test_predict_takes_a_list_row_like_an_array_row():
     ds = make_dataset(400, d=6, seed=4)
     forest = Forest.train(ds, quick_params())
@@ -412,8 +425,8 @@ def test_cross_tree_growth_equals_tree_by_tree_queries(tmp_path):
 
     got = together.predict_many(X[30:])
     counts = [tree.query_many(X[30:]) for tree in by_tree.trees]
-    want = np.mean([np.where(n > 0, pos / np.maximum(n, 1), by_tree.prior)
-                    for n, pos in counts], axis=0)
+    fractions = [np.where(n > 0, pos / np.maximum(n, 1), by_tree.prior) for n, pos in counts]
+    want = np.array([np.mean(column) for column in np.transpose(fractions)])
     assert got.tobytes() == want.tobytes()
 
     assert together.telemetry().nodes_materialized > 0

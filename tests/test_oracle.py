@@ -177,9 +177,9 @@ def test_fast_routers_equal_the_reference_router_bit_for_bit(tmp_path, case, cri
         n, n_pos = tree.query_many(rows)
         assert [(int(a), int(b)) for a, b in zip(n, n_pos)] == \
             [reference_leaf(tree, x) for x in rows]
-    assert forest.predict_many(rows).tobytes() == fractions.mean(axis=0).tobytes()
-    singles = [forest.predict(x) for x in rows]
-    assert singles == [float(np.mean(column)) for column in fractions.T.tolist()]
+    means = [float(np.mean(column)) for column in fractions.T.tolist()]
+    assert forest.predict_many(rows).tolist() == means
+    assert [forest.predict(x) for x in rows] == means
     assert forest.tagged_count() == 0 and forest_audit(forest).ok
 
 

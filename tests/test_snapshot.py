@@ -131,6 +131,32 @@ def test_round_trip_derives_every_split_axis(tmp_path):
     assert any(axis != -1 for tree in axes(back) for axis, _ in tree)
 
 
+@pytest.mark.parametrize("kind", ["grid leaves", "slotless leaves"])
+def test_round_trip_of_trees_with_no_split_node(tmp_path, kind):
+    # constant features leave every root a leaf that keeps its grid; one
+    # label leaves every root a leaf without a grid
+    if kind == "grid leaves":
+        X, y = np.ones((60, 5)), np.arange(60) % 2
+    else:
+        X, y = make_dataset(60, d=5, seed=5).X[:60], np.ones(60, np.int64)
+    forest = Forest.train(dataset_from_arrays(X, y),
+                          ForestParams(n_trees=4, occupancy=0.5, seed=5,
+                                       tree=TreeParams(max_depth=5, n_thresholds=4)))
+    assert all(tree.root.left is None for tree in forest.trees)
+    save(forest, tmp_path / "model.bin")
+    back = load(tmp_path / "model.bin")
+    save(back, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "model.bin").read_bytes()
+    assert forest_audit(back).ok
+    # an added row widens a grid leaf; both forests regrow it alike
+    row = np.full(5, 2.0)
+    for f in (forest, back):
+        f.add(row, 0)
+    assert back.predict(row) == forest.predict(row)
+    assert back.telemetry() == forest.telemetry()
+    assert forest.telemetry().nodes_materialized > 0
+
+
 def test_load_rejects_keys_that_do_not_match_the_tags(tmp_path):
     forest = tagged_forest(seed=3)
     path = tmp_path / "m.bin"

@@ -8,8 +8,8 @@ import pytest
 from dynforest.data import dataset_from_arrays
 from dynforest.oracle import AttributeSlot, score_candidates, sortmerge_best_split
 from dynforest.synth import make_dataset
-from dynforest.tree import (TreeParams, _argmin_grid, audit_tree, build_tree,
-                            prefix_counts, sample_thresholds)
+from dynforest.tree import (TreeParams, audit_tree, best_cells, build_tree, prefix_counts,
+                            sample_thresholds)
 
 
 def small_params(**kw):
@@ -98,10 +98,43 @@ def test_score_candidates_recounts_from_scratch():
     assert out.score[0] == pytest.approx(1 / 3)
 
 
+# n = 10 samples, 5 positive: cells (0, 1), (0, 2) and (1, 0) split them
+# perfectly and tie at score 0; (0, 0) and (1, 1..2) do worse
+GRID_B = np.array([[8, 5, 5], [5, 9, 9]])
+GRID_C = np.array([[4, 0, 0], [0, 4, 4]])
+
+
 def test_argmin_grid_takes_first_minimum():
-    score = np.array([[3.0, 1.0, 1.0],
-                      [1.0, 2.0, 2.0]])
-    assert _argmin_grid(score) == (0, 1)  # row-major first occurrence
+    no_flat = np.zeros(2, bool)
+    for criterion in ("gini", "entropy"):
+        # row-major first occurrence: slots in draw order, thresholds ascending
+        assert best_cells(GRID_B, GRID_C, 10, 5, no_flat, criterion) == (0, 1, True)
+        k, i, usable = best_cells(GRID_B[None], GRID_C[None], np.array([10]), np.array([5]),
+                                  no_flat[None], criterion)
+        assert (k.tolist(), i.tolist(), usable.tolist()) == ([0], [1], [True])
+
+
+def test_best_cells_never_picks_a_flat_slot():
+    # slot 0 splits perfectly and slot 1 does not, but slot 0's range is a
+    # single value
+    b = np.array([[8, 5, 5], [6, 9, 9]])
+    c = np.array([[4, 0, 0], [1, 4, 4]])
+    one_flat, all_flat = np.array([True, False]), np.ones(2, bool)
+    for criterion in ("gini", "entropy"):
+        assert best_cells(b, c, 10, 5, np.zeros(2, bool), criterion) == (0, 1, True)
+        assert best_cells(b, c, 10, 5, one_flat, criterion) == (1, 0, True)
+        assert best_cells(b, c, 10, 5, all_flat, criterion)[2] is False
+        # the same two grids as a stack, scored in one call
+        k, i, usable = best_cells(np.stack([b, b]), np.stack([c, c]), np.array([10, 10]),
+                                  np.array([5, 5]), np.stack([one_flat, all_flat]), criterion)
+        assert (k[0], i[0]) == (1, 0) and usable.tolist() == [True, False]
+
+
+def test_best_cells_of_an_empty_stack():
+    none = np.zeros((0, 2, 3), np.int64)
+    k, i, usable = best_cells(none, none, np.zeros(0, np.int64), np.zeros(0, np.int64),
+                              np.zeros((0, 2), bool), "gini")
+    assert k.shape == i.shape == usable.shape == (0,)
 
 
 # -- construction -------------------------------------------------------------
@@ -119,8 +152,10 @@ def test_build_respects_stopping_rules():
     # constant features: leaf that keeps its (degenerate) grid
     ds = dataset_from_arrays(np.ones((20, 3)), np.arange(20) % 2)
     tree = build_tree(ds, ds.live_ids(), small_params())
-    assert tree.root.left is None and tree.root.slots is not None
-    assert not np.isfinite(tree.root.slots.score).any()
+    blk = tree.root.slots
+    assert tree.root.left is None and blk is not None
+    assert not best_cells(blk.b, blk.c, tree.root.n, tree.root.n_pos, blk.amin == blk.amax,
+                          "gini")[2]
 
 
 def test_build_depth_limit():
@@ -158,7 +193,7 @@ def signature(tree):
                     tuple(node.ids)))
         if node.slots is not None:
             out.append(tuple(node.slots.attrs) + tuple(node.slots.thr.ravel())
-                       + tuple(node.slots.b.ravel()) + tuple(node.slots.score.ravel()))
+                       + tuple(node.slots.b.ravel()))
         if node.left is not None:
             stack.extend((node.left, node.right))
     return out
@@ -681,6 +716,19 @@ def test_audit_detects_stale_best_split():
     tree.root.best_w += 1e-6
     report = audit_tree(tree)
     assert not report.ok
+
+
+def test_audit_detects_a_split_on_a_cell_that_is_not_the_argmin():
+    ds = make_dataset(300, d=6, seed=16)
+    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(18))
+    node, blk = tree.root, tree.root.slots
+    # a usable cell of another slot, with the split's threshold and axis
+    # moved along, so that only the choice of cell is wrong
+    k = next(k for k in range(blk.p) if k != node.best_k and blk.amin[k] != blk.amax[k])
+    node.best_k, node.best_i = k, 0
+    node.best_w, node.axis = float(blk.thr[k, 0]), int(blk.attrs[k])
+    report = audit_tree(tree)
+    assert any("best split not the grid argmin" in str(v) for v in report.violations)
 
 
 def test_audit_detects_wrong_partition():

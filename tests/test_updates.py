@@ -65,15 +65,15 @@ def per_node_add(tree, sample_id):
             # a grid leaf: every slot was constant until a value widens one
             if widened.any():
                 return tree._tag(node, "tags_widened")
-            tree._rescore(node)
             return None
         if widened.any():
             blk.amin[widened] = np.minimum(blk.amin[widened], xs[widened])
             blk.amax[widened] = np.maximum(blk.amax[widened], xs[widened])
             tree._resample_slots(node, widened)
-        tree._rescore(node)
-        k, i = np.unravel_index(np.argmin(blk.score), blk.score.shape)
-        if (not np.isfinite(blk.score[k, i]) or (k, i) != (node.best_k, node.best_i)
+        score = crit.score_matrix(blk.b, blk.c, node.n, node.n_pos, tree.params.criterion)
+        score[blk.amin == blk.amax] = np.inf
+        k, i = np.unravel_index(np.argmin(score), score.shape)
+        if (not np.isfinite(score[k, i]) or (k, i) != (node.best_k, node.best_i)
                 or blk.thr[k, i] != node.best_w):
             return tree._tag(node, "tags_moved")
         node = node.left if x[blk.attrs[node.best_k]] <= node.best_w else node.right
@@ -105,7 +105,7 @@ def node_state(tree):
         blk = node.slots
         if blk is not None:
             out.append(tuple(a.tobytes() for a in (blk.attrs, blk.amin, blk.amax, blk.thr,
-                                                   blk.b, blk.c, blk.score)))
+                                                   blk.b, blk.c)))
         if node.left is not None:
             stack.extend((node.right, node.left))
     return out

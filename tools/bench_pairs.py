@@ -14,10 +14,19 @@ per workload and end-to-end metric, the quartiles of each side's runs, the
 change's median over the parent's, and the number of pairs in which the
 change did better.
 
+A metric is marked unresolved when the parent's own runs spread wider
+than the metric's bound (interquartile range over median), unless every
+run of the change beats every run of the parent: its ratio then tells
+nothing either way.
+
 A claim (--claim workload:metric) passes when the change wins at least
 nine pairs in ten and its median beats the parent's by more than the
 parent's interquartile range.  --trace workload:seed adds one traced run
 per side and records the per-layer metrics of both.
+
+The script exits 1 when a claim fails, when any run reports correct:
+false, or when the change fails more operations than the parent on some
+workload; the file is written either way.
 
 The runs take the whole machine: run nothing else meanwhile.  One pair of
 10-second runs takes about a minute on a 2-core VM.
@@ -75,12 +84,17 @@ def summarize(runs, declared):
         ratio = float(np.median(change) / np.median(parent))
         wins = int(np.count_nonzero(change < parent if lower else change > parent))
         worse = ratio - 1.0 if lower else 1.0 - ratio
+        parent_q = quartiles(parent)
+        spread = (parent_q["q3"] - parent_q["q1"]) / parent_q["median"]
+        beats_all = change.max() < parent.min() if lower else change.min() > parent.max()
         metrics[name] = {
             "better": spec["better"], "bound": spec["bound"],
-            "parent": quartiles(parent), "change": quartiles(change),
+            "parent": parent_q, "change": quartiles(change),
             "ratio_change_over_parent": ratio,
             "pair_wins": wins, "pairs": len(runs),
             "within_bound": bool(worse <= spec["bound"]),
+            "parent_spread": float(spread),
+            "unresolved": bool(spread > spec["bound"] and not beats_all),
         }
     return metrics
 
@@ -168,7 +182,15 @@ def main(argv=None):
         json.dump(doc, f, indent=1)
         f.write("\n")
     print(path)
-    return 0 if all(c["holds"] for c in claims.values()) else 1
+    faults = []
+    for workload, entry in doc["workloads"].items():
+        if not all(entry["correct"].values()):
+            faults.append("%s: a run reports correct: false" % workload)
+        if entry["failed_ops"]["change"] > entry["failed_ops"]["parent"]:
+            faults.append("%s: the change fails more operations than the parent" % workload)
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    return 0 if all(c["holds"] for c in claims.values()) and not faults else 1
 
 
 if __name__ == "__main__":
