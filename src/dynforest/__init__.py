@@ -21,14 +21,14 @@ from .oracle import (AttributeSlot, auc_pairs, forest_audit, naive_retrain,
 from .snapshot import SnapshotError, load, save
 from .stream import LatencyRecord, Request, generate_stream, parse_request, replay
 from .synth import make_arrays, make_dataset, synthetic_schema
-from .tree import (Node, Telemetry, Tree, TreeParams, audit_tree, build_tree,
+from .tree import (GridPool, Node, Telemetry, Tree, TreeParams, audit_tree, build_tree,
                    prefix_counts, sample_thresholds)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttributeSlot", "AuditReport", "Column", "Dataset", "Forest",
-    "ForestParams", "LatencyRecord", "Node", "ParseError", "Request",
+    "ForestParams", "GridPool", "LatencyRecord", "Node", "ParseError", "Request",
     "Schema", "SchemaError", "SnapshotError", "SplitCounts", "Telemetry",
     "Tree", "TreeParams", "Violation", "accuracy", "auc_pairs", "auc_roc",
     "audit_tree", "build_tree", "dataset_from_arrays", "distribute",

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, unlearn-seq, unlearn-batch, stream,
-gen-stream, audit.  Results print as key=value lines on stdout, except
-audit's, which is one JSON object.  Exit codes: 0 success, 2 data or
-configuration problem (or a model that fails its audit), 3 unknown id in
-an unlearn request, 1 anything unexpected.
+gen-stream, audit, inspect.  Results print as key=value lines on stdout,
+except audit's and inspect's, which are one JSON object each.  Exit
+codes: 0 success, 2 data or configuration problem (or a model that fails
+its audit), 3 unknown id in an unlearn request, 1 anything unexpected.
 
 The seed resolves in order: explicit --seed, the DYNFOREST_SEED
 environment variable, then 0.
@@ -24,7 +24,7 @@ from .data import ParseError, SchemaError, load_csv, load_schema
 from .forest import Forest, ForestParams
 from .oracle import forest_audit, naive_retrain
 from .snapshot import SnapshotError
-from .tree import TreeParams
+from .tree import GRID_FIELDS, TreeParams
 
 
 def _resolve_seed(args):
@@ -216,6 +216,27 @@ def cmd_audit(args):
     return 0 if report.ok else 2
 
 
+def cmd_inspect(args):
+    forest = snapshot.load(args.model)
+    depths, ids_bytes = [], 0
+    for tree in forest.trees:
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            depths.append(node.depth)
+            ids_bytes += node.ids.nbytes
+            if node.left is not None:
+                stack.extend((node.left, node.right))
+    pool = forest.trees[0].pool
+    sizes = {"grid." + name: getattr(pool, name).nbytes for name in GRID_FIELDS}
+    sizes.update(ids=ids_bytes, dataset=forest.ds.nbytes, assignment=forest.assignment.nbytes)
+    print(json.dumps({"trees": len(forest.trees), "nodes": len(depths),
+                      "depth_histogram": np.bincount(depths).tolist(),
+                      "tagged": forest.tagged_count(), "grid_rows": pool.in_use(),
+                      "bytes": sizes, "total_bytes": sum(sizes.values())}))
+    return 0
+
+
 # -- wiring -------------------------------------------------------------------
 
 
@@ -310,6 +331,10 @@ def build_parser():
     sp = sub.add_parser("audit", help="recheck every cached statistic of a saved model")
     sp.add_argument("--model", required=True)
     sp.set_defaults(fn=cmd_audit)
+
+    sp = sub.add_parser("inspect", help="summarize a saved model's nodes, tags and bytes")
+    sp.add_argument("--model", required=True)
+    sp.set_defaults(fn=cmd_inspect)
 
     return parser
 

@@ -216,6 +216,11 @@ class Dataset:
     def y(self):
         return self._y[: self._next_id]
 
+    @property
+    def nbytes(self):
+        """Bytes of the allocated feature, label and live-bit arrays."""
+        return self._X.nbytes + self._y.nbytes + self._live.nbytes
+
     # -- stats --------------------------------------------------------
 
     @property

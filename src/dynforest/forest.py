@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .tree import Telemetry, Tree, TreeParams, route_row, route_rows, update_paths
+from .tree import GridPool, Telemetry, Tree, TreeParams, route_row, route_rows, update_paths
 
 
 def subsample_count(occupancy, n_trees):
@@ -113,12 +113,14 @@ class Forest:
         k = subsample_count(params.occupancy, n_trees)
         ids = ds.live_ids()
         per_tree, assign = distribute(ids, n_trees, k, rng)
-        trees = [Tree(params.tree, ds, np.random.default_rng(seeds[t]))
+        pool = GridPool(params.tree.resolve_attrs(ds.n_attrs), params.tree.n_thresholds)
+        trees = [Tree(params.tree, ds, np.random.default_rng(seeds[t]), pool)
                  for t in range(n_trees)]
         assignment = np.full((ds.next_id, k), -1, np.int32)
         assignment[ids] = assign
         for tree, tree_ids in zip(trees, per_tree):
             tree.build(tree_ids)
+        pool.trim()
         return cls(ds, params, trees, assignment, rng, lazy=lazy)
 
     # -- prediction ---------------------------------------------------------

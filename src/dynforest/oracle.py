@@ -93,15 +93,14 @@ def reference_leaf(tree, x):
     """(n, n_pos) at the leaf that row x reaches in a tree with no tags.
 
     Each split is read from its node's grid, as attribute
-    slots.attrs[best_k] and threshold slots.thr[best_k, best_i], one row
-    and one node at a time; a row goes left when its value is at or below
+    attrs[best_k] and threshold thr[best_k, best_i] of its pool row, one
+    row and one node at a time; a row goes left when its value is at or below
     the threshold.  Raises ValueError on reaching a tagged node.
     """
-    node = tree.root
+    node, pool = tree.root, tree.pool
     while node.left is not None:
-        blk = node.slots
-        attr = blk.attrs[node.best_k]
-        node = node.left if x[attr] <= blk.thr[node.best_k, node.best_i] else node.right
+        attr = pool.attrs[node.row, node.best_k]
+        node = node.left if x[attr] <= pool.thr[node.row, node.best_k, node.best_i] else node.right
     if node.tagged:
         raise ValueError("row reached a tagged node; flush the tree first")
     return len(node.ids), node.n_pos
@@ -173,10 +172,20 @@ def occupancy_check(forest):
 
 
 def forest_audit(forest):
-    """occupancy_check plus a full statistics audit of every tree."""
+    """occupancy_check plus a full statistics audit of every tree, and a
+    check that the trees share one grid pool whose rows in use are the
+    rows their nodes hold: no row held twice, none leaked."""
     report = occupancy_check(forest)
+    owners = {}
     for t, tree in enumerate(forest.trees):
-        report.merge(audit_tree(tree, label="tree %d" % t))
+        report.merge(audit_tree(tree, label="tree %d" % t, owners=owners))
+    pool = forest.trees[0].pool
+    if any(tree.pool is not pool for tree in forest.trees):
+        report.flag("grid pool", "trees do not share one grid pool")
+    elif len(set(pool.free)) != len(pool.free) or pool.in_use() != len(owners):
+        report.flag("grid pool", "rows in use are not the rows nodes hold",
+                    "%d rows in use, %d held, %d on the free list (%d distinct)"
+                    % (pool.in_use(), len(owners), len(pool.free), len(set(pool.free))))
     return report
 
 

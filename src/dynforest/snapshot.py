@@ -17,7 +17,13 @@ nodes in preorder:
   t<t>.keys       one uint64 draw key per tagged node; a query-grown
                   node's Philox stream is set up from its key alone
   t<t>.slot_*     one row per node with a grid: attrs, amin, amax, thr
-                  (the draws) and the cached counts b and c
+                  (the draws) and the cached counts b and c (int64)
+
+Save gathers each tree's rows of the forest's GridPool in preorder and
+writes the pool's int32 counts as int64, so the format does not depend on
+how the pool stores them.  Load concatenates the stored grids of all
+trees into one pool, one copy per field, and gives each gridded node its
+row.  Row numbers are not stored.
 
 Load derives the rest, a whole tree at a time: each node's depth from the
 links; an internal node's ids (ascending, the order training and updates
@@ -39,11 +45,15 @@ Loading checks every array against the bytes left in the file before
 reading it; each tree's arrays for dtype, shape, child links, id counts
 and well-formed draws (attributes strictly increasing in [0, d),
 thresholds sorted and, on untagged nodes, inside their range); that the
-derived splits reproduce the stored tree (every split node untagged,
-gridded, not stopped, with a finite best cell that sends each stored id
-to the side it is stored on; every untagged leaf stopped or with only
-constant slots); and the assignment against the live ids and every
-tree's root ids.  A file that fails any check raises SnapshotError.
+stored counts are counts (along each slot, the positives c and the
+negatives b - c at or below each threshold never fall, start at 0 or
+more and end at most at the node's positives and negatives, so that
+0 <= c <= b <= n), checked on the stored int64 values, which the pool's
+int32 would wrap; that the derived splits reproduce the stored tree
+(every split node untagged, gridded, not stopped, with a finite best cell
+that sends each stored id to the side it is stored on; every untagged
+leaf stopped or with only constant slots); and the assignment against
+the live ids and every tree's root ids.  A file that fails any check raises SnapshotError.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ import numpy as np
 
 from .data import Dataset, Schema
 from .forest import Forest, ForestParams, group_by_tree, subsample_count
-from .tree import Node, SlotBlock, Tree, TreeParams, best_cells
+from .tree import GridPool, Node, Tree, TreeParams, best_cells
 
 MAGIC = b"DYNFOR01"
 VERSION = 3
@@ -65,7 +75,7 @@ VERSION = 3
 _TAGGED = 1
 _HAS_SLOTS = 2
 
-# the stored grid arrays t<i>.slot_<name>, in SlotBlock argument order
+# the stored grid arrays t<i>.slot_<name>; the pool keeps b and c as int32
 _SLOT_DTYPES = {"attrs": np.int64, "amin": np.float64, "amax": np.float64,
                 "thr": np.float64, "b": np.int64, "c": np.int64}
 
@@ -92,13 +102,13 @@ def _pack_tree(t, tree, put):
     m = len(nodes)
     flags = np.zeros(m, np.uint8)
     children = np.full((m, 2), -1, np.int32)
-    slot_rows = []
+    rows = []
     for i, node in enumerate(nodes):
         if node.tagged:
             flags[i] |= _TAGGED
-        if node.slots is not None:
+        if node.row != -1:
             flags[i] |= _HAS_SLOTS
-            slot_rows.append(node.slots)
+            rows.append(node.row)
         if node.left is not None:
             children[i] = (index[id(node.left)], index[id(node.right)])
     ends = [node for node in nodes if node.left is None]
@@ -107,10 +117,9 @@ def _pack_tree(t, tree, put):
     put("t%d.ids_len" % t, np.array([len(node.ids) for node in ends], np.int64))
     put("t%d.ids" % t, np.concatenate([node.ids for node in ends]))
     put("t%d.keys" % t, np.array([node.key for node in nodes if node.tagged], np.uint64))
-    if slot_rows:
+    if rows:
         for key, dtype in _SLOT_DTYPES.items():
-            put("t%d.slot_%s" % (t, key),
-                np.stack([getattr(blk, key) for blk in slot_rows]).astype(dtype, copy=False))
+            put("t%d.slot_%s" % (t, key), getattr(tree.pool, key)[rows].astype(dtype, copy=False))
     return m
 
 
@@ -242,12 +251,15 @@ def _check_assignment(arrays, ds, fp, trees):
     return assignment
 
 
-def _unpack_tree(t, n_nodes, arrays, tree):
+def _unpack_tree(t, n_nodes, arrays, tree, first):
     """Build tree t from its stored arrays, deriving depth, ids, n_pos and
-    best cells a whole tree at a time.
+    best cells a whole tree at a time; its gridded nodes get the pool rows
+    first, first + 1, ... in preorder.  Returns the stored grid arrays by
+    name, for the caller to put in the pool.
 
     Raises ValueError, which load() reports as a SnapshotError, unless the
-    derived splits reproduce the stored tree.
+    stored counts are counts and the derived splits reproduce the stored
+    tree.
     """
     def need(ok, what):
         if not ok:
@@ -275,6 +287,17 @@ def _unpack_tree(t, n_nodes, arrays, tree):
     n = hi - lo
     n_pos = np.concatenate(([0], (tree.ds.y[ids] == 1).cumsum()))
     n_pos = n_pos[hi] - n_pos[lo]
+    # checked on the stored int64 counts, which the pool's int32 would wrap:
+    # positives (c) and negatives (b - c) at or below each threshold never
+    # fall along a slot, start at 0 or more, and end at most at the node's
+    # positives and negatives, so 0 <= c <= b <= n
+    b, c = slot["b"], slot["c"]
+    grid_pos, grid_n = n_pos[rows, None, None], n[rows, None, None]
+    need(((c[:, :, :1] >= 0) & (c <= grid_pos)).all() and (c[:, :, 1:] >= c[:, :, :-1]).all(),
+         "slot_c holds a count below 0, above the node's positives, or falling along a slot")
+    need(((b >= c) & (b <= grid_n)).all() and (b - c <= grid_n - grid_pos).all()
+         and (np.diff(b - c, axis=2) >= 0).all(),
+         "slot_b holds a count below c, above the node's size, or whose b - c falls along a slot")
     stop = tree._stop(depth, n, n_pos)
     degenerate = slot["amin"] == slot["amax"]
     constant = np.zeros(n_nodes, bool)
@@ -304,13 +327,13 @@ def _unpack_tree(t, n_nodes, arrays, tree):
     start = lo.copy()
     start[split] = len(ids) + seg
     base = owner * tree.ds.next_id  # sorts by node, then by id
-    pool = np.concatenate((ids, np.sort(base + under) - base))
-    # each node owns copies, so a grid or id list a later update drops is
-    # freed rather than kept alive by the tree's other rows
-    nodes = [Node(dep, pool[a:a + size].copy(), pos) for dep, a, size, pos
+    all_ids = np.concatenate((ids, np.sort(base + under) - base))
+    # each node's ids are a copy, so an id list that a later update drops
+    # is freed rather than kept alive by the other nodes' ids
+    nodes = [Node(dep, all_ids[a:a + size].copy(), pos) for dep, a, size, pos
              in zip(depth.tolist(), start.tolist(), n.tolist(), n_pos.tolist())]
-    for i, blk in zip(rows.tolist(), zip(*slot.values())):
-        nodes[i].slots = SlotBlock(*[a.copy() for a in blk])
+    for i, row in zip(rows.tolist(), range(first, first + len(rows))):
+        nodes[i].row = row
     for i, (li, ri), k, j, w, a in zip(split.tolist(), children[split].tolist(), best_k.tolist(),
                                        best_i.tolist(), best_w.tolist(), axis.tolist()):
         node = nodes[i]
@@ -321,6 +344,7 @@ def _unpack_tree(t, n_nodes, arrays, tree):
         nodes[i].key = key
     tree.root = nodes[0]
     tree.n_tagged = len(keys)
+    return slot
 
 
 def load(path):
@@ -382,13 +406,16 @@ def _build(header, arrays):
                       occupancy=header["forest"]["occupancy"],
                       seed=header["forest"]["seed"],
                       tree=tp)
-    trees = []
+    pool = GridPool(tp.resolve_attrs(d), tp.n_thresholds)
+    trees, grids, first = [], [], 0
     for t, meta in enumerate(header["trees"]):
         rng = np.random.default_rng(0)
         rng.bit_generator.state = meta["rng"]
-        tree = Tree(tp, ds, rng)
-        _unpack_tree(t, meta["n_nodes"], arrays, tree)
+        tree = Tree(tp, ds, rng, pool)
+        grids.append(_unpack_tree(t, meta["n_nodes"], arrays, tree, first))
+        first += len(grids[-1]["b"])
         trees.append(tree)
+    pool.extend(grids)
     assignment = _check_assignment(arrays, ds, fp, trees)
     rng = np.random.default_rng(0)
     rng.bit_generator.state = header["forest"]["rng"]

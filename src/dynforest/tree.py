@@ -5,9 +5,17 @@ Structure
 ---------
 Every node keeps the ids of the training samples it covers and their
 positive count n_pos (its size n is len(ids)).  A splittable node
-additionally caches, for each of p candidate attributes, s sorted
+additionally caches a grid: for each of p candidate attributes, s sorted
 candidate thresholds together with the number of covered samples (b)
-and covered positives (c) at or below each threshold.  The chosen split
+and covered positives (c) at or below each threshold.  Grids live in a
+GridPool that the trees of a forest share, as they share the Dataset:
+six arrays with one row per gridded node (attrs, amin, amax, thr, and b
+and c as int32, since a count never exceeds its node's size), and a free
+list.  A node holds its row number (Node.row, -1 without a grid).  A
+level's grids are written with one assignment per field; a tag puts the
+rows of the subtree it discards on the free list, regrowth puts the
+regrown node's own row there, and growth takes freed rows before new
+ones.  Row numbers reach no file, prediction or draw.  The chosen split
 is the first grid cell attaining the minimum criterion score, scanning
 slots in draw order and thresholds in ascending order; a slot whose
 range is a single value cannot split.  Scores are never stored: every
@@ -29,11 +37,12 @@ three steps.
            id leaves (or joins) every node's ids and n_pos follows.  The
            walk stops at a tagged node, a leaf, or (deleting) a split node
            whose stop rule now holds.
-  Stack.   The grids of every visited node of all k trees are patched at
-           once (-1 or +1 in each cell whose threshold is at or above the
-           sample's value), tested for range hits (deleting: the value
-           sits on a boundary) and widenings (adding: it lies outside),
-           and their first argmin cells taken in one best_cells call.
+  Stack.   The pool rows of every visited node of all k trees are
+           gathered, patched at once (-1 or +1 in each cell whose
+           threshold is at or above the sample's value) and written back,
+           tested for range hits (deleting: the value sits on a boundary)
+           and widenings (adding: it lies outside), and their first argmin
+           cells taken in one best_cells call.
   Settle.  Each tree goes down its path in order.  A slot whose range
            really changed (rescanned after a hit, or widened) redraws its
            thresholds uniformly over the new range and recounts them, so
@@ -210,28 +219,79 @@ class Telemetry:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-class SlotBlock:
-    """Dense per-node storage for p attribute slots with s thresholds each:
-    the draws and the counts b and c, from which best_cells scores them."""
+# the grid fields and their dtypes in a GridPool
+GRID_FIELDS = {"attrs": np.int64, "amin": np.float64, "amax": np.float64,
+               "thr": np.float64, "b": np.int32, "c": np.int32}
 
-    __slots__ = ("attrs", "amin", "amax", "thr", "b", "c")
 
-    def __init__(self, attrs, amin, amax, thr, b, c):
-        self.attrs = attrs
-        self.amin = amin
-        self.amax = amax
-        self.thr = thr
-        self.b = b
-        self.c = c
+class GridPool:
+    """The grids of a set of trees, one row per gridded node.
 
-    @property
-    def p(self):
-        return len(self.attrs)
+    attrs, amin and amax are (rows, p) arrays and thr, b and c (rows, p, s)
+    ones: a node's drawn attributes, their ranges, their sorted thresholds
+    and the counts of its samples (b) and positives (c) at or below each.
+    A count never exceeds its node's size, so b and c are int32.  Rows
+    end and up have never been handed out; rows below end that no node
+    holds sit on the free list, and take() hands them out again before it
+    grows the arrays.  Growing replaces the arrays, so a view of a row is
+    good only until the next take().
+    """
+
+    def __init__(self, p, s):
+        self.p = p
+        self.s = s
+        for name, dtype in GRID_FIELDS.items():
+            setattr(self, name, np.empty((0, p) + (s,) * (name in ("thr", "b", "c")), dtype))
+        self.end = 0
+        self.free = []
+
+    def in_use(self):
+        """Rows that nodes hold."""
+        return self.end - len(self.free)
+
+    def take(self, m):
+        """Hand out m rows, most recently freed first; returns an int64 array."""
+        reuse = min(m, len(self.free))
+        rows = self.free[len(self.free) - reuse:]
+        del self.free[len(self.free) - reuse:]
+        if reuse < m:
+            fresh = self.end + m - reuse
+            if fresh > len(self.b):
+                self._resize(max(fresh, 2 * len(self.b)))
+            rows.extend(range(self.end, fresh))
+            self.end = fresh
+        return np.array(rows, np.int64)
+
+    def release(self, rows):
+        """Put rows that no node holds any more on the free list."""
+        self.free.extend(rows)
+
+    def trim(self):
+        """Drop the capacity beyond end."""
+        self._resize(self.end)
+
+    def extend(self, parts):
+        """Append the grids of parts, a list of dicts of field arrays, as
+        rows end, end + 1, ...: one concatenation per field, which also
+        drops spare capacity.  Counts are cast to int32, so check them
+        first."""
+        for name, dtype in GRID_FIELDS.items():
+            setattr(self, name, np.concatenate(
+                [getattr(self, name)[:self.end]] + [part[name] for part in parts], dtype=dtype))
+        self.end = len(self.b)
+
+    def _resize(self, rows):
+        for name in GRID_FIELDS:
+            old = getattr(self, name)
+            new = np.empty((rows,) + old.shape[1:], old.dtype)
+            new[:self.end] = old[:self.end]
+            setattr(self, name, new)
 
 
 class Node:
-    """Tree node.  Leaves may keep their slot grid (all-degenerate draw);
-    tagged nodes have no children and best_k == -1.
+    """Tree node.  row is the node's row in its tree's GridPool, or -1 for
+    a node without a grid.  Leaves may keep their grid (all-degenerate
+    draw); tagged nodes have no children and best_k == -1.
 
     A split node's (best_k, best_i) locates its split cell in the grid.
     axis and best_w are that cell's attribute and threshold, stored as a
@@ -240,14 +300,14 @@ class Node:
     the 64-bit key of a tagged node's own draws; it is not read once the
     node is untagged."""
 
-    __slots__ = ("depth", "ids", "n_pos", "slots", "best_k", "best_i", "best_w",
+    __slots__ = ("depth", "ids", "n_pos", "row", "best_k", "best_i", "best_w",
                  "axis", "left", "right", "tagged", "key")
 
     def __init__(self, depth, ids, n_pos):
         self.depth = depth
         self.ids = ids
         self.n_pos = n_pos
-        self.slots = None
+        self.row = -1
         self.best_k = -1
         self.best_i = -1
         self.best_w = 0.0
@@ -328,13 +388,13 @@ def best_cells(b, c, n, n_pos, flat, criterion):
     return best_k, best_i, np.isfinite(cells[np.arange(m), best])
 
 
-def _moved(node, cell):
+def _moved(node, cell, thr):
     """Is cell (k, i, usable) of a split node's current grid not its
     recorded split: unusable, another cell, or the same cell at another
-    threshold value?"""
+    threshold value?  thr is the pool's threshold array."""
     k, i, usable = cell
     return (not usable or k != node.best_k or i != node.best_i
-            or node.slots.thr[k, i] != node.best_w)
+            or thr[node.row, k, i] != node.best_w)
 
 
 class Tree:
@@ -344,7 +404,7 @@ class Tree:
     implement the lazy protocol described in the module docstring.
     """
 
-    def __init__(self, params, ds, rng):
+    def __init__(self, params, ds, rng, pool=None):
         params.validate(ds.n_attrs)
         self.params = params
         self.ds = ds
@@ -352,6 +412,8 @@ class Tree:
         self.d = ds.n_attrs
         self.p = params.resolve_attrs(self.d)
         self.s = params.n_thresholds
+        # the trees of a forest share one pool, as they share the Dataset
+        self.pool = GridPool(self.p, self.s) if pool is None else pool
         self.root = None
         self.n_tagged = 0
         self.telemetry = Telemetry()
@@ -377,8 +439,8 @@ class Tree:
     def _best_cell(self, node):
         """Score node's grid from its counts; returns its first argmin cell
         as (k, i, usable)."""
-        blk = node.slots
-        return best_cells(blk.b, blk.c, node.n, node.n_pos, blk.amin == blk.amax,
+        pool, r = self.pool, node.row
+        return best_cells(pool.b[r], pool.c[r], node.n, node.n_pos, pool.amin[r] == pool.amax[r],
                           self.params.criterion)
 
     def _split_level(self, nodes, draw):
@@ -445,10 +507,17 @@ class Tree:
         side_pos = np.bincount(side[positive], minlength=2 * m).tolist()
         best_k, best_i, best_w, axis = (best_k.tolist(), best_i.tolist(), best_w.tolist(),
                                         axis.tolist())
+        pool = self.pool
+        grid_rows = pool.take(m)
+        pool.attrs[grid_rows] = attrs
+        pool.amin[grid_rows] = amin
+        pool.amax[grid_rows] = amax
+        pool.thr[grid_rows] = thr
+        pool.b[grid_rows] = b
+        pool.c[grid_rows] = c
         children = []
-        for j, node in enumerate(grow):
-            node.slots = SlotBlock(attrs[j].copy(), amin[j].copy(), amax[j].copy(),
-                                   thr[j].copy(), b[j].copy(), c[j].copy())
+        for j, (node, row) in enumerate(zip(grow, grid_rows.tolist())):
+            node.row = row
             if not usable[j]:
                 continue
             node.best_k = best_k[j]
@@ -488,11 +557,16 @@ class Tree:
             level = self._split_level(level, self._stream_draws)
 
     def _untag(self, nodes):
-        """Untag nodes and drop their stale grids; returns them, now fresh."""
+        """Untag nodes and free their stale grids' rows; returns them, now
+        fresh."""
+        free = []
         for node in nodes:
             self.telemetry.subtree_samples_rebuilt += node.n
             node.tagged = False
-            node.slots = None
+            if node.row != -1:
+                free.append(node.row)
+                node.row = -1
+        self.pool.release(free)
         self.n_tagged -= len(nodes)
         return nodes
 
@@ -503,15 +577,21 @@ class Tree:
         the tree stream; counts the tag under the Telemetry field cause.
         Returns node."""
         # the discarded subtree may itself hold tagged nodes: untag them so
-        # rebuild_node refuses them, and settle the count
+        # rebuild_node refuses them, and settle the count; its grids' rows
+        # go on the free list
         stack = [node.left, node.right] if node.left is not None else []
+        free = []
         while stack:
             child = stack.pop()
             if child.tagged:
                 child.tagged = False
                 self.n_tagged -= 1
+            if child.row != -1:
+                free.append(child.row)
+                child.row = -1
             if child.left is not None:
                 stack.extend((child.left, child.right))
+        self.pool.release(free)
         node.tagged = True
         node.left = None
         node.right = None
@@ -526,13 +606,14 @@ class Tree:
 
     def _resample_slots(self, node, which):
         """Redraw thresholds (and recount) for the flagged slots."""
-        blk = node.slots
+        pool, r = self.pool, node.row
         ids = node.ids
         positive = self.ds.y[ids] == 1
         for k in np.flatnonzero(which):
-            blk.thr[k] = sample_thresholds(blk.amin[k], blk.amax[k], self.s, self.rng)
-            blk.b[k], blk.c[k] = prefix_counts(self.ds.X[ids, blk.attrs[k]],
-                                               positive, blk.thr[k])
+            thr = pool.thr[r, k] = sample_thresholds(pool.amin[r, k], pool.amax[r, k], self.s,
+                                                     self.rng)
+            pool.b[r, k], pool.c[r, k] = prefix_counts(self.ds.X[ids, pool.attrs[r, k]],
+                                                       positive, thr)
         self.telemetry.attrs_resampled += int(which.sum())
         self.telemetry.range_resample_samples += node.n
 
@@ -578,16 +659,16 @@ class Tree:
         node.ids = keep
         n_pos = np.count_nonzero(labels)
         node.n_pos -= n_pos
-        blk = node.slots
+        pool, r = self.pool, node.row
         hit = None
-        if blk is not None:
-            vals = self.ds.X[group[:, None], blk.attrs]
-            covered = blk.thr >= vals[:, :, None]
+        if r != -1:
+            vals = self.ds.X[group[:, None], pool.attrs[r]]
+            covered = pool.thr[r] >= vals[:, :, None]
             db = covered.sum(axis=0)
-            blk.b -= db
+            pool.b[r] -= db
             if n_pos:
-                blk.c -= db if n_pos == len(group) else covered[labels].sum(axis=0)
-            hit = ((vals == blk.amin) | (vals == blk.amax)).any(axis=0)
+                pool.c[r] -= db if n_pos == len(group) else covered[labels].sum(axis=0)
+            hit = ((vals == pool.amin[r]) | (vals == pool.amax[r])).any(axis=0)
             if not hit.any():
                 hit = None
         tag = self._settle_deleted(node, hit, None)
@@ -615,13 +696,12 @@ class Tree:
         here; it is not used if a slot is redrawn.
         """
         self.telemetry.nodes_updated += 1
-        blk = node.slots
         stopped = node.left is not None and self._stop(node.depth, node.n, node.n_pos)
         if node.tagged or stopped:
             if hit is not None:
                 self._rescan_ranges(node, hit)
             return self._tag(node, "tags_stopped") if stopped else None
-        if blk is None:
+        if node.row == -1:
             return None
         which = None if hit is None else self._rescan_ranges(node, hit)
         if which is not None:
@@ -631,7 +711,7 @@ class Tree:
             return None
         if cell is None:
             cell = self._best_cell(node)
-        return self._tag(node, "tags_moved") if _moved(node, cell) else None
+        return self._tag(node, "tags_moved") if _moved(node, cell, self.pool.thr) else None
 
     def _rescan_ranges(self, node, hit):
         """Rescan the ranges of the slots hit marks, so that no range keeps
@@ -644,32 +724,32 @@ class Tree:
         always comes here.  With no value left to rescan to, its ranges and
         thresholds are zeroed, as its dead rows are.
         """
-        blk = node.slots
+        pool, r = self.pool, node.row
+        amin, amax = pool.amin[r], pool.amax[r]
         if node.n == 0:
-            blk.amin[:] = 0.0
-            blk.amax[:] = 0.0
-            blk.thr[:] = 0.0
+            amin[:] = 0.0
+            amax[:] = 0.0
+            pool.thr[r] = 0.0
             return None
-        cols = blk.attrs[hit]
-        sub = self.ds.X[node.ids[:, None], cols]
+        sub = self.ds.X[node.ids[:, None], pool.attrs[r, hit]]
         new_min = sub.min(axis=0)
         new_max = sub.max(axis=0)
-        changed = (new_min != blk.amin[hit]) | (new_max != blk.amax[hit])
+        changed = (new_min != amin[hit]) | (new_max != amax[hit])
         if not changed.any():
             return None
-        which = np.zeros(blk.p, bool)
+        which = np.zeros(self.p, bool)
         which[np.flatnonzero(hit)[changed]] = True
-        blk.amin[which] = new_min[changed]
-        blk.amax[which] = new_max[changed]
+        amin[which] = new_min[changed]
+        amax[which] = new_max[changed]
         return which
 
     def _widen_ranges(self, node, xs, widened):
         """Stretch the flagged slots' ranges over an added value (xs holds
         it per slot), redraw those slots and rescore the node; returns its
         first argmin cell."""
-        blk = node.slots
-        blk.amin[widened] = np.minimum(blk.amin[widened], xs[widened])
-        blk.amax[widened] = np.maximum(blk.amax[widened], xs[widened])
+        amin, amax = self.pool.amin[node.row], self.pool.amax[node.row]
+        amin[widened] = np.minimum(amin[widened], xs[widened])
+        amax[widened] = np.maximum(amax[widened], xs[widened])
         self._resample_slots(node, widened)
         return self._best_cell(node)
 
@@ -711,10 +791,8 @@ class Tree:
         """Settle a routed deletion top down, from row j of the stacked
         grids on; returns the node it tagged, or None."""
         for node in path:
-            blk = node.slots
             hit = cell = None
-            if blk is not None:
-                grids.patch(blk, j)
+            if node.row != -1:
                 hit = grids.flags[j] if grids.flagged[j] else None
                 cell = grids.cells[j]
                 j += 1
@@ -723,17 +801,14 @@ class Tree:
                 return tag
         return None
 
-    def _settle_add(self, path, x, grids, j):
+    def _settle_add(self, path, grids, j):
         """Settle a routed addition top down, from row j of the stacked
         grids on; returns the node it tagged, or None."""
         for node in path:
             self.telemetry.nodes_updated += 1
-            blk = node.slots
-            if blk is not None:
-                grids.patch(blk, j)
             if node.tagged:
                 return None
-            if blk is None:
+            if node.row == -1:
                 # slotless leaf: tag once every stop criterion has lifted
                 if not self._stop(node.depth, node.n, node.n_pos):
                     return self._tag(node, "tags_stopped")
@@ -743,13 +818,13 @@ class Tree:
                     # leaf kept its grid because every slot was degenerate;
                     # a widening value makes it splittable again
                     return self._tag(node, "tags_widened")
-                cell = self._widen_ranges(node, x[blk.attrs], grids.flags[j])
+                cell = self._widen_ranges(node, grids.xs[j], grids.flags[j])
             else:
                 cell = grids.cells[j]
             j += 1
             if node.left is None:
                 return None
-            if _moved(node, cell):
+            if _moved(node, cell, self.pool.thr):
                 return self._tag(node, "tags_moved")
         return None
 
@@ -820,9 +895,9 @@ def update_paths(trees, sample_id, add):
 
     Routes every tree, stacks the visited grids of all of them into one
     patch and one kernel call, then settles each tree in path order (see
-    the module docstring, Updates).  The trees must share one Dataset and
-    one TreeParams; an added sample must already be in the Dataset, and a
-    deleted one must still be live there.
+    the module docstring, Updates).  The trees must share one Dataset, one
+    TreeParams and one GridPool; an added sample must already be in the
+    Dataset, and a deleted one must still be live there.
     """
     ds = trees[0].ds
     x = ds.X[sample_id]
@@ -830,50 +905,49 @@ def update_paths(trees, sample_id, add):
     row = x.tolist()  # routing compares Python floats faster
     paths = [tree._route_add(sample_id, label, row) if add
              else tree._route_delete(sample_id, label, row) for tree in trees]
-    nodes = [node for path in paths for node in path if node.slots is not None]
+    # each path's first row in the stack, counted before a settle's tag
+    # frees rows below it
+    nodes, starts = [], []
+    for path in paths:
+        starts.append(len(nodes))
+        nodes.extend(node for node in path if node.row != -1)
     grids = _StackedGrids(trees[0], nodes, x, label, add) if nodes else None
-    tagged, j = [], 0
-    for tree, path in zip(trees, paths):
-        tagged.append(tree._settle_add(path, x, grids, j) if add
-                      else tree._settle_delete(path, grids, j))
-        j += sum(node.slots is not None for node in path)
-    return tagged
+    return [tree._settle_add(path, grids, j) if add else tree._settle_delete(path, grids, j)
+            for tree, path, j in zip(trees, paths, starts)]
 
 
 class _StackedGrids:
-    """The grids of every node an update visited, in path order, patched
-    by the one sample and scored in one best_cells call.
+    """The grids of every node an update visited, in path order: gathered
+    from the pool rows, patched by the one sample, written back, and
+    scored in one best_cells call.
 
-    flags marks per slot a range hit (delete: the value sits on a range
-    boundary) or widening (add: the value lies outside the range), and
-    cells is each grid's first argmin cell as (k, i, usable).
+    xs holds the sample's value per slot, flags marks per slot a range hit
+    (delete: the value sits on a range boundary) or widening (add: the
+    value lies outside the range), and cells is each grid's first argmin
+    cell as (k, i, usable).
     """
 
     def __init__(self, tree, nodes, x, label, add):
-        blks = [node.slots for node in nodes]
-        thr = np.array([blk.thr for blk in blks])
-        amin = np.array([blk.amin for blk in blks])
-        amax = np.array([blk.amax for blk in blks])
-        xs = x[np.array([blk.attrs for blk in blks])]
-        step = np.where(thr >= xs[:, :, None], 1 if add else -1, 0)
-        self.b = np.array([blk.b for blk in blks]) + step
-        self.c = np.array([blk.c for blk in blks])
+        pool = tree.pool
+        rows = np.array([node.row for node in nodes])
+        amin = pool.amin[rows]
+        amax = pool.amax[rows]
+        self.xs = xs = x[pool.attrs[rows]]
+        covered = pool.thr[rows] >= xs[:, :, None]
+        patch = np.add if add else np.subtract
+        b = pool.b[rows]
+        c = pool.c[rows]
+        patch(b, covered, out=b)
+        pool.b[rows] = b
         if label:
-            self.c += step
-        self.label = label
+            patch(c, covered, out=c)
+            pool.c[rows] = c
         self.flags = (xs < amin) | (xs > amax) if add else (xs == amin) | (xs == amax)
         self.flagged = self.flags.any(axis=1).tolist()
         n = np.array([node.n for node in nodes])
         n_pos = np.array([node.n_pos for node in nodes])
-        k, i, usable = best_cells(self.b, self.c, n, n_pos, amin == amax,
-                                  tree.params.criterion)
+        k, i, usable = best_cells(b, c, n, n_pos, amin == amax, tree.params.criterion)
         self.cells = list(zip(k.tolist(), i.tolist(), usable.tolist()))
-
-    def patch(self, blk, j):
-        """Write row j's patched counts back into its node's grid."""
-        blk.b[...] = self.b[j]
-        if self.label:
-            blk.c[...] = self.c[j]
 
 
 # -- query routing ----------------------------------------------------------
@@ -959,7 +1033,8 @@ def materialize(reached):
 
     Every node draws from its own key and its children's keys come from
     that key's stream, so the grown trees do not depend on which nodes
-    share a call.  The trees must share one Dataset and one TreeParams.
+    share a call.  The trees must share one Dataset, one TreeParams and
+    one GridPool.
     The nodes go to the split kernel in calls of at most as many samples
     as the largest root among their trees holds, the most a build or
     flush call can see.  Counters and tag counts go to each node's tree.
@@ -967,10 +1042,10 @@ def materialize(reached):
     kernel = reached[0][0]
     cap = 0
     for tree, _ in reached:
-        if tree.ds is not kernel.ds or (tree.params is not kernel.params
-                                        and tree.params != kernel.params):
+        if (tree.ds is not kernel.ds or tree.pool is not kernel.pool
+                or tree.params is not kernel.params and tree.params != kernel.params):
             raise ValueError("trees grown together must share one Dataset "
-                             "and one TreeParams")
+                             "and one TreeParams, and one GridPool")
         cap = max(cap, tree.root.n)
     for tree, node in reached:
         tree._untag([node])
@@ -1018,7 +1093,7 @@ def build_tree(ds, ids, params, rng=None):
 # -- audit ----------------------------------------------------------------
 
 
-def _audit_node(tree, node, path, report, leaf_ids):
+def _audit_node(tree, node, path, report, leaf_ids, rows):
     ds = tree.ds
     report.nodes_checked += 1
     ids = node.ids
@@ -1028,12 +1103,17 @@ def _audit_node(tree, node, path, report, leaf_ids):
     if node.n_pos != true_pos:
         report.flag(path, "n_pos mismatch", "stored=%d actual=%d" % (node.n_pos, true_pos))
 
-    blk = node.slots
-    if blk is not None:
-        vals = ds.X[ids[:, None], blk.attrs] if len(ids) else np.empty((0, blk.p))
+    pool, row = tree.pool, node.row
+    if row != -1:
+        rows.append((row, path))
+    gridded = type(row) is int and 0 <= row < pool.end
+    if gridded:
+        attrs, amin, amax, thr, b, c = (pool.attrs[row], pool.amin[row], pool.amax[row],
+                                        pool.thr[row], pool.b[row], pool.c[row])
+        vals = ds.X[ids[:, None], attrs] if len(ids) else np.empty((0, pool.p))
         positive = ds.y[ids] == 1
         # recount from raw values by direct comparison, not binary search
-        below = vals[:, :, None] <= blk.thr
+        below = vals[:, :, None] <= thr
         b_true = below.sum(axis=0)
         c_true = below[positive].sum(axis=0)
         if not node.tagged and len(ids):
@@ -1042,30 +1122,26 @@ def _audit_node(tree, node, path, report, leaf_ids):
             rule = crit.CRITERIA[tree.params.criterion]
             kernel = crit.score_matrix(b_true, c_true, len(ids), true_pos,
                                        tree.params.criterion)
-        for k in range(blk.p):
-            tag = "%s slot %d (attr %d)" % (path, k, blk.attrs[k])
-            thr = blk.thr[k]
-            if not (np.diff(thr) >= 0).all():
+        for k in range(pool.p):
+            tag = "%s slot %d (attr %d)" % (path, k, attrs[k])
+            if not (np.diff(thr[k]) >= 0).all():
                 report.flag(tag, "thresholds not sorted")
             if not node.tagged and len(ids):
-                if blk.amin[k] != vals[:, k].min() or blk.amax[k] != vals[:, k].max():
+                if amin[k] != vals[:, k].min() or amax[k] != vals[:, k].max():
                     report.flag(tag, "stale range",
                                 "stored [%g, %g] actual [%g, %g]"
-                                % (blk.amin[k], blk.amax[k],
-                                   vals[:, k].min(), vals[:, k].max()))
-                if thr.min() < blk.amin[k] or thr.max() > blk.amax[k]:
+                                % (amin[k], amax[k], vals[:, k].min(), vals[:, k].max()))
+                if thr[k].min() < amin[k] or thr[k].max() > amax[k]:
                     report.flag(tag, "thresholds outside range")
                 for i, (bi, ci) in enumerate(zip(b_true[k].tolist(), c_true[k].tolist())):
                     want = rule(crit.SplitCounts(bi, ci, len(ids) - bi, true_pos - ci))
                     if abs(kernel[k, i] - want) > 1e-9:
                         report.flag(tag, "kernel score off the criterion",
                                     "i=%d kernel=%.12g scalar=%.12g" % (i, kernel[k, i], want))
-            if not np.array_equal(blk.b[k], b_true[k]):
-                report.flag(tag, "b counts stale",
-                            "stored=%s actual=%s" % (blk.b[k], b_true[k]))
-            if not np.array_equal(blk.c[k], c_true[k]):
-                report.flag(tag, "c counts stale",
-                            "stored=%s actual=%s" % (blk.c[k], c_true[k]))
+            if not np.array_equal(b[k], b_true[k]):
+                report.flag(tag, "b counts stale", "stored=%s actual=%s" % (b[k], b_true[k]))
+            if not np.array_equal(c[k], c_true[k]):
+                report.flag(tag, "c counts stale", "stored=%s actual=%s" % (c[k], c_true[k]))
 
     if node.tagged:
         if node.left is not None or node.right is not None:
@@ -1088,19 +1164,19 @@ def _audit_node(tree, node, path, report, leaf_ids):
         leaf_ids.append(ids)
         return
 
-    if blk is None:
-        report.flag(path, "split node without slots")
+    if not gridded:
+        report.flag(path, "split node without a grid")
         return
-    k, i, _ = best_cells(b_true, c_true, len(ids), true_pos, blk.amin == blk.amax,
+    k, i, _ = best_cells(b_true, c_true, len(ids), true_pos, amin == amax,
                          tree.params.criterion)
     if (k, i) != (node.best_k, node.best_i):
         report.flag(path, "best split not the grid argmin",
                     "stored (%d,%d) argmin (%d,%d)" % (node.best_k, node.best_i, k, i))
-    elif blk.thr[k, i] != node.best_w:
+    elif thr[k, i] != node.best_w:
         report.flag(path, "best threshold value stale")
-    if blk.amin[node.best_k] == blk.amax[node.best_k]:
+    if amin[node.best_k] == amax[node.best_k]:
         report.flag(path, "split on an unusable slot")
-    axis = int(blk.attrs[node.best_k])
+    axis = int(attrs[node.best_k])
     if node.axis != axis:
         report.flag(path, "split axis is not the best slot's attribute",
                     "stored %r attribute %d" % (node.axis, axis))
@@ -1114,21 +1190,38 @@ def _audit_node(tree, node, path, report, leaf_ids):
     for child, lab in ((node.left, ".L"), (node.right, ".R")):
         if child.depth != node.depth + 1:
             report.flag(path + lab, "bad depth")
-        _audit_node(tree, child, path + lab, report, leaf_ids)
+        _audit_node(tree, child, path + lab, report, leaf_ids, rows)
 
 
-def audit_tree(tree, label="tree"):
+def audit_tree(tree, label="tree", owners=None):
     """Recompute every cached statistic from raw data and report drift.
 
     Checks id conservation, counts, ranges (on untagged nodes), per-cell
     b/c counts against direct comparison counting, the kernel's scores of
     those recounts against the scalar criterion, that each stored split is
-    best_cells of its node's recount, and child partitions.  Returns an
-    AuditReport.
+    best_cells of its node's recount, and child partitions.  It also checks
+    the pool's bookkeeping: a node's row is -1 (no grid) or a row below the
+    pool's end that is not on the free list and that no other node holds.
+    owners maps the rows already seen to their nodes; pass one dict to the
+    audits of trees that share a pool.  Returns an AuditReport.
     """
     report = AuditReport()
-    leaf_ids = []
-    _audit_node(tree, tree.root, label, report, leaf_ids)
+    leaf_ids, rows = [], []
+    _audit_node(tree, tree.root, label, report, leaf_ids, rows)
+    pool = tree.pool
+    owners = {} if owners is None else owners
+    free = set(pool.free)
+    for row, where in rows:
+        if not (type(row) is int and 0 <= row < pool.end):
+            report.flag(where, "grid row out of range", "row %r, pool end %d" % (row, pool.end))
+            continue
+        if row in owners:
+            report.flag(where, "grid row shared with another node",
+                        "row %d, also at %s" % (row, owners[row]))
+        else:
+            owners[row] = where
+        if row in free:
+            report.flag(where, "grid row on the free list", "row %d" % row)
     union = np.sort(np.concatenate(leaf_ids)) if leaf_ids else np.empty(0, np.int64)
     if not np.array_equal(union, np.sort(tree.root.ids)):
         report.flag(label, "leaf ids do not partition the root ids",

@@ -16,7 +16,7 @@ from dynforest import snapshot
 from dynforest.cli import main
 from dynforest.snapshot import load
 
-from test_snapshot import drop_header_key, edit_arrays
+from test_snapshot import drop_header_key, edit_arrays, tamper_counts
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -323,6 +323,35 @@ def test_audit_flags_a_split_axis_that_disagrees_with_its_grid(workspace, capsys
     assert any("tree 3" in v and "split axis" in v for v in report["violations"])
 
 
+# -- inspect ----------------------------------------------------------------------
+
+
+def test_inspect_reports_the_loaded_forest(workspace, tmp_path, capsys):
+    forest = load(workspace["model"])
+    for sample_id in range(0, 120, 3):
+        forest.delete(sample_id)
+    assert forest.tagged_count() > 0
+    path = tmp_path / "tagged.bin"
+    snapshot.save(forest, path)
+    forest = load(path)
+    code = main(["inspect", "--model", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    nodes = sum(tree.node_count() for tree in forest.trees)
+    assert report["trees"] == len(forest.trees)
+    assert report["nodes"] == nodes == sum(report["depth_histogram"])
+    assert report["depth_histogram"][0] == len(forest.trees)
+    assert report["tagged"] == forest.tagged_count()
+    assert report["grid_rows"] == forest.trees[0].pool.in_use()
+    assert set(report["bytes"]) == {"grid.attrs", "grid.amin", "grid.amax", "grid.thr",
+                                    "grid.b", "grid.c", "ids", "dataset", "assignment"}
+    assert report["bytes"]["grid.b"] == 4 * report["grid_rows"] * forest.trees[0].p * 5
+    assert report["total_bytes"] == sum(report["bytes"].values())
+    path.write_bytes(b"\x00" * 32)
+    code, _, err = run_cli(capsys, "inspect", "--model", str(path))
+    assert code == 2 and "magic" in err
+
+
 # -- failure modes ----------------------------------------------------------------
 
 
@@ -419,6 +448,16 @@ def test_model_with_bad_draws_or_splits_exits_2(workspace, tmp_path, capsys):
         bad.write_bytes(edit_arrays(open(workspace["model"], "rb").read(), edit))
         code, _, err = run_cli(capsys, "audit", "--model", str(bad))
         assert code == 2 and match in err
+
+
+@pytest.mark.parametrize("key", ["b", "c"])
+def test_model_with_counts_that_cannot_be_counts_exits_2(workspace, tmp_path, capsys, key):
+    bad = tmp_path / "bad.bin"
+    edit = tamper_counts(load(workspace["model"]), key)
+    bad.write_bytes(edit_arrays(open(workspace["model"], "rb").read(), edit))
+    for command in ("audit", "inspect"):
+        code, _, err = run_cli(capsys, command, "--model", str(bad))
+        assert code == 2 and "slot_%s holds a count" % key in err
 
 
 def test_invalid_hyperparameters_exit_2(workspace, tmp_path, capsys):

@@ -38,7 +38,7 @@ def shape(node):
     sorted ids."""
     if node.left is None:
         return tuple(sorted(node.ids.tolist()))
-    return int(node.slots.attrs[node.best_k]), shape(node.left), shape(node.right)
+    return node.axis, shape(node.left), shape(node.right)
 
 
 def p_value(a, b):

@@ -99,7 +99,7 @@ def test_emptied_node_forgets_its_last_rows(tmp_path, batch, emptied):
     else:
         for sid in range(len(X)):
             forest.delete(sid)
-    assert root.n == 0 and root.slots is not None and root.tagged == (emptied == "tagged")
+    assert root.n == 0 and root.row != -1 and root.tagged == (emptied == "tagged")
     path = tmp_path / "empty.bin"
     save(forest, path)
     data = path.read_bytes()

@@ -1,7 +1,8 @@
 """Property-based fuzz of forest operations: valid ones interleaved with ones
 the forest must reject, each rejection leaving the forest exactly as it was;
-and single-sample updates walking all k trees together against the same
-updates sent to the trees one at a time."""
+single-sample updates walking all k trees together against the same
+updates sent to the trees one at a time; and the grid pool's rows, which
+no sequence of operations may leak."""
 
 from __future__ import annotations
 
@@ -116,6 +117,38 @@ def test_rejected_operations_leave_the_forest_unchanged(workdir, data):
         assert snapshot_bytes(forest, scratch) == before, op
         report = forest_audit(forest)
         assert report.ok, "%s: %s" % (op, report.summary())
+
+
+def gridded_nodes(forest):
+    count = 0
+    for tree in forest.trees:
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            count += node.row != -1
+            if node.left is not None:
+                stack.extend((node.left, node.right))
+    return count
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), lazy=st.booleans())
+def test_operations_leak_no_grid_rows(workdir, data, lazy):
+    forest = load(os.path.join(workdir, "base.bin"))
+    forest.lazy = lazy
+    ops = data.draw(st.lists(st.sampled_from(VALID + ("flush",)), min_size=1, max_size=20),
+                    label="ops")
+    for op in ops:
+        if op == "flush":
+            forest.flush()
+        else:
+            run_valid(forest, op, data)
+    assert forest.trees[0].pool.in_use() == gridded_nodes(forest)
+    report = forest_audit(forest)
+    assert report.ok, report.summary()
+    first = snapshot_bytes(forest, os.path.join(workdir, "first.bin"))
+    again = load(os.path.join(workdir, "first.bin"))
+    assert snapshot_bytes(again, os.path.join(workdir, "again.bin")) == first
 
 
 def draw_request(forest, op, data):

@@ -92,12 +92,24 @@ def test_occupancy_check_catches_tree_membership_drift():
 
 def test_forest_audit_catches_stale_counts():
     _, forest = tiny_forest(seed=5)
-    node = forest.trees[2].root
-    assert node.slots is not None
-    node.slots.c[0, -1] += 1
+    tree = forest.trees[2]
+    assert tree.root.row != -1
+    tree.pool.c[tree.root.row, 0, -1] += 1
     report = forest_audit(forest)
     assert not report.ok
     assert any("c counts" in str(v) for v in report.violations)
+
+
+def test_forest_audit_flags_a_leaked_or_shared_grid_row():
+    _, forest = tiny_forest(seed=5)
+    pool = forest.trees[0].pool
+    pool.take(1)  # in use, but no node holds it
+    report = forest_audit(forest)
+    assert any("rows in use are not the rows nodes hold" in str(v) for v in report.violations)
+    _, forest = tiny_forest(seed=5)
+    forest.trees[1].root.row = forest.trees[0].root.row
+    report = forest_audit(forest)
+    assert any("tree 1" in str(v) and "grid row shared" in str(v) for v in report.violations)
 
 
 def test_forest_audit_passes_on_healthy_forest():

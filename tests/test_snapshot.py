@@ -318,8 +318,9 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
         flags[np.flatnonzero((flags & 2) == 0)[0]] |= 2
 
     def move_root_argmin(arrays):
-        # set one b cell of the root's grid so that another slot wins: the
-        # derived split then sends the stored ids elsewhere
+        # set one b cell of the root's grid so that another slot wins while
+        # the grid still holds counts (b - c never falling along a slot):
+        # the derived split then sends the stored ids elsewhere
         ids = arrays["t0.ids"]
         n, n_pos = len(ids), int(arrays["y"][ids].sum())
         b, c = arrays["t0.slot_b"][0], arrays["t0.slot_c"][0]
@@ -335,7 +336,9 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
             for value in range(n + 1):
                 trial = b.copy()
                 trial[cell] = value
-                if best_slot(trial) != k:
+                neg = np.concatenate((np.zeros((len(b), 1), int), trial - c,
+                                      np.full((len(b), 1), n - n_pos)), axis=1)
+                if (np.diff(neg, axis=1) >= 0).all() and best_slot(trial) != k:
                     b[cell] = value
                     return
         raise AssertionError("no single b cell moves the root's argmin")
@@ -401,6 +404,28 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
     header["tree_params"]["min_split_size"] = 2
     path.write_bytes(join_snapshot(header, body))
     with pytest.raises(SnapshotError, match="untagged leaf could split"):
+        load(path)
+
+
+def tamper_counts(forest, key):
+    """An edit that sets every cell of one slot of tree 0's root grid
+    (not its split slot) in t0.slot_<key> to 2**40, a value whose int32
+    cast, 0, would read as a count."""
+    root = forest.trees[0].root
+    k = (root.best_k + 1) % forest.trees[0].p
+
+    def edit(arrays):
+        arrays["t0.slot_" + key][0, k] = 2**40
+    return edit
+
+
+@pytest.mark.parametrize("key", ["b", "c"])
+def test_load_rejects_grids_whose_counts_cannot_be_counts(tmp_path, key):
+    _, forest = trained(seed=11, n=200)
+    path = tmp_path / "m.bin"
+    save(forest, path)
+    path.write_bytes(edit_arrays(path.read_bytes(), tamper_counts(forest, key)))
+    with pytest.raises(SnapshotError, match="slot_%s holds a count" % key):
         load(path)
 
 

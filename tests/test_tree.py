@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,17 @@ def test_best_cells_of_an_empty_stack():
     assert k.shape == i.shape == usable.shape == (0,)
 
 
+def grid(tree, node):
+    """node's grid as views of its pool row (attrs, amin, amax, thr, b and
+    c, and p), or None for a node without one.  The views are good until the
+    pool next grows."""
+    if node.row == -1:
+        return None
+    pool = tree.pool
+    return SimpleNamespace(p=pool.p, **{name: getattr(pool, name)[node.row]
+                                        for name in ("attrs", "amin", "amax", "thr", "b", "c")})
+
+
 # -- construction -------------------------------------------------------------
 
 
@@ -144,7 +157,7 @@ def test_build_respects_stopping_rules():
     # pure labels: immediate slotless leaf
     ds = line_dataset(30, label_rule=lambda v: 1)
     tree = build_tree(ds, ds.live_ids(), small_params())
-    assert tree.root.left is None and tree.root.slots is None
+    assert tree.root.left is None and tree.root.row == -1
     # too few samples
     ds = line_dataset(9)
     tree = build_tree(ds, ds.live_ids(), small_params(min_split_size=10))
@@ -152,7 +165,7 @@ def test_build_respects_stopping_rules():
     # constant features: leaf that keeps its (degenerate) grid
     ds = dataset_from_arrays(np.ones((20, 3)), np.arange(20) % 2)
     tree = build_tree(ds, ds.live_ids(), small_params())
-    blk = tree.root.slots
+    blk = grid(tree, tree.root)
     assert tree.root.left is None and blk is not None
     assert not best_cells(blk.b, blk.c, tree.root.n, tree.root.n_pos, blk.amin == blk.amax,
                           "gini")[2]
@@ -191,9 +204,9 @@ def signature(tree):
         out.append((node.depth, node.n, node.n_pos, node.best_k, node.best_i,
                     node.best_w, node.tagged, node.key if node.tagged else None,
                     tuple(node.ids)))
-        if node.slots is not None:
-            out.append(tuple(node.slots.attrs) + tuple(node.slots.thr.ravel())
-                       + tuple(node.slots.b.ravel()))
+        blk = grid(tree, node)
+        if blk is not None:
+            out.append(tuple(blk.attrs) + tuple(blk.thr.ravel()) + tuple(blk.b.ravel()))
         if node.left is not None:
             stack.extend((node.left, node.right))
     return out
@@ -205,7 +218,7 @@ def test_build_is_deterministic_given_seed():
     b = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(9))
     assert signature(a) == signature(b)
     c = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(10))
-    assert not np.array_equal(a.root.slots.thr, c.root.slots.thr)
+    assert not np.array_equal(grid(a, a.root).thr, grid(c, c.root).thr)
 
 
 def test_copies_stay_identical_through_deletes_and_flush():
@@ -290,9 +303,9 @@ def test_level_draws_are_uniform_over_seeds():
         tree = build_tree(ds, ds.live_ids(), params, np.random.default_rng(seed))
         root = tree.root
         for node in (root, root.left, root.right):
-            if node is None or node.slots is None:
+            if node is None or node.row == -1:
                 continue
-            blk = node.slots
+            blk = grid(tree, node)
             if node is root:
                 key = tuple(blk.attrs)
                 root_counts[subsets.setdefault(key, len(subsets))] += 1
@@ -332,9 +345,9 @@ def test_query_grown_draws_are_uniform_over_seeds():
         root = tree.root
         assert tree.telemetry.nodes_materialized >= 1
         for node in (root, root.left, root.right):
-            if node is None or node.slots is None or node.tagged:
+            if node is None or node.row == -1 or node.tagged:
                 continue
-            blk = node.slots
+            blk = grid(tree, node)
             if node is root:
                 key = tuple(blk.attrs)
                 root_counts[subsets.setdefault(key, len(subsets))] += 1
@@ -439,9 +452,9 @@ def test_delete_group_matches_individual_deletes_for_singletons():
         assert (a.n, a.n_pos, a.best_k, a.best_i, a.best_w, a.tagged) == \
                (b.n, b.n_pos, b.best_k, b.best_i, b.best_w, b.tagged)
         assert np.array_equal(a.ids, b.ids)
-        if a.slots is not None:
-            assert np.array_equal(a.slots.thr, b.slots.thr)
-            assert np.array_equal(a.slots.b, b.slots.b)
+        if a.row != -1:
+            assert np.array_equal(grid(t1, a).thr, grid(t2, b).thr)
+            assert np.array_equal(grid(t1, a).b, grid(t2, b).b)
         assert (a.left is None) == (b.left is None)
         if a.left is not None:
             pairs.extend(((a.left, b.left), (a.right, b.right)))
@@ -530,7 +543,7 @@ def test_add_outside_range_resamples_internal_thresholds():
 def test_add_turns_pure_leaf_splittable():
     ds = line_dataset(12, label_rule=lambda v: 1)
     tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(8))
-    assert tree.root.left is None and tree.root.slots is None  # pure leaf
+    assert tree.root.left is None and tree.root.row == -1  # pure leaf
     same = ds.add([50.0], 1)
     assert tree.add(same) is None  # still pure: nothing to revisit
     other = ds.add([60.0], 0)
@@ -553,7 +566,7 @@ def test_add_grows_small_leaf_past_min_split():
 def test_add_widening_value_tags_degenerate_leaf():
     ds = dataset_from_arrays(np.full((14, 2), 7.0), np.arange(14) % 2)
     tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(10))
-    assert tree.root.left is None and tree.root.slots is not None
+    assert tree.root.left is None and tree.root.row != -1
     inside = ds.add([7.0, 7.0], 0)
     assert tree.add(inside) is None  # still degenerate on every slot
     outside = ds.add([7.0, 8.5], 1)
@@ -704,7 +717,7 @@ def test_audit_detects_corrupted_counts():
     ds = make_dataset(300, d=6, seed=15)
     tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(17))
     node = tree.root
-    node.slots.b[0, 0] += 1
+    grid(tree, node).b[0, 0] += 1
     report = audit_tree(tree)
     assert not report.ok
     assert any("b counts" in str(v) for v in report.violations)
@@ -721,7 +734,7 @@ def test_audit_detects_stale_best_split():
 def test_audit_detects_a_split_on_a_cell_that_is_not_the_argmin():
     ds = make_dataset(300, d=6, seed=16)
     tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(18))
-    node, blk = tree.root, tree.root.slots
+    node, blk = tree.root, grid(tree, tree.root)
     # a usable cell of another slot, with the split's threshold and axis
     # moved along, so that only the choice of cell is wrong
     k = next(k for k in range(blk.p) if k != node.best_k and blk.amin[k] != blk.amax[k])
@@ -729,6 +742,26 @@ def test_audit_detects_a_split_on_a_cell_that_is_not_the_argmin():
     node.best_w, node.axis = float(blk.thr[k, 0]), int(blk.attrs[k])
     report = audit_tree(tree)
     assert any("best split not the grid argmin" in str(v) for v in report.violations)
+
+
+def test_audit_flags_pool_rows_that_are_shared_free_or_out_of_range():
+    ds = make_dataset(300, d=6, seed=15)
+    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(17))
+    root, left = tree.root, tree.root.left
+    assert audit_tree(tree).ok and left.row != -1
+
+    def flagged(what):
+        return [str(v) for v in audit_tree(tree).violations if what in str(v)]
+
+    row = left.row
+    left.row = root.row
+    assert flagged("grid row shared with another node")
+    for bad in (tree.pool.end, -2):
+        left.row = bad
+        assert flagged("grid row out of range")
+    left.row = row
+    tree.pool.release([row])
+    assert flagged("grid row on the free list")
 
 
 def test_audit_detects_wrong_partition():

@@ -21,6 +21,7 @@ from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
 from dynforest.tree import Tree, TreeParams
 from test_forest import quick_params
+from test_tree import grid
 
 
 class TreeByTree(Forest):
@@ -47,7 +48,7 @@ def per_node_add(tree, sample_id):
         node.ids = np.append(node.ids, sample_id)
         node.n_pos += label
         tree.telemetry.nodes_updated += 1
-        blk = node.slots
+        blk = grid(tree, node)
         if blk is not None:
             covered = blk.thr >= x[blk.attrs][:, None]
             blk.b[covered] += 1
@@ -102,7 +103,7 @@ def node_state(tree):
         out.append((node.depth, node.ids.tobytes(), node.n_pos, node.best_k, node.best_i,
                     np.float64(node.best_w).tobytes(), node.axis, node.tagged,
                     node.key if node.tagged else None, node.left is None))
-        blk = node.slots
+        blk = grid(tree, node)
         if blk is not None:
             out.append(tuple(a.tobytes() for a in (blk.attrs, blk.amin, blk.amax, blk.thr,
                                                    blk.b, blk.c)))

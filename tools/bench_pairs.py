@@ -3,7 +3,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --topic stacked_updates --seeds 3001-3010 \\
-        --claim update-stream:delete_p50_us --trace update-stream:3001
+        --claim update-stream:delete_p50_us --trace update-stream:3001-3005
 
 For every workload that BENCHMARK.json declares and every seed, the
 script runs benchmark/run.py once in each checkout, alternating which
@@ -21,8 +21,12 @@ nothing either way.
 
 A claim (--claim workload:metric) passes when the change wins at least
 nine pairs in ten and its median beats the parent's by more than the
-parent's interquartile range.  --trace workload:seed adds one traced run
-per side and records the per-layer metrics of both.
+parent's interquartile range.  --trace workload:seeds adds one traced pair
+per seed, alternating which side goes first as the untraced pairs do, and
+records each side's median of every per-layer metric.  Call counts are
+exact in one run, but self times drift with the machine: one traced run per
+side can read every layer of the side that runs second 15-50% slower, so
+trace several seeds.
 
 The script exits 1 when a claim fails, when any run reports correct:
 false, or when the change fails more operations than the parent on some
@@ -125,7 +129,8 @@ def main(argv=None):
     ap.add_argument("--seeds", required=True, help="e.g. 3001-3010; one pair per seed")
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--claim", action="append", default=[], help="workload:metric")
-    ap.add_argument("--trace", action="append", default=[], help="workload:seed")
+    ap.add_argument("--trace", action="append", default=[],
+                    help="workload:seeds, e.g. update-stream:3001-3005")
     ap.add_argument("--out-dir", default=ROOT)
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
@@ -170,12 +175,19 @@ def main(argv=None):
         doc["claims"] = claims
     traced = {}
     for item in args.trace:
-        workload, seed = item.split(":")
-        sides = {side: run_once(getattr(args, side), workload, int(seed), args.seconds, 1)
-                 for side in ("parent", "change")}
-        traced[item] = {name: {side: sides[side]["metrics"][name]["value"] for side in sides}
-                        for name in sorted(sides["change"]["metrics"])}
+        workload, seed_text = item.split(":")
+        runs = {"parent": [], "change": []}
+        for j, seed in enumerate(parse_seeds(seed_text)):
+            for side in ("parent", "change") if j % 2 == 0 else ("change", "parent"):
+                runs[side].append(run_once(getattr(args, side), workload, seed, args.seconds, 1))
+            print("%s seed %d traced" % (workload, seed), file=sys.stderr)
+        traced[item] = {name: {side: float(np.median([r["metrics"][name]["value"]
+                                                      for r in runs[side]]))
+                               for side in runs}
+                        for name in sorted(runs["change"][0]["metrics"])}
     if traced:
+        doc["per_layer_method"] = ("python3 benchmark/run.py ... --trace 1; one alternating "
+                                   "pair per seed, as above; each side's median per metric")
         doc["per_layer"] = traced
     path = os.path.join(args.out_dir, "BENCH_%s.json" % args.topic)
     with open(path, "w") as f:
