@@ -15,11 +15,13 @@ in step with the data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .tree import GridPool, Telemetry, Tree, TreeParams, route_row, route_rows, update_paths
+from .tree import (GridPool, Telemetry, Tree, TreeParams, grow, rebuild, route_row, route_rows,
+                   update_paths)
 
 
 def subsample_count(occupancy, n_trees):
@@ -83,6 +85,17 @@ def group_by_tree(ids, assign, n_trees):
     return [sorted_ids[bounds[t]:bounds[t + 1]] for t in range(n_trees)]
 
 
+def _sample_id(value):
+    """A sample id as a Python int: a Python or numpy integer.  A bool, a
+    float or any other value is a TypeError, so that no id is truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError("sample id must be an integer, got %r" % (value,))
+
+
 class Forest:
     """Trained forest; construct with Forest.train() or snapshot.load().
 
@@ -105,7 +118,12 @@ class Forest:
 
     @classmethod
     def train(cls, ds, params, lazy=True):
-        """Grow a forest over every live sample in ds."""
+        """Grow a forest over every live sample in ds.
+
+        All roots grow together (tree.grow), one split-kernel call per
+        level; each tree draws from its own stream, so it grows exactly as
+        build_tree would grow it from the same seed.
+        """
         params.validate(ds.n_attrs)
         n_trees = params.n_trees
         seeds = np.random.SeedSequence(params.seed).spawn(n_trees + 1)
@@ -118,8 +136,7 @@ class Forest:
                  for t in range(n_trees)]
         assignment = np.full((ds.next_id, k), -1, np.int32)
         assignment[ids] = assign
-        for tree, tree_ids in zip(trees, per_tree):
-            tree.build(tree_ids)
+        grow([(tree, [tree.plant(tree_ids)]) for tree, tree_ids in zip(trees, per_tree)])
         pool.trim()
         return cls(ds, params, trees, assignment, rng, lazy=lazy)
 
@@ -158,12 +175,11 @@ class Forest:
         """Vectorized predict over the rows of X.
 
         The rows go down each tree in turn to leaves and tagged nodes; the
-        tagged frontier of all trees then grows one level together, in
-        kernel calls of at most as many samples as the largest root holds
-        (see tree.route_rows), and the rows there go on.  Keyed draws make
-        the result equal to tree-by-tree Tree.query_many calls, and each
-        row's trees are averaged as predict averages them, so a row gets
-        the same bits from either call.
+        tagged frontier of all trees then grows one level together, in one
+        kernel call (see tree.route_rows), and the rows there go on.  Keyed
+        draws make the result equal to tree-by-tree Tree.query_many calls,
+        and each row's trees are averaged as predict averages them, so a
+        row gets the same bits from either call.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.ds.n_attrs:
@@ -206,9 +222,10 @@ class Forest:
         zeroes its row.
 
         The k trees drop it in one path walk, as add() inserts one.
-        Raises KeyError for unknown or already-deleted ids.
+        Raises KeyError for unknown or already-deleted ids and TypeError
+        for an id that is not an integer.
         """
-        sample_id = int(sample_id)
+        sample_id = _sample_id(sample_id)
         if not self.ds.is_live(sample_id):
             raise KeyError("sample id %d is not live" % sample_id)
         self._update(self.assignment[sample_id], sample_id, add=False)
@@ -217,11 +234,12 @@ class Forest:
 
     def _update(self, tree_ids, sample_id, add):
         """One path walk over the trees tree_ids names (see
-        tree.update_paths); in eager mode each tagged node is then rebuilt."""
+        tree.update_paths); in eager mode the tagged nodes are then rebuilt,
+        all in one tree.rebuild."""
         trees = [self.trees[t] for t in tree_ids]
-        for tree, tagged in zip(trees, update_paths(trees, sample_id, add)):
-            if tagged is not None and not self.lazy:
-                tree.rebuild_node(tagged)
+        tagged = update_paths(trees, sample_id, add)
+        if not self.lazy:
+            rebuild([(tree, node) for tree, node in zip(trees, tagged) if node is not None])
 
     def unlearn_batch(self, ids, finalize=False):
         """Delete many samples in one grouped pass per tree; optionally
@@ -231,10 +249,10 @@ class Forest:
         (Tree.delete_group) that splits the group at each node, so
         per-node grid updates amortize across the batch; the batch's rows
         are then zeroed in one step.  The id list is validated up front:
-        one unknown, dead, or repeated id rejects the whole batch before
-        anything is deleted.
+        one unknown, dead, repeated or non-integer id rejects the whole
+        batch before anything is deleted.
         """
-        ids = [int(i) for i in ids]
+        ids = [_sample_id(i) for i in ids]
         seen = set()
         for sample_id in ids:
             if not self.ds.is_live(sample_id):
@@ -255,9 +273,10 @@ class Forest:
             self.flush()
 
     def flush(self):
-        """Rebuild every tagged subtree in every tree."""
-        for t in self.trees:
-            t.flush()
+        """Rebuild every tagged subtree in every tree, the tagged nodes of
+        all trees growing together (tree.grow); each tree grows exactly as
+        its own Tree.flush would grow it."""
+        grow([(tree, tree.untag_all()) for tree in self.trees])
 
     # -- introspection --------------------------------------------------------
 

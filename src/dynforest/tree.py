@@ -73,35 +73,54 @@ ranges and thresholds are zeroed.
 
 A query reaching a tagged node materializes exactly one fresh level
 (redrawing attributes and thresholds), untags it, tags the new children,
-and walks on.  Queries are batched across trees: route_row (one row) and route_rows (a
-batch) take a list of trees, route down each tree in turn to the leaves
-and tagged nodes reached, then grow every reached tagged node of all the
-trees one level in one materialize() step, and repeat from there.
-Tree.query and Tree.query_many are one-tree calls into them, and
-Forest.predict and predict_many pass the whole forest.  materialize()
-feeds the split kernel calls of at most as many samples as the largest
-root among its trees holds, so no call allocates more than a build or a
-flush of those trees already does.  flush() rebuilds every tagged
-subtree eagerly.
+and walks on.  Queries are batched across trees: route_row (one row) and
+route_rows (a batch) take a list of trees, route down each tree in turn
+to the leaves and tagged nodes reached, then grow every reached tagged
+node of all the trees one level in one materialize() step, one kernel
+call, and repeat from there.  Tree.query and Tree.query_many are one-tree
+calls into them, and Forest.predict and predict_many pass the whole
+forest.  flush() rebuilds every tagged subtree eagerly.
 
-Growth is level by level: build, flush, rebuild_node and materialize()
-all go through _split_level, which splits a whole frontier of nodes in
-one vectorized pass and returns the next frontier (flush puts every
-tagged node of the tree in the first one).
+Growth
+------
+Growth is level by level, and the nodes of all trees grow together: one
+split-kernel call (_split_level) per frontier step splits a whole
+frontier of nodes of any number of trees in one vectorized pass and
+returns the next frontier.  grow() takes (tree, fresh nodes) per tree
+and grows them into full subtrees: Forest.train passes every root,
+Forest.flush every tree's tagged nodes, and an eager Forest's update the
+nodes it tagged in its k trees (through rebuild()).  Tree.build,
+Tree.flush and Tree.rebuild_node are one-tree calls into it.
+materialize() is one kernel call that grows one level only.
+
+A kernel call bounds its own memory.  It counts its (s, rows, p)
+threshold comparison in runs of whole nodes, each run of at most as many
+rows as the largest root among the call's trees.  A node never holds
+more rows than its root, so every node fits in one run, and no call
+holds more of that comparison at a time than the build of one tree.  Its
+other per-row arrays are a few bytes per row and slot; it builds them in
+chunks of whole nodes of at most CHUNK_ROWS rows, which the preset's
+frontiers never reach but a forest of 100 full-size trees would.  A
+frontier that fits in one run is one chunk and one comparison, so a
+small call (a single-row query round) pays nothing for either bound.
 
 Randomness
 ----------
 Build, flush and rebuild_node consume the tree's one generator (the tree
-stream) level by level.  A frontier of m splittable nodes, in frontier
-order, reads one (m, d) block of uniforms, whose p smallest keys in each
-row give that node's attribute subset, then one block of s uniforms per
-non-degenerate slot, node by node and in slot order, scaled onto the
-slot's range [amin, amax] and sorted.  A degenerate slot draws nothing.
+stream) level by level.  At each frontier step, a tree with m splittable
+nodes in the frontier reads, in frontier order, one (m, d) block of
+uniforms, whose p smallest keys in each row give that node's attribute
+subset, then one block of s uniforms per non-degenerate slot of its
+nodes, node by node and in slot order, scaled onto the slot's range
+[amin, amax] and sorted.  A degenerate slot draws nothing.  A tree reads
+only its own stream and its frontier is contiguous (frontiers are
+tree-major), so its draws do not depend on which trees share a call: a
+tree grown with others is the tree grown alone, bit for bit.
 
 On the update path only the settle step draws, tree by tree and in path
 order: s uniforms per redrawn slot, in slot order, then one 64-bit key
 for the node the update tags, which an eager forest then rebuilds from
-the same stream (rebuild_node).  Routing and stacking draw nothing, so a
+the same stream (rebuild).  Routing and stacking draw nothing, so a
 tree reads the same draws whether its grids were stacked with other
 trees' or not: a k-tree update leaves each tree as k one-tree updates
 would.
@@ -144,6 +163,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -425,10 +447,15 @@ class Tree:
 
     # -- construction ---------------------------------------------------
 
-    def build(self, ids):
+    def plant(self, ids):
+        """Make the root over the given sample ids, not yet grown; returns
+        it.  grow() grows it."""
         ids = np.asarray(ids, dtype=np.int64)
         self.root = Node(0, ids, int((self.ds.y[ids] == 1).sum()))
-        self._grow([self.root])
+        return self.root
+
+    def build(self, ids):
+        grow([(self, [self.plant(ids)])])
         return self
 
     def _stop(self, depth, n, n_pos):
@@ -443,102 +470,6 @@ class Tree:
         return best_cells(pool.b[r], pool.c[r], node.n, node.n_pos, pool.amin[r] == pool.amax[r],
                           self.params.criterion)
 
-    def _split_level(self, nodes, draw):
-        """Split every non-stopping node of a frontier in one vectorized pass.
-
-        Each node of `nodes` must be fresh: untagged, childless and without
-        a grid.  Splittable nodes get their grid and best split (a node
-        whose drawn attributes are all constant keeps its grid and stays a
-        leaf); the others stay slotless leaves.  Returns the new children,
-        left before right, node by node: the next frontier.
-
-        draw(grow) supplies the uniforms of the m splittable nodes: an
-        (m, d) block of attribute keys, and a function that maps the (m, p)
-        mask of degenerate slots to s uniforms for each other slot, in
-        node then slot order.
-        """
-        grow = [node for node in nodes if not self._stop(node.depth, node.n, node.n_pos)]
-        if not grow:
-            return []
-        m, p, s = len(grow), self.p, self.s
-        X = self.ds.X
-        keys, thresholds = draw(grow)
-        lens = np.array([node.n for node in grow])
-        n_pos = np.array([node.n_pos for node in grow])
-        ids = np.concatenate([node.ids for node in grow])
-        positive = self.ds.y[ids] == 1
-        starts = np.concatenate(([0], lens[:-1].cumsum()))
-        # each node's attribute subset: the p smallest of d uniform keys
-        attrs = np.argpartition(keys, p - 1, axis=1)[:, :p]
-        attrs.sort(axis=1)
-        vals = X[ids[:, None], np.repeat(attrs, lens, axis=0)]
-        amin = np.minimum.reduceat(vals, starts, axis=0)
-        amax = np.maximum.reduceat(vals, starts, axis=0)
-        flat = amin == amax
-        # s uniform thresholds per non-degenerate slot, drawn as
-        # sample_thresholds draws them; a degenerate slot draws nothing
-        thr = np.repeat(amin[:, :, None], s, axis=2)
-        lo, hi = amin[~flat], amax[~flat]
-        drawn = lo[:, None] + (hi - lo)[:, None] * thresholds(flat)
-        drawn.sort(axis=1)
-        thr[~flat] = drawn
-        # b/c per (node, slot, threshold) cell, as prefix_counts counts
-        # them: histogram each value's number of thresholds strictly below
-        # it into (node, slot, bin) and prefix-sum the bins
-        below = (np.repeat(thr.transpose(2, 0, 1), lens, axis=1) < vals).sum(
-            axis=0, dtype=np.min_scalar_type(s))
-        cell = np.repeat(np.arange(0, m * p * (s + 1), s + 1).reshape(m, p), lens, axis=0)
-        cell += below
-        size = m * p * (s + 1)
-        b = np.bincount(cell.ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
-        c = np.bincount(cell[positive].ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
-        b = b.cumsum(axis=2)
-        c = c.cumsum(axis=2)
-        best_k, best_i, usable = best_cells(b, c, lens, n_pos, flat, self.params.criterion)
-        usable = usable.tolist()
-        rows = np.arange(m)
-        best_w = thr[rows, best_k, best_i]
-        axis = attrs[rows, best_k]
-        # stable partition by (node, side) keeps each child's ids in order
-        right = X[ids, np.repeat(axis, lens)] > np.repeat(best_w, lens)
-        side = 2 * np.repeat(rows, lens) + right
-        ids = ids[np.argsort(side, kind="stable")]
-        bounds = np.concatenate(([0], np.bincount(side, minlength=2 * m).cumsum())).tolist()
-        side_pos = np.bincount(side[positive], minlength=2 * m).tolist()
-        best_k, best_i, best_w, axis = (best_k.tolist(), best_i.tolist(), best_w.tolist(),
-                                        axis.tolist())
-        pool = self.pool
-        grid_rows = pool.take(m)
-        pool.attrs[grid_rows] = attrs
-        pool.amin[grid_rows] = amin
-        pool.amax[grid_rows] = amax
-        pool.thr[grid_rows] = thr
-        pool.b[grid_rows] = b
-        pool.c[grid_rows] = c
-        children = []
-        for j, (node, row) in enumerate(zip(grow, grid_rows.tolist())):
-            node.row = row
-            if not usable[j]:
-                continue
-            node.best_k = best_k[j]
-            node.best_i = best_i[j]
-            node.best_w = best_w[j]
-            node.axis = axis[j]
-            start, mid, end = bounds[2 * j:2 * j + 3]
-            node.left = Node(node.depth + 1, ids[start:mid].copy(), side_pos[2 * j])
-            node.right = Node(node.depth + 1, ids[mid:end].copy(), side_pos[2 * j + 1])
-            children.append(node.left)
-            children.append(node.right)
-        return children
-
-    def _stream_draws(self, grow):
-        """Draws from the tree stream, in frontier order: one (m, d) block
-        of attribute keys, then one block of s uniforms per non-degenerate
-        slot."""
-        rng = self.rng
-        return (rng.random((len(grow), self.d)),
-                lambda flat: rng.random((np.count_nonzero(~flat), self.s)))
-
     def _key_stream(self, key, out):
         """Fill out with uniforms from the Philox stream keyed by key, its
         counter at zero; returns the stream's next two raw words."""
@@ -549,12 +480,6 @@ class Tree:
         self._philox.state = state
         self._keyed.random(out=out)
         return self._philox.random_raw(2).tolist()
-
-    def _grow(self, level):
-        """Grow fresh nodes into full subtrees, one frontier at a time,
-        drawing from the tree stream."""
-        while level:
-            level = self._split_level(level, self._stream_draws)
 
     def _untag(self, nodes):
         """Untag nodes and free their stale grids' rows; returns them, now
@@ -855,13 +780,11 @@ class Tree:
 
     def rebuild_node(self, node):
         """Eagerly rebuild one tagged node's subtree in place."""
-        if not node.tagged:
-            raise ValueError("node at depth %d is not tagged" % node.depth)
-        self._grow(self._untag([node]))
+        rebuild([(self, node)])
 
-    def flush(self):
-        """Rebuild every tagged subtree, all of them level by level together;
-        afterwards no tags remain."""
+    def untag_all(self):
+        """Untag every tagged node; returns them in preorder, now fresh, for
+        grow() to regrow."""
         tagged = []
         stack = [self.root]
         while stack:
@@ -871,7 +794,12 @@ class Tree:
             elif node.left is not None:
                 stack.append(node.right)
                 stack.append(node.left)
-        self._grow(self._untag(tagged))
+        return self._untag(tagged)
+
+    def flush(self):
+        """Rebuild every tagged subtree, all of them level by level together;
+        afterwards no tags remain."""
+        grow([(self, self.untag_all())])
         assert self.n_tagged == 0
 
     def node_count(self):
@@ -1029,57 +957,249 @@ def route_rows(trees, X):
 
 def materialize(reached):
     """Grow one level at each tagged node of reached, a list of distinct
-    (tree, node) pairs, untag the nodes and tag their children.
+    (tree, node) pairs, untag the nodes and tag their children: one
+    split-kernel call, whose counting runs hold at most as many samples as
+    the largest root among the trees.
 
     Every node draws from its own key and its children's keys come from
     that key's stream, so the grown trees do not depend on which nodes
     share a call.  The trees must share one Dataset, one TreeParams and
-    one GridPool.
-    The nodes go to the split kernel in calls of at most as many samples
-    as the largest root among their trees holds, the most a build or
-    flush call can see.  Counters and tag counts go to each node's tree.
+    one GridPool.  Counters and tag counts go to each node's tree.
     """
+    cap = _largest_root([tree for tree, _ in reached])
     kernel = reached[0][0]
-    cap = 0
-    for tree, _ in reached:
-        if (tree.ds is not kernel.ds or tree.pool is not kernel.pool
-                or tree.params is not kernel.params and tree.params != kernel.params):
-            raise ValueError("trees grown together must share one Dataset "
-                             "and one TreeParams, and one GridPool")
-        cap = max(cap, tree.root.n)
+    d, p, s = kernel.d, kernel.p, kernel.s
     for tree, node in reached:
         tree._untag([node])
         tree.telemetry.nodes_materialized += 1
-    call, rows = [], 0
-    for tree, node in reached:
-        if call and rows + node.n > cap:
-            _split_keyed(kernel, call)
-            call, rows = [], 0
-        call.append((tree, node))
-        rows += node.n
-    _split_keyed(kernel, call)
-
-
-def _split_keyed(kernel, pairs):
-    """One kernel call over the (tree, node) pairs' fresh nodes, each
-    drawing from its own key; tags the children with the next two words of
-    their parent's stream."""
-    d, p, s = kernel.d, kernel.p, kernel.s
     child_keys = {}
 
-    def draw(grow):
-        u = np.empty((len(grow), d + p * s))
-        for row, node in zip(u, grow):
+    def draw(splitting):
+        u = np.empty((len(splitting), d + p * s))
+        for row, (_, node) in zip(u, splitting):
             child_keys[node] = kernel._key_stream(node.key, row)
-        thr = u[:, d:].reshape(len(grow), p, s)
-        return u[:, :d], lambda flat: thr[~flat]
+        thr = u[:, d:].reshape(len(splitting), p, s)
+        return u[:, :d], lambda lo, flat: thr[lo:lo + len(flat)][~flat]
 
-    kernel._split_level([node for _, node in pairs], draw)
-    for tree, node in pairs:
+    _split_level(reached, draw, cap)
+    for tree, node in reached:
         if node.left is not None:
             node.left.tagged = node.right.tagged = True
             node.left.key, node.right.key = child_keys[node]
             tree.n_tagged += 2
+
+
+# -- growth -------------------------------------------------------------------
+
+
+def _largest_root(trees):
+    """The most samples a root among trees holds, which bounds a counting
+    run; refuses trees that do not share one Dataset, one TreeParams and
+    one GridPool."""
+    first = trees[0]
+    for tree in trees:
+        if (tree.ds is not first.ds or tree.pool is not first.pool
+                or tree.params is not first.params and tree.params != first.params):
+            raise ValueError("trees grown together must share one Dataset "
+                             "and one TreeParams, and one GridPool")
+    return max(tree.root.n for tree in trees)
+
+
+def grow(frontiers):
+    """Grow fresh nodes into full subtrees, the nodes of all trees
+    together, one frontier step per split-kernel call.
+
+    frontiers is a list of (tree, nodes), one entry per tree; the trees
+    must share one Dataset, one TreeParams and one GridPool.  Each tree
+    draws from its own stream, in the order a growth of that tree alone
+    would draw (see the module docstring, Randomness), so every tree grows
+    exactly as a one-tree call would grow it.
+    """
+    pairs = [(tree, node) for tree, nodes in frontiers for node in nodes]
+    if not pairs:
+        return
+    cap = _largest_root([tree for tree, nodes in frontiers if nodes])
+    while pairs:
+        pairs = _split_level(pairs, _stream_draws, cap)
+
+
+def rebuild(pairs):
+    """Eagerly rebuild the subtrees of tagged nodes, given as (tree, node)
+    pairs of distinct trees, all in one grow()."""
+    for _, node in pairs:
+        if not node.tagged:
+            raise ValueError("node at depth %d is not tagged" % node.depth)
+    grow([(tree, tree._untag([node])) for tree, node in pairs])
+
+
+def _stream_draws(splitting):
+    """Draws from the tree streams for the splittable (tree, node) pairs
+    of a tree-major frontier: each tree reads one (m, d) block of
+    attribute keys, then s uniforms per non-degenerate slot of its own
+    nodes, in node order, whichever chunks the nodes are split in."""
+    shares = [(tree, len(list(nodes))) for tree, nodes in groupby(splitting, key=itemgetter(0))]
+    keys = np.concatenate([tree.rng.random((m, tree.d)) for tree, m in shares])
+    firsts = np.cumsum([0] + [m for _, m in shares]).tolist()
+
+    def thresholds(lo, flat):
+        out, hi = [], lo + len(flat)
+        for (tree, _), first, end in zip(shares, firsts, firsts[1:]):
+            a, z = max(first, lo), min(end, hi)
+            if a < z:
+                out.append(tree.rng.random((np.count_nonzero(~flat[a - lo:z - lo]), tree.s)))
+        return np.concatenate(out)
+
+    return keys, thresholds
+
+
+# The most rows a kernel chunk holds, unless one node holds more: enough
+# that a chunk's fixed cost of some 65 numpy calls is small against its
+# rows (the preset's 30 trees of about 1 000 rows each fit in one chunk),
+# few enough that its per-row arrays stay a few MB, where a forest-wide
+# frontier of 100 trees of 10^5 rows would make them GB.
+CHUNK_ROWS = 1 << 16
+
+
+def _runs(lens, limit):
+    """Split nodes of the given sizes into consecutive runs of whole nodes
+    of at most limit rows each (a larger node is a run of its own); yields
+    each run's first and end index."""
+    ends = lens.cumsum()
+    a = 0
+    while a < len(lens):
+        z = max(int(np.searchsorted(ends, ends[a] - lens[a] + limit, side="right")), a + 1)
+        yield a, z
+        a = z
+
+
+def _count_below(thr, lens, vals):
+    """One counting run: for each of a run of whole nodes' rows (vals, one
+    value per slot) the number of its node's thresholds (thr) strictly
+    below the value."""
+    return (np.repeat(thr.transpose(2, 0, 1), lens, axis=1) < vals).sum(
+        axis=0, dtype=np.min_scalar_type(thr.shape[2]))
+
+
+def _split_level(pairs, draw, cap):
+    """Split every non-stopping node of a frontier in one kernel call.
+
+    pairs lists (tree, node), tree-major; the trees must share one
+    Dataset, one TreeParams and one GridPool.  Each node must be fresh:
+    untagged, childless and without a grid.  Splittable nodes get their
+    grid and best split (a node whose drawn attributes are all constant
+    keeps its grid and stays a leaf); the others stay slotless leaves.
+    Returns the new children as (tree, child), left before right, node by
+    node: the next frontier.
+
+    draw(splitting) supplies the uniforms of the m splittable pairs: an
+    (m, d) block of attribute keys, and a function thresholds(lo, flat)
+    that maps the mask of degenerate slots of nodes lo, lo + 1, ... to s
+    uniforms for each other slot, in node then slot order; it is called on
+    consecutive nodes, first to last.
+
+    The call bounds its own memory.  It splits the nodes in chunks of
+    whole nodes of at most CHUNK_ROWS rows (_split_chunk), and a chunk
+    counts its (s, rows, p) threshold comparison in runs of whole nodes
+    of at most cap rows.  cap is at least every node's size; the callers
+    pass the largest root among the trees, so that no run holds more of
+    the comparison than the build of one tree.  A frontier of at most cap
+    rows is one chunk and one run.
+    """
+    kernel = pairs[0][0]
+    splitting = [(tree, node) for tree, node in pairs
+                 if not kernel._stop(node.depth, node.n, node.n_pos)]
+    if not splitting:
+        return []
+    keys, thresholds = draw(splitting)
+    lens = np.array([node.n for _, node in splitting])
+    limit = max(cap, CHUNK_ROWS)
+    if lens.sum() <= limit:
+        return _split_chunk(kernel, splitting, keys, lens, partial(thresholds, 0), cap)
+    children = []
+    for a, z in _runs(lens, limit):
+        children += _split_chunk(kernel, splitting[a:z], keys[a:z], lens[a:z],
+                                 partial(thresholds, a), cap)
+    return children
+
+
+def _split_chunk(kernel, splitting, keys, lens, thresholds, cap):
+    """Split one chunk of splittable (tree, node) pairs in one vectorized
+    pass, given their attribute keys, their sizes and thresholds(flat),
+    the threshold uniforms of their non-degenerate slots; returns their
+    children as _split_level does."""
+    m, p, s = len(splitting), kernel.p, kernel.s
+    X = kernel.ds.X
+    n_pos = np.array([node.n_pos for _, node in splitting])
+    ids = np.concatenate([node.ids for _, node in splitting])
+    positive = kernel.ds.y[ids] == 1
+    starts = np.concatenate(([0], lens[:-1].cumsum()))
+    # each node's attribute subset: the p smallest of d uniform keys
+    attrs = np.argpartition(keys, p - 1, axis=1)[:, :p]
+    attrs.sort(axis=1)
+    vals = X[ids[:, None], np.repeat(attrs, lens, axis=0)]
+    amin = np.minimum.reduceat(vals, starts, axis=0)
+    amax = np.maximum.reduceat(vals, starts, axis=0)
+    flat = amin == amax
+    # s uniform thresholds per non-degenerate slot, drawn as
+    # sample_thresholds draws them; a degenerate slot draws nothing
+    thr = np.repeat(amin[:, :, None], s, axis=2)
+    lo, hi = amin[~flat], amax[~flat]
+    drawn = lo[:, None] + (hi - lo)[:, None] * thresholds(flat)
+    drawn.sort(axis=1)
+    thr[~flat] = drawn
+    # b/c per (node, slot, threshold) cell, as prefix_counts counts
+    # them: histogram each value's number of thresholds strictly below
+    # it into (node, slot, bin) and prefix-sum the bins
+    if len(ids) <= cap:
+        below = _count_below(thr, lens, vals)
+    else:
+        below = np.empty(vals.shape, np.min_scalar_type(s))
+        for a, z in _runs(lens, cap):
+            rows = slice(starts[a], starts[z - 1] + lens[z - 1])
+            below[rows] = _count_below(thr[a:z], lens[a:z], vals[rows])
+    cell = np.repeat(np.arange(0, m * p * (s + 1), s + 1).reshape(m, p), lens, axis=0)
+    cell += below
+    size = m * p * (s + 1)
+    b = np.bincount(cell.ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
+    c = np.bincount(cell[positive].ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
+    b = b.cumsum(axis=2)
+    c = c.cumsum(axis=2)
+    best_k, best_i, usable = best_cells(b, c, lens, n_pos, flat, kernel.params.criterion)
+    usable = usable.tolist()
+    rows = np.arange(m)
+    best_w = thr[rows, best_k, best_i]
+    axis = attrs[rows, best_k]
+    # stable partition by (node, side) keeps each child's ids in order
+    right = X[ids, np.repeat(axis, lens)] > np.repeat(best_w, lens)
+    side = 2 * np.repeat(rows, lens) + right
+    ids = ids[np.argsort(side, kind="stable")]
+    bounds = np.concatenate(([0], np.bincount(side, minlength=2 * m).cumsum())).tolist()
+    side_pos = np.bincount(side[positive], minlength=2 * m).tolist()
+    best_k, best_i, best_w, axis = (best_k.tolist(), best_i.tolist(), best_w.tolist(),
+                                    axis.tolist())
+    pool = kernel.pool
+    grid_rows = pool.take(m)
+    pool.attrs[grid_rows] = attrs
+    pool.amin[grid_rows] = amin
+    pool.amax[grid_rows] = amax
+    pool.thr[grid_rows] = thr
+    pool.b[grid_rows] = b
+    pool.c[grid_rows] = c
+    children = []
+    for j, ((tree, node), row) in enumerate(zip(splitting, grid_rows.tolist())):
+        node.row = row
+        if not usable[j]:
+            continue
+        node.best_k = best_k[j]
+        node.best_i = best_i[j]
+        node.best_w = best_w[j]
+        node.axis = axis[j]
+        start, mid, end = bounds[2 * j:2 * j + 3]
+        node.left = Node(node.depth + 1, ids[start:mid].copy(), side_pos[2 * j])
+        node.right = Node(node.depth + 1, ids[mid:end].copy(), side_pos[2 * j + 1])
+        children.append((tree, node.left))
+        children.append((tree, node.right))
+    return children
 
 
 def build_tree(ds, ids, params, rng=None):

@@ -12,7 +12,7 @@ from dynforest.forest import Forest, ForestParams, distribute, subsample_count
 from dynforest.oracle import forest_audit, occupancy_check
 from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
-from dynforest.tree import Tree, TreeParams, materialize
+from dynforest.tree import TreeParams, materialize
 from test_tree import signature
 
 
@@ -311,6 +311,24 @@ def test_unlearn_batch_rejects_bad_ids_atomically():
     assert forest.telemetry().as_dict() == tele_before
 
 
+@pytest.mark.parametrize("bad", [3.7, 3.0, True, np.float64(4.9), np.True_, "3"],
+                         ids=["float", "integral-float", "bool", "np-float", "np-bool", "str"])
+def test_non_integer_ids_are_rejected_before_anything_changes(tmp_path, bad):
+    forest = Forest.train(make_dataset(300, d=6, seed=12), quick_params(seed=12))
+    save(forest, tmp_path / "before.bin")
+    before = (tmp_path / "before.bin").read_bytes()
+    for call, arg in ((forest.delete, bad), (forest.unlearn_batch, [bad]),
+                      (forest.unlearn_batch, [10, 20, bad, 30])):
+        with pytest.raises(TypeError, match="must be an integer"):
+            call(arg)
+        save(forest, tmp_path / "after.bin")
+        assert (tmp_path / "after.bin").read_bytes() == before
+    # Python and numpy integers still name samples
+    forest.delete(np.int64(3))
+    forest.unlearn_batch([4, np.int32(5), np.uint16(6)])
+    assert not any(forest.ds.is_live(i) for i in (3, 4, 5, 6))
+
+
 def test_singleton_batch_is_bit_identical_to_delete(tmp_path):
     def build():
         ds = make_dataset(400, d=6, seed=15)
@@ -439,20 +457,26 @@ def test_cross_tree_growth_equals_tree_by_tree_queries(tmp_path):
 
 
 def spy_on_growth(monkeypatch):
-    """Record the samples each split-kernel call sees and the materialize
-    rounds that make them."""
+    """Record, per split-kernel call, the samples each of its counting runs
+    sees, and the materialize rounds that make the calls."""
     calls, rounds = [], []
-    split_level, grow = Tree._split_level, tree_mod.materialize
+    split_level, count_below, grow = (tree_mod._split_level, tree_mod._count_below,
+                                      tree_mod.materialize)
 
-    def spy_split(self, nodes, draw):
-        calls.append(sum(node.n for node in nodes))
-        return split_level(self, nodes, draw)
+    def spy_split(pairs, draw, cap):
+        calls.append([])
+        return split_level(pairs, draw, cap)
+
+    def spy_count(thr, lens, vals):
+        calls[-1].append(len(vals))
+        return count_below(thr, lens, vals)
 
     def spy_grow(reached):
         rounds.append(len(reached))
         return grow(reached)
 
-    monkeypatch.setattr(Tree, "_split_level", spy_split)
+    monkeypatch.setattr(tree_mod, "_split_level", spy_split)
+    monkeypatch.setattr(tree_mod, "_count_below", spy_count)
     monkeypatch.setattr(tree_mod, "materialize", spy_grow)
     return calls, rounds
 
@@ -469,8 +493,8 @@ def test_tagged_predict_makes_one_kernel_call_per_round(monkeypatch):
     calls, rounds = spy_on_growth(monkeypatch)
     forest.predict(x)
     assert len(rounds) > 1
-    assert len(calls) <= len(rounds)
-    assert max(calls) <= max(tree.root.n for tree in forest.trees)
+    assert len(calls) == len(rounds)
+    assert max(run for call in calls for run in call) <= max(tree.root.n for tree in forest.trees)
 
 
 def test_no_kernel_call_sees_more_rows_than_the_largest_root(monkeypatch):
@@ -485,9 +509,10 @@ def test_no_kernel_call_sees_more_rows_than_the_largest_root(monkeypatch):
     for x in X[:20]:
         forest.predict(x)
     forest.predict_many(X[20:])
-    assert max(calls) <= cap
-    # the tagged frontier of a batch outgrows one call, so the cap binds
-    assert len(calls) > len(rounds)
+    runs = [run for call in calls for run in call]
+    assert max(runs) <= cap
+    # the tagged frontier of a batch outgrows one run, so the cap binds
+    assert len(runs) > len(calls)
     assert forest_audit(forest).ok
 
 

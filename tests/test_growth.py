@@ -1,0 +1,149 @@
+"""Growth across trees: Forest.train, Forest.flush and an eager forest's
+updates grow the fresh nodes of all trees together (tree.grow), one
+split-kernel call per frontier step.  Their references grow the same nodes
+one tree at a time: build_tree, Tree.flush and Tree.rebuild_node.  Each
+tree draws from its own stream either way, so all must leave every node,
+every generator and every counter the same.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from dynforest import forest as forest_mod
+from dynforest import tree as tree_mod
+from dynforest.forest import Forest, group_by_tree
+from dynforest.oracle import forest_audit
+from dynforest.snapshot import load, save
+from dynforest.synth import make_dataset
+from dynforest.tree import build_tree
+from test_forest import quick_params, spy_on_growth
+from test_tree import signature
+from test_updates import (TreeByTree, apply, forest_state, random_updates, tagged_snapshot,
+                          twins)
+
+
+def spy_on_chunks(monkeypatch):
+    """Record the trees of each kernel chunk, in order."""
+    chunks = []
+    split_chunk = tree_mod._split_chunk
+
+    def spy(kernel, splitting, *args):
+        chunks.append([tree for tree, _ in splitting])
+        return split_chunk(kernel, splitting, *args)
+
+    monkeypatch.setattr(tree_mod, "_split_chunk", spy)
+    return chunks
+
+
+def cut_trees(chunks):
+    """Whether some tree's frontier was split between two chunks."""
+    return any(a[-1] is b[0] for a, b in zip(chunks, chunks[1:]))
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1], ids=["one-chunk", "chunked"])
+def test_train_grows_each_tree_as_build_tree_does(monkeypatch, chunk_rows):
+    ds = make_dataset(1200, d=8, seed=5)
+    params = quick_params(n_trees=10, occupancy=0.5, seed=17)
+    if chunk_rows is not None:
+        # chunks of at most the largest root's rows
+        monkeypatch.setattr(tree_mod, "CHUNK_ROWS", chunk_rows)
+    calls, _ = spy_on_growth(monkeypatch)
+    chunks = spy_on_chunks(monkeypatch)
+    forest = Forest.train(ds, params)
+    monkeypatch.undo()
+    # the roots together outgrow one run: a call counted in several
+    assert max(len(call) for call in calls) > 1
+    assert cut_trees(chunks) == (chunk_rows is not None)
+    live = ds.live_ids()
+    per_tree = group_by_tree(live, forest.assignment[live], params.n_trees)
+    seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees + 1)
+    for t, tree in enumerate(forest.trees):
+        alone = build_tree(ds, per_tree[t], params.tree, np.random.default_rng(seeds[t]))
+        assert signature(tree) == signature(alone)
+        assert tree.rng.bit_generator.state == alone.rng.bit_generator.state
+    assert forest_audit(forest).ok
+
+
+def test_flush_grows_each_tree_as_its_own_flush_does(tmp_path):
+    path = tagged_snapshot(tmp_path / "tagged.bin", 5, "gini")
+    together, by_tree = load(path), load(path)
+    together.flush()
+    for tree in by_tree.trees:
+        tree.flush()
+    assert together.telemetry().subtree_samples_rebuilt > 0
+    assert together.telemetry() == by_tree.telemetry()
+    assert [t.n_tagged for t in together.trees] == [t.n_tagged for t in by_tree.trees]
+    assert together.tagged_count() == 0
+    save(together, tmp_path / "together.bin")
+    save(by_tree, tmp_path / "by_tree.bin")
+    assert (tmp_path / "together.bin").read_bytes() == (tmp_path / "by_tree.bin").read_bytes()
+    assert forest_state(together) == forest_state(by_tree)
+    assert forest_audit(together).ok
+
+
+def test_eager_updates_rebuild_each_tree_as_rebuild_node_does(tmp_path, monkeypatch):
+    path = tagged_snapshot(tmp_path / "tagged.bin", 6, "gini")
+    together, by_tree = twins(path, False, TreeByTree)
+    sizes = []
+    rebuild = forest_mod.rebuild
+
+    def spy_rebuild(pairs):
+        sizes.append(len(pairs))
+        return rebuild(pairs)
+
+    monkeypatch.setattr(forest_mod, "rebuild", spy_rebuild)
+    rng = np.random.default_rng(8)
+    for op, arg in random_updates(together, rng, 80):
+        apply(together, op, arg)
+        apply(by_tree, op, arg)
+        assert forest_state(together) == forest_state(by_tree), (op, arg)
+    # some update tagged several of its trees, which then grew together
+    assert max(sizes) > 1
+    assert forest_audit(together).ok
+
+
+@pytest.mark.parametrize("n_trees", [1, 4, 16])
+def test_train_and_flush_make_one_kernel_call_per_level(monkeypatch, n_trees):
+    ds = make_dataset(800, d=6, seed=9)
+    params = quick_params(n_trees=n_trees, occupancy=0.5, seed=4)
+    calls, _ = spy_on_growth(monkeypatch)
+    forest = Forest.train(ds, params)
+    assert 0 < len(calls) <= params.tree.max_depth + 1
+    forest.unlearn_batch(list(range(0, 400, 4)))
+    assert forest.tagged_count() > 0
+    del calls[:]
+    forest.flush()
+    assert 0 < len(calls) <= params.tree.max_depth + 1
+    assert forest.tagged_count() == 0
+
+
+def test_chunked_query_growth_equals_one_chunk(tmp_path, monkeypatch):
+    path = tagged_snapshot(tmp_path / "tagged.bin", 7, "gini")
+    whole, chunked = load(path), load(path)
+    X = make_dataset(120, d=6, seed=71).X[:120]
+    want = whole.predict_many(X)
+    monkeypatch.setattr(tree_mod, "CHUNK_ROWS", 1)
+    chunks = spy_on_chunks(monkeypatch)
+    got = chunked.predict_many(X)
+    monkeypatch.undo()
+    assert cut_trees(chunks)
+    assert got.tobytes() == want.tobytes()
+    chunked.flush()
+    whole.flush()
+    assert chunked.telemetry() == whole.telemetry()
+    save(whole, tmp_path / "whole.bin")
+    save(chunked, tmp_path / "chunked.bin")
+    assert (tmp_path / "whole.bin").read_bytes() == (tmp_path / "chunked.bin").read_bytes()
+
+
+def test_tagged_predict_many_makes_one_kernel_call_per_round(monkeypatch):
+    ds = make_dataset(1200, d=8, seed=6)
+    forest = Forest.train(ds, quick_params(n_trees=12, occupancy=0.5, seed=6))
+    forest.unlearn_batch(list(range(0, 240, 2)))
+    assert forest.tagged_count() > 0
+    calls, rounds = spy_on_growth(monkeypatch)
+    forest.predict_many(make_dataset(150, d=8, seed=61).X[:150])
+    assert len(rounds) > 1
+    assert len(calls) == len(rounds)

@@ -28,6 +28,10 @@ exact in one run, but self times drift with the machine: one traced run per
 side can read every layer of the side that runs second 15-50% slower, so
 trace several seeds.
 
+After writing the file, the script prints one line per workload and
+metric to stderr: the parent's median, the change's median, their ratio,
+the pairs the change won, and "unresolved" where the metric is.
+
 The script exits 1 when a claim fails, when any run reports correct:
 false, or when the change fails more operations than the parent on some
 workload; the file is written either way.
@@ -114,6 +118,20 @@ def judge_claim(entry):
             "holds": bool(entry["pair_wins"] >= 0.9 * entry["pairs"] and gap > iqr)}
 
 
+def summary_lines(doc):
+    """One line per workload and metric: the parent's and the change's
+    medians, their ratio, the pairs the change won, and whether the metric
+    is unresolved."""
+    lines = []
+    for workload, entry in doc["workloads"].items():
+        for name, m in entry["metrics"].items():
+            lines.append("%-14s %-26s parent %12.6g  change %12.6g  ratio %6.3f  won %2d/%d%s"
+                         % (workload, name, m["parent"]["median"], m["change"]["median"],
+                            m["ratio_change_over_parent"], m["pair_wins"], m["pairs"],
+                            "  unresolved" if m["unresolved"] else ""))
+    return lines
+
+
 def git_head(checkout):
     out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
                          capture_output=True, text=True)
@@ -194,6 +212,8 @@ def main(argv=None):
         json.dump(doc, f, indent=1)
         f.write("\n")
     print(path)
+    for line in summary_lines(doc):
+        print(line, file=sys.stderr)
     faults = []
     for workload, entry in doc["workloads"].items():
         if not all(entry["correct"].values()):
