@@ -299,11 +299,14 @@ class Dataset:
         """Tombstone distinct live ids as tombstone() does one, zeroing
         their rows in one assignment.
 
-        Every id is checked before any row changes.
+        Every id is checked before any row changes; the error names the
+        first id that is not live.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        for sample_id in ids.tolist():
-            self._check_live(sample_id)
+        live = (ids >= 0) & (ids < self._next_id)
+        live[live] = self._live[ids[live]]
+        if not live.all():
+            self._check_live(int(ids[np.argmin(live)]))
         if len(np.unique(ids)) != len(ids):
             raise KeyError("ids to tombstone must be distinct")
         self._live[ids] = False

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .tree import (GridPool, Telemetry, Tree, TreeParams, grow, rebuild, route_row, route_rows,
-                   update_paths)
+from .tree import (GridPool, Telemetry, Tree, TreeParams, delete_groups, grow, rebuild, route_row,
+                   route_rows, update_paths)
 
 
 def subsample_count(occupancy, n_trees):
@@ -239,18 +239,20 @@ class Forest:
         trees = [self.trees[t] for t in tree_ids]
         tagged = update_paths(trees, sample_id, add)
         if not self.lazy:
-            rebuild([(tree, node) for tree, node in zip(trees, tagged) if node is not None])
+            rebuild([(tree, [node]) for tree, node in zip(trees, tagged) if node is not None])
 
     def unlearn_batch(self, ids, finalize=False):
-        """Delete many samples in one grouped pass per tree; optionally
-        flush tagged subtrees afterwards.
+        """Delete many samples in one grouped walk; optionally flush tagged
+        subtrees afterwards.
 
-        Each tree removes its share of the batch in a single traversal
-        (Tree.delete_group) that splits the group at each node, so
-        per-node grid updates amortize across the batch; the batch's rows
-        are then zeroed in one step.  The id list is validated up front:
-        one unknown, dead, repeated or non-integer id rejects the whole
-        batch before anything is deleted.
+        Each tree's share of the batch goes down its tree split at each
+        node by the node's split, and the nodes of all trees are walked
+        level by level together (tree.delete_groups): each level's grids
+        are patched, rescanned and scored in stacked calls.  The batch's
+        rows are then zeroed in one step.  An eager forest then regrows
+        every node the batch tagged, all in one tree.grow.  The id list is
+        validated up front: one unknown, dead, repeated or non-integer id
+        rejects the whole batch before anything is deleted.
         """
         ids = [_sample_id(i) for i in ids]
         seen = set()
@@ -262,11 +264,9 @@ class Forest:
             seen.add(sample_id)
         batch = np.asarray(ids, np.int64)
         groups = group_by_tree(batch, self.assignment[batch], len(self.trees))
-        for t, group in enumerate(groups):
-            tagged = self.trees[t].delete_group(group)
-            if not self.lazy:
-                for node in tagged:
-                    self.trees[t].rebuild_node(node)
+        tagged = delete_groups(list(zip(self.trees, groups)))
+        if not self.lazy:
+            rebuild(list(zip(self.trees, tagged)))
         self.assignment[batch] = -1
         self.ds.tombstone_many(batch)
         if finalize:

@@ -7,7 +7,10 @@ retraining builds a fresh forest instead of patching one, and the
 occupancy checker rescans every tree.  Slow and simple on purpose.
 score_candidates is the exception: it scores one slot through the
 per-slot prefix_counts of the update path, so that path can be checked
-against sortmerge_best_split.
+against sortmerge_best_split.  reference_delete_group is another: it
+walks one tree depth first, a node per step, and settles each node
+through the single-sample deletion's own rule (Tree._settle_deleted),
+so that the level-synchronous group walk can be checked against it.
 """
 
 from __future__ import annotations
@@ -117,6 +120,57 @@ def reference_fractions(forest, X):
             n, n_pos = reference_leaf(tree, x)
             out[t, r] = n_pos / n if n else forest.prior
     return out
+
+
+def reference_delete_group(tree, group):
+    """Delete a group of samples from one tree depth first; returns the
+    nodes it tagged, in preorder.
+
+    At each node the group leaves the ids, its values are taken out of the
+    counts one cell comparison at a time, the node is settled by
+    Tree._settle_deleted (which rescans, redraws, scores and tags it), and
+    the group is split by the node's split between its children, left
+    first.  The tree stream is read node by node in preorder, where
+    tree.delete_groups reads it level by level, so the two agree in law,
+    and bit for bit on a group of one.
+    """
+    group = np.asarray(group, dtype=np.int64)
+    tagged = []
+    if len(group):
+        member = np.zeros(tree.ds.next_id, bool)
+        member[group] = True
+        _reference_delete(tree, tree.root, group, member, tagged)
+    return tagged
+
+
+def _reference_delete(tree, node, group, member, tagged):
+    keep = node.ids[~member[node.ids]]
+    missing = len(group) - (len(node.ids) - len(keep))
+    if missing:
+        raise ValueError("%d of %d ids not present at depth %d; tree and "
+                         "routing disagree" % (missing, len(group), node.depth))
+    node.ids = keep
+    labels = tree.ds.y[group] == 1
+    node.n_pos -= int(labels.sum())
+    pool, r = tree.pool, node.row
+    hit = None
+    if r != -1:
+        vals = tree.ds.X[group[:, None], pool.attrs[r]]
+        covered = pool.thr[r] >= vals[:, :, None]
+        pool.b[r] -= covered.sum(axis=0)
+        pool.c[r] -= covered[labels].sum(axis=0)
+        hit = ((vals == pool.amin[r]) | (vals == pool.amax[r])).any(axis=0)
+        if not hit.any():
+            hit = None
+    tag = tree._settle_deleted(node, hit, None)
+    if tag is not None:
+        tagged.append(tag)
+    if node.left is None:
+        return
+    go_left = tree.ds.X[group, node.axis] <= node.best_w
+    for child, side in ((node.left, go_left), (node.right, ~go_left)):
+        if side.any():
+            _reference_delete(tree, child, group[side], member, tagged)
 
 
 def naive_retrain(ds, params, seed=None):

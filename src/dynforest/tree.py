@@ -55,15 +55,34 @@ three steps.
            value widened (tags_widened).  Nodes the route patched below a
            node tagged here are discarded with its subtree.
 
-Deleting a group (delete_group, Forest.unlearn_batch) keeps a recursive
-walk: the group is split at each node by that node's split, so each path
-node is patched once.  Both deletion walks then settle each node through
-one helper (_settle_deleted), so they apply the same rules, and a group
-of one leaves the tree exactly as delete() does.  A tagged node's
-subtree is discarded but nothing is rebuilt yet.  Its later regrowth
-redraws the candidates whose scores decided to tag it, which biases the
-updated tree away from a retrain (tests/test_exactness.py; ROADMAP item
-1).
+Deleting a group is one walk over any number of trees, delete_groups:
+Forest.unlearn_batch passes every tree with its share of the batch, and
+Tree.delete_group is a one-tree call into it.  The group is split at
+each node by that node's split, so each visited node is patched once,
+and the nodes of all trees go down together a depth at a time, as in
+growth.  At each depth:
+
+  Drop.    The groups leave their nodes' ids and n_pos follows.  Every
+           node of the depth is checked to hold its group before any
+           changes, so a bad group changes no tree.
+  Patch.   The grids of all the depth's nodes are patched in one stacked
+           count of their groups, with the range hits of each slot.
+  Rescan.  The hit slots are rescanned in one stacked min/max over the
+           nodes' remaining ids, and an emptied node's grid is zeroed.
+           A changed slot of an untagged, unstopped node is redrawn and
+           recounted, as in Settle above.
+  Score.   The untagged split nodes are scored in one best_cells call.
+  Tag.     Nodes are tagged in frontier order, by the rules of the Settle
+           step (tags_stopped, tags_moved), and each other split node's
+           group goes on to its children.
+
+Stacks are built in chunks of whole nodes, bounded as growth's are (see
+Growth), so a large batch over many trees holds a few MB of them at a
+time.  oracle.reference_delete_group keeps the depth-first walk, one node
+per step, as the reference.  A tagged node's subtree is discarded but
+nothing is rebuilt yet.  Its later regrowth redraws the candidates whose
+scores decided to tag it, which biases the updated tree away from a
+retrain (tests/test_exactness.py; ROADMAP item 1).
 
 Tagged nodes still receive id and count updates, and a deletion rescans
 (without a redraw) the ranges of a tagged or newly stop-tagged node where
@@ -88,8 +107,8 @@ split-kernel call (_split_level) per frontier step splits a whole
 frontier of nodes of any number of trees in one vectorized pass and
 returns the next frontier.  grow() takes (tree, fresh nodes) per tree
 and grows them into full subtrees: Forest.train passes every root,
-Forest.flush every tree's tagged nodes, and an eager Forest's update the
-nodes it tagged in its k trees (through rebuild()).  Tree.build,
+Forest.flush every tree's tagged nodes, and an eager Forest's update or
+batch the nodes it tagged in all its trees (through rebuild()).  Tree.build,
 Tree.flush and Tree.rebuild_node are one-tree calls into it.
 materialize() is one kernel call that grows one level only.
 
@@ -124,6 +143,17 @@ the same stream (rebuild).  Routing and stacking draw nothing, so a
 tree reads the same draws whether its grids were stacked with other
 trees' or not: a k-tree update leaves each tree as k one-tree updates
 would.
+
+A group deletion draws depth by depth.  At each depth a tree reads s
+uniforms per redrawn slot of its nodes, in frontier then slot order,
+then one key per node it tags, in frontier order.  Again no tree reads
+another's stream, so a cross-tree call leaves each tree as its own
+delete_group would.  A group of one visits one node per depth and draws
+as delete() does, bit for bit.  A larger group reads the stream in
+another order than the depth-first reference walk, but which positions a
+node reads is fixed before they are read, as below, so each node's draws
+are fresh i.i.d. uniforms either way and the law of the updated tree is
+the same.
 
 Growth driven by queries reads node keys instead.  A node materialized by
 a query reads d + p*s uniforms (the attribute keys, then s per slot; a
@@ -560,60 +590,21 @@ class Tree:
         return update_paths([self], sample_id, add=True)[0]
 
     def delete_group(self, group):
-        """Remove a set of samples in one traversal; returns the nodes that
-        became tagged.
+        """Remove a set of samples in one level-by-level walk; returns the
+        nodes that became tagged.
 
         Equivalent in distribution to deleting them one by one; grouping
         lets the per-node grid work amortize across the batch.  A group of
-        one leaves the tree exactly as delete() does.
+        one leaves the tree exactly as delete() does.  A one-tree call
+        into delete_groups.
         """
-        group = np.asarray(group, dtype=np.int64)
-        tagged = []
-        if len(group):
-            member = np.zeros(self.ds.next_id, bool)
-            member[group] = True
-            self._delete_group(self.root, group, self.ds.y[group] == 1, member, tagged)
-        return tagged
-
-    def _delete_group(self, node, group, labels, member, tagged):
-        keep = node.ids[~member[node.ids]]
-        missing = len(group) - (len(node.ids) - len(keep))
-        if missing:
-            raise ValueError("%d of %d ids not present at depth %d; tree and "
-                             "routing disagree" % (missing, len(group), node.depth))
-        node.ids = keep
-        n_pos = np.count_nonzero(labels)
-        node.n_pos -= n_pos
-        pool, r = self.pool, node.row
-        hit = None
-        if r != -1:
-            vals = self.ds.X[group[:, None], pool.attrs[r]]
-            covered = pool.thr[r] >= vals[:, :, None]
-            db = covered.sum(axis=0)
-            pool.b[r] -= db
-            if n_pos:
-                pool.c[r] -= db if n_pos == len(group) else covered[labels].sum(axis=0)
-            hit = ((vals == pool.amin[r]) | (vals == pool.amax[r])).any(axis=0)
-            if not hit.any():
-                hit = None
-        tag = self._settle_deleted(node, hit, None)
-        if tag is not None:
-            tagged.append(tag)
-        if node.left is None:
-            return
-        go_left = vals[:, node.best_k] <= node.best_w
-        for child, side in ((node.left, go_left), (node.right, ~go_left)):
-            routed = np.count_nonzero(side)
-            if routed == len(group):
-                self._delete_group(child, group, labels, member, tagged)
-            elif routed:
-                self._delete_group(child, group[side], labels[side], member, tagged)
+        return delete_groups([(self, group)])[0]
 
     def _settle_deleted(self, node, hit, cell):
-        """Settle one node whose ids, n_pos and counts a deletion has
-        patched, by the same rules in both deletion walks; returns the node
-        if it was tagged here, else None.  The walk goes on below the node
-        only if it still has children.
+        """Settle one node whose ids, n_pos and counts a single-sample
+        deletion has patched; returns the node if it was tagged here, else
+        None.  The walk goes on below the node only if it still has
+        children.  delete_groups applies the same rules a level at a time.
 
         hit marks the slots where a removed value sat on a range boundary,
         or is None if there are none (or the node has no grid).  cell is
@@ -780,7 +771,7 @@ class Tree:
 
     def rebuild_node(self, node):
         """Eagerly rebuild one tagged node's subtree in place."""
-        rebuild([(self, node)])
+        rebuild([(self, [node])])
 
     def untag_all(self):
         """Untag every tagged node; returns them in preorder, now fresh, for
@@ -876,6 +867,230 @@ class _StackedGrids:
         n_pos = np.array([node.n_pos for node in nodes])
         k, i, usable = best_cells(b, c, n, n_pos, amin == amax, tree.params.criterion)
         self.cells = list(zip(k.tolist(), i.tolist(), usable.tolist()))
+
+
+# -- group deletion -----------------------------------------------------------
+
+
+def delete_groups(pairs):
+    """Delete a group of samples from each of several trees; returns, per
+    pair, the list of nodes the deletion tagged.
+
+    pairs lists (tree, group): distinct trees that share one Dataset, one
+    TreeParams and one GridPool, each with the ids to delete from it, all
+    still live in the Dataset.  The nodes of all trees are walked together
+    a level at a time (see the module docstring, Deleting a group).  Every
+    node of a level is checked to hold its whole group before any node of
+    it changes, so a group holding an id that its tree's root does not
+    hold raises ValueError and leaves every tree as it was.
+    """
+    trees = [tree for tree, _ in pairs]
+    groups = [np.asarray(group, dtype=np.int64) for _, group in pairs]
+    tagged = [[] for _ in pairs]
+    frontier = [(t, trees[t].root) for t, group in enumerate(groups) if len(group)]
+    if not frontier:
+        return tagged
+    cap = _largest_root([trees[t] for t, _ in frontier])
+    grp = np.concatenate([groups[t] for t, _ in frontier])
+    lens = np.array([len(groups[t]) for t, _ in frontier])
+    member = np.zeros(trees[frontier[0][0]].ds.next_id, bool)
+    while frontier:
+        frontier, grp, lens = _delete_level(trees, frontier, grp, lens, member, cap, tagged)
+    return tagged
+
+
+def _delete_level(trees, frontier, grp, lens, member, cap, tagged):
+    """One level of delete_groups.  frontier lists (tree index, node),
+    tree-major; grp holds their groups one after another, lens[j] ids for
+    node j, and member is an all-False mask over the sample ids.  Appends
+    the nodes tagged here to tagged[tree index]; returns the next level's
+    (frontier, grp, lens)."""
+    kernel = trees[frontier[0][0]]
+    ds = kernel.ds
+    ends = lens.cumsum()
+    starts = ends - lens
+    # drop each node's group from its ids, checking every node first
+    keeps, j = [], 0
+    for _, run in groupby(frontier, key=itemgetter(0)):
+        nodes = [node for _, node in run]
+        share = grp[starts[j]:ends[j + len(nodes) - 1]]
+        member[share] = True
+        keeps += [node.ids[~member[node.ids]] for node in nodes]
+        member[share] = False
+        j += len(nodes)
+    for (_, node), keep, size in zip(frontier, keeps, lens.tolist()):
+        missing = size - (node.n - len(keep))
+        if missing:
+            raise ValueError("%d of %d ids not present at depth %d; tree and "
+                             "routing disagree" % (missing, size, node.depth))
+    gone_pos = np.add.reduceat(ds.y[grp] == 1, starts)
+    for (t, node), keep, gone in zip(frontier, keeps, gone_pos.tolist()):
+        node.ids = keep
+        node.n_pos -= gone
+        trees[t].telemetry.nodes_updated += 1
+    stopped = [node.left is not None and kernel._stop(node.depth, node.n, node.n_pos)
+               for _, node in frontier]
+    gridded = [j for j, (_, node) in enumerate(frontier) if node.row != -1]
+    moved = set()
+    if gridded:
+        _patch_level(trees, frontier, grp, lens, gridded, stopped, cap)
+        moved = _moved_nodes(kernel, frontier, [j for j in gridded if not stopped[j]
+                                                and frontier[j][1].left is not None])
+    # tags draw their keys in frontier order, after every redraw of the level
+    for j, (t, node) in enumerate(frontier):
+        if stopped[j] or j in moved:
+            tagged[t].append(trees[t]._tag(node, "tags_stopped" if stopped[j] else "tags_moved"))
+    # route each group on to the children of the nodes still split
+    routed = [j for j, (_, node) in enumerate(frontier) if node.left is not None]
+    if not routed:
+        return [], None, None
+    grp, lens = _groups_of(routed, grp, lens)
+    nodes = [frontier[j] for j in routed]
+    axis = np.array([node.axis for _, node in nodes])
+    best_w = np.array([node.best_w for _, node in nodes])
+    right = ds.X[grp, np.repeat(axis, lens)] > np.repeat(best_w, lens)
+    side = 2 * np.repeat(np.arange(len(nodes)), lens) + right
+    sizes = np.bincount(side, minlength=2 * len(nodes)).tolist()
+    children = []
+    for (t, node), n_left, n_right in zip(nodes, sizes[::2], sizes[1::2]):
+        if n_left:
+            children.append((t, node.left))
+        if n_right:
+            children.append((t, node.right))
+    return children, grp[np.argsort(side, kind="stable")], np.array([n for n in sizes if n])
+
+
+def _groups_of(picked, grp, lens):
+    """The groups of the picked nodes (a sorted list of node indices) of a
+    level whose groups grp holds, lens[j] ids for node j: their ids and
+    lens."""
+    if len(picked) == len(lens):
+        return grp, lens
+    keep = np.zeros(len(lens), bool)
+    keep[picked] = True
+    return grp[np.repeat(keep, lens)], lens[picked]
+
+
+def _patch_level(trees, frontier, grp, lens, gridded, stopped, cap):
+    """Patch the grids of a delete_groups level: take each gridded node's
+    group out of its counts, zero the grids of emptied nodes, and rescan
+    the slots where a deleted value sat on a range boundary; an untagged,
+    unstopped node redraws the slots whose range changed.  Patches go in
+    chunks of whole nodes of at most CHUNK_ROWS rows, a grid counting as s
+    rows; rescans in runs of whole slots of at most as many rows as the
+    largest root or CHUNK_ROWS, whichever is more."""
+    kernel = trees[frontier[0][0]]
+    pool, p, s = kernel.pool, kernel.p, kernel.s
+    grp, lens = _groups_of(gridded, grp, lens)
+    rows = np.array([frontier[j][1].row for j in gridded])
+    hit = np.empty((len(gridded), p), bool)
+    ends = lens.cumsum()
+    for a, z in _runs(lens + s, CHUNK_ROWS):
+        span = slice(ends[a] - lens[a], ends[z - 1])
+        hit[a:z] = _patch_chunk(kernel, rows[a:z], grp[span], lens[a:z], cap)
+    # an emptied node has no value left to rescan to: zero its ranges and
+    # thresholds, as its dead rows are
+    emptied = np.array([frontier[j][1].n == 0 for j in gridded])
+    if emptied.any():
+        pool.amin[rows[emptied]] = 0.0
+        pool.amax[rows[emptied]] = 0.0
+        pool.thr[rows[emptied]] = 0.0
+        hit[emptied] = False
+    # the hit (node, slot) pairs, in frontier then slot order
+    at, slots = np.nonzero(hit)
+    if not len(at):
+        return
+    at = at.tolist()
+    pairs = [(frontier[gridded[j]], not (stopped[gridded[j]] or frontier[gridded[j]][1].tagged))
+             for j in at]
+    sizes = np.array([node.n for (_, node), _ in pairs])
+    redrawn = np.empty(len(pairs), bool)
+    for a, z in _runs(sizes, max(cap, CHUNK_ROWS)):
+        redrawn[a:z] = _rescan_run(trees, pairs[a:z], rows[at[a:z]], slots[a:z], sizes[a:z],
+                                   cap)
+    last = None
+    for ((t, node), _), again in zip(pairs, redrawn.tolist()):
+        if again:
+            telemetry = trees[t].telemetry
+            telemetry.attrs_resampled += 1
+            if node is not last:
+                telemetry.range_resample_samples += node.n
+                last = node
+
+
+def _patch_chunk(kernel, rows, grp, lens, cap):
+    """Take a chunk's groups out of its nodes' counts (pool rows rows,
+    lens[j] ids of grp for node j); returns per node and slot whether a
+    deleted value sat on the range boundary."""
+    pool = kernel.pool
+    vals = kernel.ds.X[grp[:, None], np.repeat(pool.attrs[rows], lens, axis=0)]
+    db, dc = _prefix_grids(_below(pool.thr[rows], lens, vals, cap), lens,
+                           kernel.ds.y[grp] == 1, kernel.s)
+    pool.b[rows] -= db
+    pool.c[rows] -= dc
+    edge = ((vals == np.repeat(pool.amin[rows], lens, axis=0))
+            | (vals == np.repeat(pool.amax[rows], lens, axis=0)))
+    return np.logical_or.reduceat(edge, np.concatenate(([0], lens[:-1].cumsum())), axis=0)
+
+
+def _rescan_run(trees, pairs, rows, slots, sizes, cap):
+    """Rescan a run of hit slots: pairs lists ((tree index, node),
+    redrawable) per slot, at pool rows rows and slots slots, whose nodes
+    hold sizes ids.  A changed range is stored.  A redrawable one also
+    draws s uniforms from its tree's stream, as sample_thresholds draws
+    them (nothing if the new range is a single value), and is recounted;
+    the recount compares one slot per row, in runs of at most cap * p
+    rows, no more than growth compares in its runs.  Returns the mask of
+    redrawn slots."""
+    kernel = trees[pairs[0][0][0]]
+    ds, pool, p, s = kernel.ds, kernel.pool, kernel.p, kernel.s
+    ids = np.concatenate([node.ids for (_, node), _ in pairs])
+    vals = ds.X[ids, np.repeat(pool.attrs[rows, slots], sizes)]
+    starts = np.concatenate(([0], sizes[:-1].cumsum()))
+    lo = np.minimum.reduceat(vals, starts)
+    hi = np.maximum.reduceat(vals, starts)
+    changed = (lo != pool.amin[rows, slots]) | (hi != pool.amax[rows, slots])
+    pool.amin[rows[changed], slots[changed]] = lo[changed]
+    pool.amax[rows[changed], slots[changed]] = hi[changed]
+    redrawn = changed & np.array([again for _, again in pairs])
+    if not redrawn.any():
+        return redrawn
+    at = np.flatnonzero(redrawn)
+    lo, hi, rows, slots = lo[at], hi[at], rows[at], slots[at]
+    thr = np.repeat(lo[:, None], s, axis=1)
+    drawn = lo != hi
+    if drawn.any():
+        owners = [pairs[q][0][0] for q in at[drawn].tolist()]
+        u = np.concatenate([trees[t].rng.random((len(list(run)), s))
+                            for t, run in groupby(owners)])
+        lo_d, hi_d = lo[drawn], hi[drawn]
+        thr[drawn] = np.sort(lo_d[:, None] + (hi_d - lo_d)[:, None] * u, axis=1)
+    pool.thr[rows, slots] = thr
+    keep = np.repeat(redrawn, sizes)
+    ids, vals, sizes = ids[keep], vals[keep, None], sizes[at]
+    b, c = _prefix_grids(_below(thr[:, None, :], sizes, vals, cap * p), sizes,
+                         ds.y[ids] == 1, s)
+    pool.b[rows, slots] = b[:, 0]
+    pool.c[rows, slots] = c[:, 0]
+    return redrawn
+
+
+def _moved_nodes(kernel, frontier, scored):
+    """The indices among scored of the frontier's split nodes whose best
+    cell moved (see _moved), scored in one best_cells call per chunk of
+    whole grids, a grid counting as s rows of CHUNK_ROWS."""
+    pool, moved = kernel.pool, set()
+    for a, z in _runs(np.full(len(scored), kernel.s), CHUNK_ROWS):
+        nodes = [frontier[j][1] for j in scored[a:z]]
+        rows = np.array([node.row for node in nodes])
+        k, i, usable = best_cells(pool.b[rows], pool.c[rows], np.array([node.n for node in nodes]),
+                                  np.array([node.n_pos for node in nodes]),
+                                  pool.amin[rows] == pool.amax[rows], kernel.params.criterion)
+        off = (~usable | (k != [node.best_k for node in nodes])
+               | (i != [node.best_i for node in nodes])
+               | (pool.thr[rows, k, i] != [node.best_w for node in nodes]))
+        moved.update(scored[a + q] for q in np.flatnonzero(off).tolist())
+    return moved
 
 
 # -- query routing ----------------------------------------------------------
@@ -1023,13 +1238,15 @@ def grow(frontiers):
         pairs = _split_level(pairs, _stream_draws, cap)
 
 
-def rebuild(pairs):
-    """Eagerly rebuild the subtrees of tagged nodes, given as (tree, node)
-    pairs of distinct trees, all in one grow()."""
-    for _, node in pairs:
-        if not node.tagged:
-            raise ValueError("node at depth %d is not tagged" % node.depth)
-    grow([(tree, tree._untag([node])) for tree, node in pairs])
+def rebuild(frontiers):
+    """Eagerly rebuild the subtrees of tagged nodes, given as (tree, nodes)
+    of distinct trees, all in one grow().  Every node is checked to be
+    tagged before any is untagged."""
+    for _, nodes in frontiers:
+        for node in nodes:
+            if not node.tagged:
+                raise ValueError("node at depth %d is not tagged" % node.depth)
+    grow([(tree, tree._untag(nodes)) for tree, nodes in frontiers])
 
 
 def _stream_draws(splitting):
@@ -1078,6 +1295,33 @@ def _count_below(thr, lens, vals):
     below the value."""
     return (np.repeat(thr.transpose(2, 0, 1), lens, axis=1) < vals).sum(
         axis=0, dtype=np.min_scalar_type(thr.shape[2]))
+
+
+def _below(thr, lens, vals, cap):
+    """_count_below over a stack of whole nodes' rows, counted in runs of
+    whole nodes of at most cap rows."""
+    if len(vals) <= cap:
+        return _count_below(thr, lens, vals)
+    below = np.empty(vals.shape, np.min_scalar_type(thr.shape[2]))
+    ends = lens.cumsum()
+    for a, z in _runs(lens, cap):
+        rows = slice(ends[a] - lens[a], ends[z - 1])
+        below[rows] = _count_below(thr[a:z], lens[a:z], vals[rows])
+    return below
+
+
+def _prefix_grids(below, lens, positive, s):
+    """The b and c grids of a stack of whole nodes, as prefix_counts counts
+    them, from each row's _below count and label: histogram the
+    counts into (node, slot, bin) and prefix-sum the bins.  Returns two
+    (m, p, s) int64 arrays."""
+    m, p = len(lens), below.shape[1]
+    size = m * p * (s + 1)
+    cell = np.repeat(np.arange(0, size, s + 1).reshape(m, p), lens, axis=0)
+    cell += below
+    b = np.bincount(cell.ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
+    c = np.bincount(cell[positive].ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
+    return b.cumsum(axis=2), c.cumsum(axis=2)
 
 
 def _split_level(pairs, draw, cap):
@@ -1147,23 +1391,7 @@ def _split_chunk(kernel, splitting, keys, lens, thresholds, cap):
     drawn = lo[:, None] + (hi - lo)[:, None] * thresholds(flat)
     drawn.sort(axis=1)
     thr[~flat] = drawn
-    # b/c per (node, slot, threshold) cell, as prefix_counts counts
-    # them: histogram each value's number of thresholds strictly below
-    # it into (node, slot, bin) and prefix-sum the bins
-    if len(ids) <= cap:
-        below = _count_below(thr, lens, vals)
-    else:
-        below = np.empty(vals.shape, np.min_scalar_type(s))
-        for a, z in _runs(lens, cap):
-            rows = slice(starts[a], starts[z - 1] + lens[z - 1])
-            below[rows] = _count_below(thr[a:z], lens[a:z], vals[rows])
-    cell = np.repeat(np.arange(0, m * p * (s + 1), s + 1).reshape(m, p), lens, axis=0)
-    cell += below
-    size = m * p * (s + 1)
-    b = np.bincount(cell.ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
-    c = np.bincount(cell[positive].ravel(), minlength=size).reshape(m, p, s + 1)[:, :, :s]
-    b = b.cumsum(axis=2)
-    c = c.cumsum(axis=2)
+    b, c = _prefix_grids(_below(thr, lens, vals, cap), lens, positive, s)
     best_k, best_i, usable = best_cells(b, c, lens, n_pos, flat, kernel.params.criterion)
     usable = usable.tolist()
     rows = np.arange(m)

@@ -11,6 +11,11 @@ Each arm grows TREES trees of a 9-row probe; a tree is keyed by its
 shape, and a chi-square test compares the two arms' key counts, with
 keys seen fewer than POOL_BELOW times in both arms together pooled into
 one column.
+
+The same test checks that the level-synchronous group walk
+(Tree.delete_group) deletes a group with the law of the depth-first
+reference walk (oracle.reference_delete_group): the two read the tree
+stream in different orders, so only their laws can agree.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 import pytest
 
 from dynforest.data import dataset_from_arrays
+from dynforest.oracle import reference_delete_group
 from dynforest.tree import TreeParams, build_tree
 
 stats = pytest.importorskip("scipy.stats")
@@ -65,3 +71,20 @@ def test_delete_then_flush_is_distributed_as_a_retrain(row):
                                    np.random.default_rng(10**6 + s)).root)] += 1
     p = p_value(updated, retrained)
     assert p >= P_FLOOR, "delete row %d: p = %.2g" % (row, p)
+
+
+def test_group_walk_is_distributed_as_the_reference_walk():
+    ds = dataset_from_arrays(X, Y)
+    group = [0, 4, 7]
+    level, reference = Counter(), Counter()
+    for s in range(TREES):
+        tree = build_tree(ds, np.arange(len(X)), PARAMS, np.random.default_rng(s))
+        tree.delete_group(group)
+        tree.flush()
+        level[shape(tree.root)] += 1
+        tree = build_tree(ds, np.arange(len(X)), PARAMS, np.random.default_rng(10**6 + s))
+        reference_delete_group(tree, group)
+        tree.flush()
+        reference[shape(tree.root)] += 1
+    p = p_value(level, reference)
+    assert p >= P_FLOOR, "delete_group([0, 4, 7]): p = %.2g" % p

@@ -126,6 +126,21 @@ def test_tombstone_many_zeroes_rows_in_one_step_and_checks_first():
     assert not ds.X[[ROW, 3]].any() and not ds.y[[ROW, 3]].any()
 
 
+
+def test_tombstone_many_names_the_first_id_not_live():
+    X, y = sentinel_arrays(0, True)
+    ds = dataset_from_arrays(X, y)
+    ds.tombstone(5)
+    with pytest.raises(KeyError, match="sample id 5 is dead"):
+        ds.tombstone_many([3, 5, 10 ** 6])
+    with pytest.raises(KeyError, match="sample id 1000000 is unknown"):
+        ds.tombstone_many([3, 10 ** 6, 5])
+    with pytest.raises(KeyError, match="sample id -1 is unknown"):
+        ds.tombstone_many([-1, 5])
+    with pytest.raises(KeyError, match="distinct"):
+        ds.tombstone_many([3, 4, 3])
+    assert ds.n_live == 399 and ds.is_live(3) and ds.is_live(4)
+
 def write_csv(tmp_path, X, y):
     schema = Schema(tuple(Column("a%d" % j, NUMERIC) for j in range(D))
                     + (Column("label", LABEL),), "1")

@@ -1,0 +1,151 @@
+"""Grouped deletion: the level-synchronous walk of tree.delete_groups.
+
+Forest.unlearn_batch deletes each tree's share of a batch in one walk over
+all trees, a level at a time.  Its references are the same walk one tree
+at a time (Tree.delete_group) and, for a group of one, Tree.delete.  The
+depth-first reference walk of oracle.py reads the tree stream in another
+order, so it is compared in law (tests/test_exactness.py) and, on a group
+of one, bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from dynforest import criterion as crit
+from dynforest import tree as tree_mod
+from dynforest.forest import Forest, group_by_tree
+from dynforest.oracle import forest_audit, reference_delete_group
+from dynforest.snapshot import load, save
+from dynforest.synth import make_dataset
+from dynforest.tree import delete_groups, rebuild
+from test_forest import quick_params
+from test_updates import forest_state, node_state, tagged_snapshot
+
+
+def batch_of(forest, size, seed):
+    return np.random.default_rng(seed).choice(forest.ds.live_ids(), size, replace=False)
+
+
+def saved(forest, path):
+    save(forest, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
+@pytest.mark.parametrize("seed,criterion", [(0, "gini"), (1, "entropy")])
+def test_unlearn_batch_equals_tree_by_tree_delete_group(tmp_path, lazy, seed, criterion):
+    path = tagged_snapshot(tmp_path / "tagged.bin", seed, criterion)
+    together, by_tree = load(path), load(path)
+    together.lazy = by_tree.lazy = lazy
+    batch = batch_of(together, 120, seed)
+    together.unlearn_batch(batch.tolist())
+    groups = group_by_tree(batch, by_tree.assignment[batch], len(by_tree.trees))
+    for tree, group in zip(by_tree.trees, groups):
+        tagged = tree.delete_group(group)
+        if not lazy:
+            rebuild([(tree, tagged)])
+    by_tree.assignment[batch] = -1
+    by_tree.ds.tombstone_many(batch)
+    assert together.telemetry().tags_moved > 0
+    assert forest_state(together) == forest_state(by_tree)
+    assert saved(together, tmp_path / "a.bin") == saved(by_tree, tmp_path / "b.bin")
+    assert forest_audit(together).ok
+
+
+def test_chunked_group_walk_equals_one_chunk(tmp_path, monkeypatch):
+    path = tagged_snapshot(tmp_path / "tagged.bin", 2, "gini")
+    whole, chunked = load(path), load(path)
+    batch = batch_of(whole, 150, 2).tolist()
+    whole.unlearn_batch(batch)
+    chunks = []
+    patch_chunk = tree_mod._patch_chunk
+
+    def spy(kernel, rows, *args):
+        chunks.append(len(rows))
+        return patch_chunk(kernel, rows, *args)
+
+    monkeypatch.setattr(tree_mod, "CHUNK_ROWS", 1)
+    monkeypatch.setattr(tree_mod, "_patch_chunk", spy)
+    chunked.unlearn_batch(batch)
+    monkeypatch.undo()
+    # every grid was patched in a chunk of its own
+    assert set(chunks) == {1} and len(chunks) > len(whole.trees)
+    assert forest_state(whole) == forest_state(chunked)
+    assert saved(whole, tmp_path / "a.bin") == saved(chunked, tmp_path / "b.bin")
+
+
+def test_a_group_of_one_is_the_reference_walk_and_delete():
+    ds = [make_dataset(300, d=6, seed=5) for _ in range(3)]
+    params = quick_params(n_trees=1, occupancy=1.0, seed=4)
+    walks = [Forest.train(d, params).trees[0] for d in ds]
+    for sid in (5, 17, 40, 99, 150, 151):
+        walks[0].delete_group([sid])
+        reference_delete_group(walks[1], [sid])
+        walks[2].delete(sid)
+    a, b, c = ((node_state(tree), tree.rng.bit_generator.state, tree.telemetry.as_dict())
+               for tree in walks)
+    assert a == b == c
+    assert sum(tree.n_tagged for tree in walks) > 0
+
+
+def test_a_missing_id_at_one_root_changes_no_tree(tmp_path):
+    path = tagged_snapshot(tmp_path / "tagged.bin", 3, "gini")
+    forest = load(path)
+    before = saved(forest, tmp_path / "before.bin")
+    first, second = forest.trees[0], forest.trees[1]
+    absent = next(int(i) for i in forest.ds.live_ids() if int(i) not in set(second.root.ids))
+    pairs = [(first, first.root.ids[:50]), (second, [int(second.root.ids[0]), absent])]
+    with pytest.raises(ValueError, match="1 of 2 ids not present at depth 0"):
+        delete_groups(pairs)
+    assert saved(forest, tmp_path / "after.bin") == before
+    assert forest_audit(forest).ok
+
+
+def test_eager_batch_grows_its_tags_in_one_grow(monkeypatch):
+    ds = make_dataset(1500, d=8, seed=6)
+    params = quick_params(n_trees=16, occupancy=0.5, seed=6)
+    forest = Forest.train(ds, params, lazy=False)
+    calls = []
+    split_level = tree_mod._split_level
+
+    def spy(pairs, draw, cap):
+        calls.append(len(pairs))
+        return split_level(pairs, draw, cap)
+
+    monkeypatch.setattr(tree_mod, "_split_level", spy)
+    forest.unlearn_batch(batch_of(forest, 300, 6).tolist())
+    assert forest.telemetry().subtree_samples_rebuilt > 0
+    assert 0 < len(calls) <= params.tree.max_depth + 1
+    assert forest.tagged_count() == 0 and forest_audit(forest).ok
+
+
+def test_a_batch_scores_each_level_in_one_call(monkeypatch):
+    ds = make_dataset(2000, d=8, seed=7)
+    params = quick_params(n_trees=16, occupancy=0.5, seed=7)
+    forest = Forest.train(ds, params)
+    calls = [0]
+    score_matrix = crit.score_matrix
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return score_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(crit, "score_matrix", spy)
+    forest.unlearn_batch(batch_of(forest, 400, 7).tolist())
+    assert forest.telemetry().nodes_updated > 10 * (params.tree.max_depth + 1)
+    assert 0 < calls[0] <= params.tree.max_depth + 1
+
+
+def test_tags_come_depth_by_depth_left_to_right():
+    ds = make_dataset(1200, d=8, seed=8)
+    tree = Forest.train(ds, quick_params(n_trees=1, occupancy=1.0, seed=8)).trees[0]
+    tagged = tree.delete_group(np.random.default_rng(8).choice(ds.live_ids(), 40, replace=False))
+    place, level = {}, [tree.root]
+    while level:
+        place.update((id(node), len(place)) for node in level)
+        level = [child for node in level if node.left is not None
+                 for child in (node.left, node.right)]
+    order = [place[id(node)] for node in tagged]
+    assert len({node.depth for node in tagged}) > 1 and order == sorted(order)
