@@ -158,7 +158,7 @@ def cmd_unlearn_batch(args):
     seed = _resolve_seed(args)
     forest = snapshot.load(args.model)
     ids = _pick_ids(args, forest, seed)
-    size = args.batch_size or len(ids)
+    size = len(ids) if args.batch_size is None else args.batch_size
     if size < 1:
         raise SchemaError("--batch-size must be >= 1")
     batches = [ids[lo:lo + size] for lo in range(0, len(ids), size)]

@@ -257,6 +257,15 @@ class Dataset:
     def live_ids(self):
         return np.flatnonzero(self._live[: self._next_id]).astype(np.int64)
 
+    def first_bad(self, ids):
+        """Index of the first of ids not live or repeating an earlier one, or -1."""
+        ids = np.asarray(ids)
+        ok = np.zeros(len(ids), bool)
+        ok[np.unique(ids, return_index=True)[1]] = True  # each id's first place
+        ok &= (ids >= 0) & (ids < self._next_id)
+        ok[ok] = self._live[ids[ok].astype(np.int64)]
+        return -1 if ok.all() else int(np.argmin(ok))
+
     # -- mutation -----------------------------------------------------
 
     def add(self, features, label):
@@ -268,6 +277,23 @@ class Dataset:
 
         The whole block is validated before any row is stored.
         """
+        lo = self._next_id
+        self._grow(lo + len(X))
+        self._put(slice(lo, lo + len(X)), X, y)
+        self._next_id = lo + len(X)
+        return np.arange(lo, self._next_id, dtype=np.int64)
+
+    @classmethod
+    def from_live_rows(cls, n_attrs, next_id, ids, X, y, schema=None):
+        """A Dataset of next_id ids, dead but for ids (distinct, in range),
+        which hold X and y; dead rows are fresh zeros, never written."""
+        ds = cls(n_attrs, schema=schema, capacity=next_id)
+        ds._put(ids, X, y)
+        ds._next_id = next_id
+        return ds
+
+    def _put(self, rows, X, y):
+        """Validate X and y whole, then store them as the live rows at rows."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[1] != self.n_attrs:
@@ -280,15 +306,9 @@ class Dataset:
         ok = (y == 0) | (y == 1)
         if not ok.all():
             raise ValueError("label must be 0 or 1, got %r" % (y.tolist()[np.argmin(ok)],))
-        lo = self._next_id
-        self._grow(lo + len(X))
-        self._X[lo:lo + len(X)] = X
-        self._y[lo:lo + len(X)] = y
-        self._live[lo:lo + len(X)] = True
-        self._next_id = lo + len(X)
+        self._X[rows], self._y[rows], self._live[rows] = X, y, True
         self._n_live += len(X)
         self._n_pos += int(np.count_nonzero(y))
-        return np.arange(lo, self._next_id, dtype=np.int64)
 
     def tombstone(self, sample_id):
         """Mark a live sample dead and zero its row, so that its features
@@ -300,14 +320,12 @@ class Dataset:
         their rows in one assignment.
 
         Every id is checked before any row changes; the error names the
-        first id that is not live.
+        first id, in order, that is not live or repeats an earlier one.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        live = (ids >= 0) & (ids < self._next_id)
-        live[live] = self._live[ids[live]]
-        if not live.all():
-            self._check_live(int(ids[np.argmin(live)]))
-        if len(np.unique(ids)) != len(ids):
+        bad = self.first_bad(ids)
+        if bad != -1:
+            self._check_live(int(ids[bad]))
             raise KeyError("ids to tombstone must be distinct")
         self._live[ids] = False
         self._n_live -= len(ids)

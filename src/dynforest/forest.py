@@ -255,13 +255,10 @@ class Forest:
         rejects the whole batch before anything is deleted.
         """
         ids = [_sample_id(i) for i in ids]
-        seen = set()
-        for sample_id in ids:
-            if not self.ds.is_live(sample_id):
-                raise KeyError("batch rejected: sample id %d is not live" % sample_id)
-            if sample_id in seen:
-                raise KeyError("batch rejected: sample id %d repeated" % sample_id)
-            seen.add(sample_id)
+        bad = self.ds.first_bad(ids)
+        if bad != -1:
+            raise KeyError("batch rejected: sample id %d %s" % (
+                ids[bad], "repeated" if self.ds.is_live(ids[bad]) else "is not live"))
         batch = np.asarray(ids, np.int64)
         groups = group_by_tree(batch, self.assignment[batch], len(self.trees))
         tagged = delete_groups(list(zip(self.trees, groups)))

@@ -6,9 +6,8 @@ array the header lists, concatenated in listing order (C order, native
 little-endian dtypes).  Saving the same forest twice yields identical
 bytes, and a reloaded forest continues bit-for-bit like the original.
 
-The file stores each fact once: the dataset (a dead row as zeros), the
-tree assignment, the exact generator states, and per tree t, over its
-nodes in preorder:
+The file stores each fact once: the live rows X and y, in id order, the
+exact generator states, and per tree t, over its nodes in preorder:
 
   t<t>.flags      the tag and grid bits of every node
   t<t>.children   every node's two child indices, -1 for a childless node
@@ -17,13 +16,13 @@ nodes in preorder:
   t<t>.keys       one uint64 draw key per tagged node; a query-grown
                   node's Philox stream is set up from its key alone
   t<t>.slot_*     one row per node with a grid: attrs, amin, amax, thr
-                  (the draws) and the cached counts b and c (int64)
+                  (the draws) and counts b and c, in GRID_FIELDS dtypes
 
-Save gathers each tree's rows of the forest's GridPool in preorder and
-writes the pool's int32 counts as int64, so the format does not depend on
-how the pool stores them.  Load concatenates the stored grids of all
-trees into one pool, one copy per field, and gives each gridded node its
-row.  Row numbers are not stored.
+Every live sample lies in exactly k trees, so load reads the live ids and
+Forest.assignment off the trees' stored ids.  A dead row is zeros; as no
+stored array bounds next_id, load writes per dead id only its -1 row of
+Forest.assignment (4k bytes).  Save gathers each tree's GridPool rows in
+preorder; load pools all trees' grids and gives each gridded node its row.
 
 Load derives the rest, a whole tree at a time: each node's depth from the
 links; an internal node's ids (ascending, the order training and updates
@@ -38,22 +37,21 @@ of the 10k-row benchmark preset took 0.11-0.12 s on a 2-core VM, against
 tagged node's ranges are not kept current, so they do not follow from
 its ids.
 
-VERSION 3 dropped the derived arrays; a version 1 or 2 file raises
-SnapshotError.
+Only this VERSION loads; a file of version 1, 2 or 3 raises SnapshotError.
 
 Loading checks every array against the bytes left in the file before
 reading it; each tree's arrays for dtype, shape, child links, id counts
 and well-formed draws (attributes strictly increasing in [0, d),
-thresholds sorted and, on untagged nodes, inside their range); that the
-stored counts are counts (along each slot, the positives c and the
-negatives b - c at or below each threshold never fall, start at 0 or
-more and end at most at the node's positives and negatives, so that
-0 <= c <= b <= n), checked on the stored int64 values, which the pool's
-int32 would wrap; that the derived splits reproduce the stored tree
-(every split node untagged, gridded, not stopped, with a finite best cell
-that sends each stored id to the side it is stored on; every untagged
-leaf stopped or with only constant slots); and the assignment against
-the live ids and every tree's root ids.  A file that fails any check raises SnapshotError.
+thresholds sorted and, on untagged nodes, inside their range); that every
+id held at all is held by exactly k distinct trees, with one X and y row
+per such id; that the stored counts are counts (along each slot, the
+positives c and the negatives b - c at or below each threshold never fall,
+start at 0 or more and end at most at the node's positives and negatives,
+so that 0 <= c <= b <= n, before the int32 b - c is formed); and that the
+derived splits reproduce the stored tree (every split node untagged,
+gridded, not stopped, with a finite best cell that sends each stored id to
+the side it is stored on; every untagged leaf stopped or with only
+constant slots).  A file that fails any check raises SnapshotError.
 """
 
 from __future__ import annotations
@@ -62,22 +60,19 @@ import json
 import math
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
 from .data import Dataset, Schema
-from .forest import Forest, ForestParams, group_by_tree, subsample_count
-from .tree import GridPool, Node, Tree, TreeParams, best_cells
+from .forest import Forest, ForestParams, subsample_count
+from .tree import GRID_FIELDS, GridPool, Node, Tree, TreeParams, best_cells
 
 MAGIC = b"DYNFOR01"
-VERSION = 3
+VERSION = 4
 
 _TAGGED = 1
 _HAS_SLOTS = 2
-
-# the stored grid arrays t<i>.slot_<name>; the pool keeps b and c as int32
-_SLOT_DTYPES = {"attrs": np.int64, "amin": np.float64, "amax": np.float64,
-                "thr": np.float64, "b": np.int64, "c": np.int64}
 
 
 class SnapshotError(ValueError):
@@ -118,8 +113,8 @@ def _pack_tree(t, tree, put):
     put("t%d.ids" % t, np.concatenate([node.ids for node in ends]))
     put("t%d.keys" % t, np.array([node.key for node in nodes if node.tagged], np.uint64))
     if rows:
-        for key, dtype in _SLOT_DTYPES.items():
-            put("t%d.slot_%s" % (t, key), getattr(tree.pool, key)[rows].astype(dtype, copy=False))
+        for key in GRID_FIELDS:
+            put("t%d.slot_%s" % (t, key), getattr(tree.pool, key)[rows])
     return m
 
 
@@ -131,17 +126,13 @@ def save(forest, path):
         arrays.append((name, np.ascontiguousarray(arr)))
 
     ds = forest.ds
-    put("X", ds.X)
-    put("y", ds.y)
-    put("live", ds._live[: ds.next_id].astype(np.uint8))
-    live_ids = ds.live_ids()
-    put("assign_ids", live_ids)
-    put("assign_trees", forest.assignment[live_ids])
+    live = ds.live_ids()
+    put("X", ds.X[live])
+    put("y", ds.y[live])
     tree_meta = []
     for t, tree in enumerate(forest.trees):
         n_nodes = _pack_tree(t, tree, put)
         tree_meta.append({"n_nodes": n_nodes, "rng": tree.rng.bit_generator.state})
-    tp = forest.params.tree
     header = {
         "version": VERSION,
         "data": {"n_attrs": ds.n_attrs, "next_id": ds.next_id},
@@ -153,13 +144,7 @@ def save(forest, path):
             "lazy": forest.lazy,
             "rng": forest.rng.bit_generator.state,
         },
-        "tree_params": {
-            "max_depth": tp.max_depth,
-            "n_thresholds": tp.n_thresholds,
-            "n_attrs": tp.n_attrs,
-            "min_split_size": tp.min_split_size,
-            "criterion": tp.criterion,
-        },
+        "tree_params": asdict(forest.params.tree),
         "trees": tree_meta,
         "arrays": [[name, str(arr.dtype), list(arr.shape)] for name, arr in arrays],
     }
@@ -172,10 +157,10 @@ def save(forest, path):
             f.write(arr.tobytes())
 
 
-def _check_tree(t, n_nodes, arrays, tree):
-    """Check one tree's arrays fit together and hold well-formed draws
-    before anything is derived from them; returns its flags, children,
-    ids, ids_len, keys and its grid arrays by name.
+def _check_tree(t, n_nodes, arrays, pool, d, next_id):
+    """Check one tree's arrays fit together, hold ids below next_id and
+    well-formed draws, before anything is derived from them; returns its
+    flags, children, ids, ids_len, keys and its grid arrays by name.
 
     An array with no entries may be left out of the file.  Raises
     ValueError, which load() reports as a SnapshotError.
@@ -207,15 +192,15 @@ def _check_tree(t, n_nodes, arrays, tree):
     ids = arrays["t%d.ids" % t]
     need(ids.dtype == np.int64 and ids.ndim == 1 and (ids_len >= 0).all()
          and ids_len.sum() == len(ids), "ids_len does not sum to the %d stored ids" % ids.size)
-    need(not len(ids) or 0 <= ids.min() and ids.max() < tree.ds.next_id,
+    need(not len(ids) or 0 <= ids.min() and ids.max() < next_id,
          "sample id out of range")
     keys = array("keys", np.uint64, (int(np.count_nonzero(flags & _TAGGED)),))
     rows = int(np.count_nonzero(flags & _HAS_SLOTS))
-    slot = {key: array("slot_" + key, dtype, (rows, tree.p) + (tree.s,) * (key in ("thr", "b", "c")))
-            for key, dtype in _SLOT_DTYPES.items()}
+    slot = {key: array("slot_" + key, dtype, (rows, pool.p) + (pool.s,) * (key in ("thr", "b", "c")))
+            for key, dtype in GRID_FIELDS.items()}
     attrs, thr = slot["attrs"], slot["thr"]
-    need((attrs[:, 1:] > attrs[:, :-1]).all() and (attrs >= 0).all() and (attrs < tree.d).all(),
-         "a slot_attrs row is not strictly increasing in [0, %d)" % tree.d)
+    need((attrs[:, 1:] > attrs[:, :-1]).all() and (attrs >= 0).all() and (attrs < d).all(),
+         "a slot_attrs row is not strictly increasing in [0, %d)" % d)
     need((thr[:, :, 1:] >= thr[:, :, :-1]).all(), "a slot_thr row is not sorted")
     untagged = (flags[flags & _HAS_SLOTS > 0] & _TAGGED) == 0
     need((thr[untagged, :, 0] >= slot["amin"][untagged]).all()
@@ -224,38 +209,31 @@ def _check_tree(t, n_nodes, arrays, tree):
     return flags, children, ids, ids_len, keys, slot
 
 
-def _check_assignment(arrays, ds, fp, trees):
-    """The saved assignment as Forest.assignment, once it matches the live
-    ids and every tree's root ids.
-
-    Raises ValueError, which load() reports as a SnapshotError.
-    """
-    def need(ok, what):
-        if not ok:
-            raise ValueError("assignment: %s" % what)
-
-    ids, rows = ds.live_ids(), arrays["assign_trees"]
-    n_trees, k = fp.n_trees, subsample_count(fp.occupancy, fp.n_trees)
-    need(len(trees) == n_trees, "%d trees stored for n_trees=%d" % (len(trees), n_trees))
-    need(np.array_equal(arrays["assign_ids"], ids), "assign_ids are not the live ids")
-    need(rows.shape == (len(ids), k), "assign_trees has shape %s, expected (%d, %d)"
-         % (rows.shape, len(ids), k))
-    need(not rows.size or (rows[:, 1:] > rows[:, :-1]).all() and rows[:, 0].min() >= 0
-         and rows[:, -1].max() < n_trees, "a row does not name %d ascending trees in [0, %d)"
-         % (k, n_trees))
-    for t, share in enumerate(group_by_tree(ids, rows, n_trees)):
-        need(np.array_equal(np.sort(trees[t].root.ids), share),
-             "tree %d root ids disagree with it" % t)
-    assignment = np.full((ds.next_id, k), -1, np.int32)
-    assignment[ids] = rows
-    return assignment
+def _assignment(per_tree, next_id, k):
+    """The live ids (those some tree holds) and Forest.assignment, once
+    each is held by exactly k distinct trees; else ValueError."""
+    ids = np.concatenate(per_tree)
+    live, held = np.unique(ids, return_counts=True)
+    # sorted stably by id, each id's trees come in tree order
+    trees = np.repeat(np.arange(len(per_tree), dtype=np.int32), [len(a) for a in per_tree])
+    rows = trees[np.argsort(ids, kind="stable")]
+    bad = held != k
+    if not bad.any():
+        rows = rows.reshape(len(live), k)
+        bad = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    if bad.any():
+        raise ValueError("assignment: sample id %d is not held by exactly %d distinct trees"
+                         % (live[np.argmax(bad)], k))
+    assignment = np.full((next_id, k), -1, np.int32)
+    assignment[live] = rows
+    return live, assignment
 
 
-def _unpack_tree(t, n_nodes, arrays, tree, first):
-    """Build tree t from its stored arrays, deriving depth, ids, n_pos and
-    best cells a whole tree at a time; its gridded nodes get the pool rows
-    first, first + 1, ... in preorder.  Returns the stored grid arrays by
-    name, for the caller to put in the pool.
+def _unpack_tree(t, stored, tree, first):
+    """Build tree t from what _check_tree returned, deriving depth, ids,
+    n_pos and best cells a whole tree at a time; its gridded nodes get
+    the pool rows first, first + 1, ... in preorder.  Returns the stored
+    grid arrays by name, for the caller to put in the pool.
 
     Raises ValueError, which load() reports as a SnapshotError, unless the
     stored counts are counts and the derived splits reproduce the stored
@@ -265,7 +243,8 @@ def _unpack_tree(t, n_nodes, arrays, tree, first):
         if not ok:
             raise ValueError("tree %d: %s" % (t, what))
 
-    flags, children, ids, ids_len, keys, slot = _check_tree(t, n_nodes, arrays, tree)
+    flags, children, ids, ids_len, keys, slot = stored
+    n_nodes = len(flags)
     linked = children[:, 0] != -1
     tagged = flags & _TAGGED > 0
     rows = np.flatnonzero(flags & _HAS_SLOTS)
@@ -287,10 +266,9 @@ def _unpack_tree(t, n_nodes, arrays, tree, first):
     n = hi - lo
     n_pos = np.concatenate(([0], (tree.ds.y[ids] == 1).cumsum()))
     n_pos = n_pos[hi] - n_pos[lo]
-    # checked on the stored int64 counts, which the pool's int32 would wrap:
     # positives (c) and negatives (b - c) at or below each threshold never
     # fall along a slot, start at 0 or more, and end at most at the node's
-    # positives and negatives, so 0 <= c <= b <= n
+    # positives and negatives, so 0 <= c <= b <= n before int32 b - c is formed
     b, c = slot["b"], slot["c"]
     grid_pos, grid_n = n_pos[rows, None, None], n[rows, None, None]
     need(((c[:, :, :1] >= 0) & (c <= grid_pos)).all() and (c[:, :, 1:] >= c[:, :, :-1]).all(),
@@ -397,26 +375,32 @@ def _build(header, arrays):
     schema = Schema.from_dict(header["schema"]) if header["schema"] else None
     d = header["data"]["n_attrs"]
     next_id = header["data"]["next_id"]
-    ds = Dataset(d, schema=schema, capacity=max(next_id, 16))
-    ds.add_many(arrays["X"], arrays["y"])
-    ds.tombstone_many(np.flatnonzero(arrays["live"] == 0))
-
     tp = TreeParams(**header["tree_params"])
     fp = ForestParams(n_trees=header["forest"]["n_trees"],
                       occupancy=header["forest"]["occupancy"],
                       seed=header["forest"]["seed"],
                       tree=tp)
+    metas = header["trees"]
+    if len(metas) != fp.n_trees:
+        raise ValueError("%d trees stored for n_trees=%d" % (len(metas), fp.n_trees))
     pool = GridPool(tp.resolve_attrs(d), tp.n_thresholds)
+    stored = [_check_tree(t, meta["n_nodes"], arrays, pool, d, next_id)
+              for t, meta in enumerate(metas)]
+    live, assignment = _assignment([ids for _, _, ids, *_ in stored], next_id,
+                                   subsample_count(fp.occupancy, fp.n_trees))
+    X, y = arrays["X"], arrays["y"]
+    if len(X) != len(live) or len(y) != len(live):
+        raise ValueError("X and y hold %d and %d rows for the %d live ids the trees hold"
+                         % (len(X), len(y), len(live)))
+    ds = Dataset.from_live_rows(d, next_id, live, X, y, schema=schema)
     trees, grids, first = [], [], 0
-    for t, meta in enumerate(header["trees"]):
+    for t, meta in enumerate(metas):
         rng = np.random.default_rng(0)
         rng.bit_generator.state = meta["rng"]
-        tree = Tree(tp, ds, rng, pool)
-        grids.append(_unpack_tree(t, meta["n_nodes"], arrays, tree, first))
+        trees.append(Tree(tp, ds, rng, pool))
+        grids.append(_unpack_tree(t, stored[t], trees[-1], first))
         first += len(grids[-1]["b"])
-        trees.append(tree)
     pool.extend(grids)
-    assignment = _check_assignment(arrays, ds, fp, trees)
     rng = np.random.default_rng(0)
     rng.bit_generator.state = header["forest"]["rng"]
     return Forest(ds, fp, trees, assignment, rng, lazy=header["forest"]["lazy"])

@@ -234,6 +234,17 @@ def test_unlearn_batch_chunks_and_saves(workspace, tmp_path, capsys):
     assert back.tagged_count() == 0  # every batch is flushed
 
 
+def test_unlearn_batch_rejects_a_batch_size_below_one(workspace, tmp_path, capsys):
+    model_out = tmp_path / "after.bin"
+    for size in ("0", "-1"):
+        code, _, err = run_cli(capsys, "unlearn-batch", "--model", workspace["model"],
+                               "--count", "5", "--batch-size", size,
+                               "--model-out", str(model_out))
+        assert code == 2
+        assert "--batch-size must be >= 1" in err, err
+    assert not model_out.exists()
+
+
 def test_unlearn_batch_unknown_id_exits_3(workspace, capsys):
     code, _, err = run_cli(capsys, "unlearn-batch", "--model", workspace["model"],
                            "--ids", "3,999999")
@@ -426,13 +437,15 @@ def test_model_with_short_keys_exits_2(workspace, tmp_path, capsys):
 
 def test_model_with_corrupt_assignment_exits_2(workspace, tmp_path, capsys):
     def edit(arrays):
-        arrays["assign_ids"][0] = 10**6
+        # tree 0 drops the last id of its last childless node
+        arrays["t0.ids"] = arrays["t0.ids"][:-1]
+        arrays["t0.ids_len"][np.flatnonzero(arrays["t0.ids_len"])[-1]] -= 1
 
     bad = tmp_path / "bad.bin"
     bad.write_bytes(edit_arrays(open(workspace["model"], "rb").read(), edit))
     code, _, err = run_cli(capsys, "unlearn-seq", "--model", str(bad),
                            "--ids", "1", "--skip-naive")
-    assert code == 2 and "assign_ids" in err
+    assert code == 2 and "not held by exactly" in err
 
 
 def test_model_with_bad_draws_or_splits_exits_2(workspace, tmp_path, capsys):

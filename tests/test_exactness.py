@@ -15,7 +15,9 @@ one column.
 The same test checks that the level-synchronous group walk
 (Tree.delete_group) deletes a group with the law of the depth-first
 reference walk (oracle.reference_delete_group): the two read the tree
-stream in different orders, so only their laws can agree.
+stream in different orders, so only their laws can agree.  On the 9-row
+probe a group redraws at one node per depth at most, so a second probe,
+of 16 rows in two clusters, makes several nodes of one depth redraw.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ stats = pytest.importorskip("scipy.stats")
 X = np.random.default_rng(3).random((9, 2)).round(2)
 Y = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1])
 PARAMS = TreeParams(max_depth=2, n_thresholds=2, n_attrs=1, min_split_size=2)
+# two clusters along attribute 0, each mostly of one label, so the root
+# splits between them and rarely moves; the group [5, 12, 14] lies inside
+# the root's ranges but on range boundaries of the nodes below it, so in
+# most trees two or more nodes of one depth redraw
+_rng = np.random.default_rng(23)
+X16 = np.column_stack((np.r_[_rng.uniform(0, 0.3, 8), _rng.uniform(0.7, 1, 8)],
+                       _rng.random(16))).round(2)
+Y16 = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0])
+PARAMS16 = TreeParams(max_depth=3, n_thresholds=3, n_attrs=2, min_split_size=2)
 TREES = 5_000
 POOL_BELOW = 40
 P_FLOOR = 1e-3
@@ -73,18 +84,31 @@ def test_delete_then_flush_is_distributed_as_a_retrain(row):
     assert p >= P_FLOOR, "delete row %d: p = %.2g" % (row, p)
 
 
-def test_group_walk_is_distributed_as_the_reference_walk():
+def walk_p_value(X, Y, params, group):
+    """p-value of the level walk's shapes against the reference walk's,
+    each deleting group and flushing, over TREES trees per arm."""
     ds = dataset_from_arrays(X, Y)
-    group = [0, 4, 7]
     level, reference = Counter(), Counter()
     for s in range(TREES):
-        tree = build_tree(ds, np.arange(len(X)), PARAMS, np.random.default_rng(s))
+        tree = build_tree(ds, np.arange(len(X)), params, np.random.default_rng(s))
         tree.delete_group(group)
         tree.flush()
         level[shape(tree.root)] += 1
-        tree = build_tree(ds, np.arange(len(X)), PARAMS, np.random.default_rng(10**6 + s))
+        tree = build_tree(ds, np.arange(len(X)), params, np.random.default_rng(10**6 + s))
         reference_delete_group(tree, group)
         tree.flush()
         reference[shape(tree.root)] += 1
-    p = p_value(level, reference)
+    return p_value(level, reference)
+
+
+def test_group_walk_is_distributed_as_the_reference_walk():
+    p = walk_p_value(X, Y, PARAMS, [0, 4, 7])
     assert p >= P_FLOOR, "delete_group([0, 4, 7]): p = %.2g" % p
+
+
+def test_group_walk_redrawing_several_nodes_of_a_depth_keeps_the_law():
+    group = [5, 12, 14]
+    inside = (X16[group] > X16.min(axis=0)) & (X16[group] < X16.max(axis=0))
+    assert inside.all()  # the root redraws nothing
+    p = walk_p_value(X16, Y16, PARAMS16, group)
+    assert p >= P_FLOOR, "delete_group(%s): p = %.2g" % (group, p)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,9 +38,8 @@ def drop_header_key(blob, key):
     return join_snapshot(header, body)
 
 
-def edit_arrays(blob, edit):
-    """A copy of a snapshot whose arrays went through edit(arrays), a dict
-    of name -> ndarray that edit may change in place or reassign."""
+def read_arrays(blob):
+    """(JSON header, dict of name -> ndarray) of a snapshot."""
     header, body = split_snapshot(blob)
     arrays, offset = {}, 0
     for name, dtype, shape in header["arrays"]:
@@ -46,6 +47,13 @@ def edit_arrays(blob, edit):
         arrays[name] = np.frombuffer(body[offset:offset + size],
                                      dtype=dtype).reshape(shape).copy()
         offset += size
+    return header, arrays
+
+
+def edit_arrays(blob, edit):
+    """A copy of a snapshot whose arrays went through edit(arrays), a dict
+    of name -> ndarray that edit may change in place or reassign."""
+    header, arrays = read_arrays(blob)
     edit(arrays)
     header["arrays"] = [[name, str(a.dtype), list(a.shape)] for name, a in arrays.items()]
     return join_snapshot(header, b"".join(a.tobytes() for a in arrays.values()))
@@ -193,6 +201,42 @@ def test_round_trip_preserves_tombstones_and_id_counter(tmp_path):
     assert forest.add(row, 1) == back.add(row, 1)
 
 
+# a fresh interpreter's peak resident memory after a load, in kB: the
+# high-water mark of its own address space (Linux), which, unlike
+# getrusage's ru_maxrss, does not carry over the parent's peak
+PEAK_RSS_AFTER_LOAD = """
+import sys
+from dynforest.snapshot import load
+load(sys.argv[1])
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+"""
+
+
+def test_load_of_an_inflated_id_counter_writes_only_the_assignment(tmp_path):
+    """No stored array bounds the header's next_id, so load must not write
+    memory per id below it beyond Forest.assignment's 4k bytes: the live
+    rows go into zeroed storage, and the dead ones are never touched."""
+    _, forest = trained(seed=2)
+    small, big = tmp_path / "small.bin", tmp_path / "big.bin"
+    save(forest, small)
+    header, body = split_snapshot(small.read_bytes())
+    next_id = 2_000_000
+    header["data"]["next_id"] = next_id
+    big.write_bytes(join_snapshot(header, body))
+    back = load(big)
+    assert back.ds.next_id == next_id and back.ds.n_live == forest.ds.n_live
+    assert back.assignment.shape == (next_id, forest.k)
+    assert not back.ds.is_live(next_id - 1) and back.ds.X[-1].sum() == 0
+    X = make_dataset(60, d=6, seed=50).X[:60]
+    assert np.array_equal(forest.predict_many(X), back.predict_many(X))
+    peak = {path: 1024 * int(subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_AFTER_LOAD, str(path)],
+        capture_output=True, text=True, check=True).stdout) for path in (small, big)}
+    extra = 4 * forest.k * (next_id - forest.ds.next_id)
+    assert peak[big] - peak[small] < extra + 8 * 2**20, (peak, extra)
+
+
 def test_lockstep_updates_after_load_stay_identical(tmp_path):
     ds, forest = trained(seed=3)
     save(forest, tmp_path / "m.bin")
@@ -277,8 +321,9 @@ def test_load_rejects_unknown_version(tmp_path):
     current = b'"version":%d' % VERSION
     assert blob.count(current) == 1
     # version 1 files predate the per-node draw keys, version 2 files
-    # store derived state
-    for old in (1, 2, 9):
+    # store derived state, version 3 files store the live set and the
+    # assignment
+    for old in (1, 2, 3, 9):
         path.write_bytes(blob.replace(current, b'"version":%d' % old))
         with pytest.raises(SnapshotError, match="unsupported snapshot version %d" % old):
             load(path)
@@ -358,10 +403,37 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
     def widen_thresholds(arrays):
         arrays["t0.slot_thr"][0, 0, -1] = arrays["t0.slot_amax"][0, 0] + 1.0
 
-    def swap_assignment_rows(arrays):
-        rows = arrays["assign_trees"]
-        other = np.flatnonzero((rows != rows[0]).any(axis=1))[0]
-        rows[[0, other]] = rows[[other, 0]]
+    def holders(arrays, sample_id):
+        return [t for t in range(len(forest.trees)) if sample_id in arrays["t%d.ids" % t]]
+
+    def drop_id(arrays, t, sample_id):
+        ids, ids_len = arrays["t%d.ids" % t], arrays["t%d.ids_len" % t]
+        at = int(np.flatnonzero(ids == sample_id)[0])
+        ids_len[np.searchsorted(ids_len.cumsum(), at, side="right")] -= 1
+        arrays["t%d.ids" % t] = np.delete(ids, at)
+
+    def put_id(arrays, t, sample_id):
+        # into the first childless node that holds an id
+        ids_len = arrays["t%d.ids_len" % t]
+        ids_len[np.flatnonzero(ids_len)[0]] += 1
+        arrays["t%d.ids" % t] = np.insert(arrays["t%d.ids" % t], 0, sample_id)
+
+    def held_by_one_tree_fewer(arrays):
+        drop_id(arrays, 0, arrays["t0.ids"][0])
+
+    def held_by_one_tree_more(arrays):
+        sample_id = arrays["t0.ids"][0]
+        put_id(arrays, next(t for t in range(6) if t not in holders(arrays, sample_id)), sample_id)
+
+    def held_twice_by_one_tree(arrays):
+        sample_id = arrays["t0.ids"][0]
+        drop_id(arrays, holders(arrays, sample_id)[1], sample_id)
+        put_id(arrays, 0, sample_id)
+
+    def extra_row(key):
+        def edit(arrays):
+            arrays[key] = np.concatenate((arrays[key], arrays[key][:1]))
+        return edit
 
     cases = [
         (set_row("t0.children", 0, (10**6, 10**6)), "child index"),
@@ -381,14 +453,13 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
         (move_root_argmin, "sides the derived splits send them to"),
         (tag_root, "split node is tagged"),
         (flatten_root_grid, "no finite best cell"),
-        (set_row("assign_ids", 0, 10**6), "assign_ids are not the live ids"),
-        (truncate("assign_ids"), "assign_ids are not the live ids"),
-        (truncate("assign_trees"), "assign_trees has shape"),
-        (set_row("assign_trees", 0, (1, 1, 2)), "ascending trees"),
-        (set_row("assign_trees", 0, (2, 1, 0)), "ascending trees"),
-        (set_row("assign_trees", 0, (0, 1, 6)), "ascending trees"),
-        (set_row("assign_trees", 0, (-1, 0, 1)), "ascending trees"),
-        (swap_assignment_rows, "root ids disagree"),
+        (held_by_one_tree_fewer, "not held by exactly 3 distinct trees"),
+        (held_by_one_tree_more, "not held by exactly 3 distinct trees"),
+        (held_twice_by_one_tree, "not held by exactly 3 distinct trees"),
+        (truncate("X"), "X and y hold 199 and 200 rows for the 200 live ids"),
+        (truncate("y"), "X and y hold 200 and 199 rows for the 200 live ids"),
+        (extra_row("X"), "X and y hold 201 and 200 rows for the 200 live ids"),
+        (extra_row("y"), "X and y hold 200 and 201 rows for the 200 live ids"),
     ]
     for edit, match in cases:
         path.write_bytes(edit_arrays(blob, edit))
@@ -407,15 +478,14 @@ def test_load_rejects_structurally_corrupt_trees(tmp_path):
         load(path)
 
 
-def tamper_counts(forest, key):
+def tamper_counts(forest, key, value=2**31 - 1):
     """An edit that sets every cell of one slot of tree 0's root grid
-    (not its split slot) in t0.slot_<key> to 2**40, a value whose int32
-    cast, 0, would read as a count."""
+    (not its split slot) in t0.slot_<key> to value."""
     root = forest.trees[0].root
     k = (root.best_k + 1) % forest.trees[0].p
 
     def edit(arrays):
-        arrays["t0.slot_" + key][0, k] = 2**40
+        arrays["t0.slot_" + key][0, k] = value
     return edit
 
 
@@ -424,20 +494,32 @@ def test_load_rejects_grids_whose_counts_cannot_be_counts(tmp_path, key):
     _, forest = trained(seed=11, n=200)
     path = tmp_path / "m.bin"
     save(forest, path)
-    path.write_bytes(edit_arrays(path.read_bytes(), tamper_counts(forest, key)))
-    with pytest.raises(SnapshotError, match="slot_%s holds a count" % key):
-        load(path)
+    blob = path.read_bytes()
+    # the int32 extremes: b - c would wrap if it were formed before the
+    # bounds on b and c were checked
+    for value in (-2**31, 2**31 - 1):
+        path.write_bytes(edit_arrays(blob, tamper_counts(forest, key, value)))
+        with pytest.raises(SnapshotError, match="slot_%s holds a count" % key):
+            load(path)
 
 
 def test_snapshot_stores_no_derived_state(tmp_path):
     forest = tagged_forest(seed=4)
     path = tmp_path / "m.bin"
     save(forest, path)
-    header, _ = split_snapshot(path.read_bytes())
+    header, arrays = read_arrays(path.read_bytes())
     shapes = {name: shape for name, _, shape in header["arrays"]}
-    stored = {name.partition(".")[2] for name in shapes if name.startswith("t")}
+    assert {name for name in shapes if "." not in name} == {"X", "y"}
+    stored = {name.partition(".")[2] for name in shapes if "." in name}
     assert stored == {"flags", "children", "ids", "ids_len", "keys", "slot_attrs",
                       "slot_amin", "slot_amax", "slot_thr", "slot_b", "slot_c"}
+    assert {dtype for name, dtype, _ in header["arrays"]
+            if name.endswith((".slot_b", ".slot_c"))} == {"int32"}
+    # the live rows only: no dead id's row, not even as zeros
+    ds = forest.ds
+    assert ds.n_live < ds.next_id
+    assert np.array_equal(arrays["X"], ds.X[ds.live_ids()])
+    assert np.array_equal(arrays["y"], ds.y[ds.live_ids()])
     for t, tree in enumerate(forest.trees):
         ends = [node for node in _preorder(tree.root) if node.left is None]
         assert shapes["t%d.ids_len" % t] == [len(ends)]
