@@ -1,16 +1,15 @@
 """Independent reference implementations used to validate the fast paths.
 
 Nothing here shares code with the hot paths it checks: counts come from a
-pure-Python sort-merge instead of vectorized binary search, routing reads
-each split from its node's grid instead of the stored axis and threshold,
-retraining builds a fresh forest instead of patching one, and the
-occupancy checker rescans every tree.  Slow and simple on purpose.
-score_candidates is the exception: it scores one slot through the
-per-slot prefix_counts of the update path, so that path can be checked
-against sortmerge_best_split.  reference_delete_group is another: it
-walks one tree depth first, a node per step, and settles each node
-through the single-sample deletion's own rule (Tree._settle_deleted),
-so that the level-synchronous group walk can be checked against it.
+pure-Python sort-merge or a per-slot binary search instead of the
+stacked comparisons of growth and updates, routing reads each split from
+its node's grid instead of the stored axis and threshold, retraining
+builds a fresh forest instead of patching one, and the occupancy checker
+rescans every tree.  Slow and simple on purpose.  reference_delete_group
+walks one tree depth first, a node per step, and settles each node by its
+own per-node rule: a min/max rescan, then sample_thresholds and
+prefix_counts per changed slot, so that the range-change step that every
+update shares in tree.py can be checked against it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from . import criterion as crit
 from .audit import AuditReport
 from .forest import Forest, ForestParams
-from .tree import audit_tree, prefix_counts
+from .tree import audit_tree, best_cells
 
 
 @dataclass
@@ -41,6 +40,43 @@ class AttributeSlot:
     b: np.ndarray
     c: np.ndarray
     score: np.ndarray
+
+
+def sample_thresholds(a_min, a_max, s, rng):
+    """Draw s candidate thresholds uniformly over [a_min, a_max], sorted.
+
+    A degenerate range yields s copies of the single value (the slot is
+    unusable but keeps its shape) and draws nothing.
+    """
+    if a_min == a_max:
+        return np.full(s, a_min)
+    thr = rng.uniform(a_min, a_max, s)
+    thr.sort()
+    return thr
+
+
+def prefix_counts(values, positive, thresholds):
+    """Count, per sorted threshold, the samples at or below it.
+
+    For each value, binary-search the first threshold at or above it,
+    histogram those insertion points, and prefix-sum the histogram.
+
+    Parameters
+    ----------
+    values : ndarray of float, shape (m,)
+    positive : ndarray of bool, shape (m,)
+    thresholds : ndarray of float, shape (s,), sorted ascending
+
+    Returns
+    -------
+    b, c : ndarray of int64, shape (s,)
+        b[i] = #{values <= thresholds[i]}, c[i] = positives among them.
+    """
+    s = len(thresholds)
+    idx = np.searchsorted(thresholds, values, side="left")
+    b = np.bincount(idx, minlength=s + 1)[:s].cumsum()
+    c = np.bincount(idx[positive], minlength=s + 1)[:s].cumsum()
+    return b, c
 
 
 def score_candidates(ids, ds, slot, criterion="gini"):
@@ -128,11 +164,10 @@ def reference_delete_group(tree, group):
 
     At each node the group leaves the ids, its values are taken out of the
     counts one cell comparison at a time, the node is settled by
-    Tree._settle_deleted (which rescans, redraws, scores and tags it), and
-    the group is split by the node's split between its children, left
-    first.  The tree stream is read node by node in preorder, where
-    tree.delete_groups reads it level by level, so the two agree in law,
-    and bit for bit on a group of one.
+    _reference_settle, and the group is split by the node's split between
+    its children, left first.  The tree stream is read node by node in
+    preorder, where tree.delete_groups reads it level by level, so the two
+    agree in law, and bit for bit on a group of one.
     """
     group = np.asarray(group, dtype=np.int64)
     tagged = []
@@ -153,16 +188,14 @@ def _reference_delete(tree, node, group, member, tagged):
     labels = tree.ds.y[group] == 1
     node.n_pos -= int(labels.sum())
     pool, r = tree.pool, node.row
-    hit = None
+    hit = np.zeros(pool.p, bool)
     if r != -1:
         vals = tree.ds.X[group[:, None], pool.attrs[r]]
         covered = pool.thr[r] >= vals[:, :, None]
         pool.b[r] -= covered.sum(axis=0)
         pool.c[r] -= covered[labels].sum(axis=0)
         hit = ((vals == pool.amin[r]) | (vals == pool.amax[r])).any(axis=0)
-        if not hit.any():
-            hit = None
-    tag = tree._settle_deleted(node, hit, None)
+    tag = _reference_settle(tree, node, hit)
     if tag is not None:
         tagged.append(tag)
     if node.left is None:
@@ -171,6 +204,42 @@ def _reference_delete(tree, node, group, member, tagged):
     for child, side in ((node.left, go_left), (node.right, ~go_left)):
         if side.any():
             _reference_delete(tree, child, group[side], member, tagged)
+
+
+def _reference_settle(tree, node, hit):
+    """Settle one node after a deletion patched its ids and counts; hit
+    marks the slots where a deleted value sat on a range boundary.
+    Returns the node if it was tagged here, else None."""
+    tree.telemetry.nodes_updated += 1
+    pool, r = tree.pool, node.row
+    stopped = node.left is not None and tree._stop(node.depth, node.n, node.n_pos)
+    if r != -1 and node.n == 0:
+        pool.amin[r] = pool.amax[r] = pool.thr[r] = 0.0
+    elif r != -1:
+        positive = tree.ds.y[node.ids] == 1
+        redrawn = 0
+        for k in np.flatnonzero(hit).tolist():
+            vals = tree.ds.X[node.ids, pool.attrs[r, k]]
+            lo, hi = vals.min(), vals.max()
+            if (lo, hi) == (pool.amin[r, k], pool.amax[r, k]):
+                continue
+            pool.amin[r, k], pool.amax[r, k] = lo, hi
+            if not (node.tagged or stopped):
+                thr = pool.thr[r, k] = sample_thresholds(lo, hi, tree.s, tree.rng)
+                pool.b[r, k], pool.c[r, k] = prefix_counts(vals, positive, thr)
+                redrawn += 1
+        if redrawn:
+            tree.telemetry.attrs_resampled += redrawn
+            tree.telemetry.range_resample_samples += node.n
+    if stopped:
+        return tree._tag(node, "tags_stopped")
+    if node.tagged or node.left is None:
+        return None
+    k, i, usable = best_cells(pool.b[r], pool.c[r], node.n, node.n_pos,
+                              pool.amin[r] == pool.amax[r], tree.params.criterion)
+    if not usable or (k, i) != (node.best_k, node.best_i) or pool.thr[r, k, i] != node.best_w:
+        return tree._tag(node, "tags_moved")
+    return None
 
 
 def naive_retrain(ds, params, seed=None):

@@ -328,7 +328,8 @@ def _unpack_tree(t, stored, tree, first):
 def load(path):
     """Read a snapshot back into a live Forest.
 
-    Raises SnapshotError for a file that is not a well-formed snapshot.
+    Raises SnapshotError for a file that is not a well-formed snapshot,
+    and for one whose header gives sizes that cannot be allocated.
     """
     try:
         return _build(*_read(path))
@@ -337,6 +338,8 @@ def load(path):
     except (KeyError, TypeError, ValueError) as e:
         raise SnapshotError("%s: malformed snapshot (%s: %s)"
                             % (path, type(e).__name__, e)) from None
+    except MemoryError as e:
+        raise SnapshotError("%s: header sizes cannot be allocated (%s)" % (path, e)) from None
 
 
 def _read(path):

@@ -28,6 +28,20 @@ numpy array.
 
 Updates
 -------
+Every update walk settles nodes by two rules, each one function.
+
+  Range change (_range_change).  A slot whose value range the update may
+           have changed is rescanned over the node's ids.  A changed range
+           is stored and, at an untagged node whose stop rule does not
+           hold, its thresholds are redrawn uniformly over it and
+           recounted; other nodes only rescan, so that no grid keeps a
+           deleted value.  An emptied node's ranges and thresholds are
+           zeroed.
+  Moved split (_moved_mask).  A split node is tagged (tags_moved) when
+           the first argmin cell of its current grid is not its split:
+           another cell, the same cell at another threshold, or no usable
+           cell.  A node that redrew is scored afresh (_moved_nodes).
+
 A single-sample deletion or addition is one walk over the k trees that
 hold the sample, update_paths: Forest.delete and Forest.add pass their k
 trees, and Tree.delete and Tree.add are one-tree calls into it.  It has
@@ -41,19 +55,17 @@ three steps.
            gathered, patched at once (-1 or +1 in each cell whose
            threshold is at or above the sample's value) and written back,
            tested for range hits (deleting: the value sits on a boundary)
-           and widenings (adding: it lies outside), and their first argmin
-           cells taken in one best_cells call.
-  Settle.  Each tree goes down its path in order.  A slot whose range
-           really changed (rescanned after a hit, or widened) redraws its
-           thresholds uniformly over the new range and recounts them, so
-           that they stay uniform over the node's current range, and that
-           node alone is rescored.  The walk then ends as a per-node walk
-           would: at a tagged node or a leaf, or by tagging a split node
-           whose stop rule now holds (tags_stopped), a node whose winning
-           cell moved (tags_moved: another cell, the same cell at another
-           threshold, or no usable cell), or a grid leaf that an added
-           value widened (tags_widened).  Nodes the route patched below a
-           node tagged here are discarded with its subtree.
+           and widenings (adding: it lies outside), and scored in one
+           best_cells call, which gives each node's moved test.
+  Settle.  Each tree goes down its path, one node at a time, through
+           the range change where a slot was hit or widened (a widening
+           only at an untagged split node, whose exact range the rescan
+           widens by the added value) or the node was emptied.  The walk
+           ends at a tagged node or a leaf, or by tagging a split node
+           whose stop rule now holds (tags_stopped) or whose split moved
+           (tags_moved), or a grid leaf that an added value widened
+           (tags_widened).  Nodes the route patched below a node tagged
+           here are discarded with its subtree.
 
 Deleting a group is one walk over any number of trees, delete_groups:
 Forest.unlearn_batch passes every tree with its share of the batch, and
@@ -67,28 +79,22 @@ growth.  At each depth:
            changes, so a bad group changes no tree.
   Patch.   The grids of all the depth's nodes are patched in one stacked
            count of their groups, with the range hits of each slot.
-  Rescan.  The hit slots are rescanned in one stacked min/max over the
-           nodes' remaining ids, and an emptied node's grid is zeroed.
-           A changed slot of an untagged, unstopped node is redrawn and
-           recounted, as in Settle above.
-  Score.   The untagged split nodes are scored in one best_cells call.
-  Tag.     Nodes are tagged in frontier order, by the rules of the Settle
-           step (tags_stopped, tags_moved), and each other split node's
-           group goes on to its children.
+  Rescan.  All the depth's gridded nodes go through one range change; an
+           untagged, unstopped node may redraw.
+  Score.   The untagged split nodes are scored in one best_cells call
+           per chunk, for the moved test.
+  Tag.     Nodes are tagged in frontier order (tags_stopped, tags_moved),
+           and each other split node's group goes on to its children.
 
 Stacks are built in chunks of whole nodes, bounded as growth's are (see
 Growth), so a large batch over many trees holds a few MB of them at a
-time.  oracle.reference_delete_group keeps the depth-first walk, one node
-per step, as the reference.  A tagged node's subtree is discarded but
-nothing is rebuilt yet.  Its later regrowth redraws the candidates whose
-scores decided to tag it, which biases the updated tree away from a
-retrain (tests/test_exactness.py; ROADMAP item 1).
-
-Tagged nodes still receive id and count updates, and a deletion rescans
-(without a redraw) the ranges of a tagged or newly stop-tagged node where
-the deleted value sat on a boundary, so that no grid keeps a deleted
-value.  A node emptied by deletions has no value left to rescan to; its
-ranges and thresholds are zeroed.
+time.  oracle.reference_delete_group walks depth first, one node per
+step, and settles each node by its own per-node copy of the two rules;
+it is the reference both walks are tested against.  A tagged node's
+subtree is discarded but nothing is rebuilt yet.  Its later regrowth
+redraws the candidates whose scores decided to tag it, which biases the
+updated tree away from a retrain (tests/test_exactness.py; ROADMAP item
+1).
 
 A query reaching a tagged node materializes exactly one fresh level
 (redrawing attributes and thresholds), untags it, tags the new children,
@@ -194,7 +200,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -374,43 +380,6 @@ class Node:
         return len(self.ids)
 
 
-def sample_thresholds(a_min, a_max, s, rng):
-    """Draw s candidate thresholds uniformly over [a_min, a_max], sorted.
-
-    A degenerate range yields s copies of the single value (the slot is
-    unusable but keeps its shape).
-    """
-    if a_min == a_max:
-        return np.full(s, a_min)
-    thr = rng.uniform(a_min, a_max, s)
-    thr.sort()
-    return thr
-
-
-def prefix_counts(values, positive, thresholds):
-    """Count, per sorted threshold, the samples at or below it.
-
-    For each value, binary-search the first threshold at or above it,
-    histogram those insertion points, and prefix-sum the histogram.
-
-    Parameters
-    ----------
-    values : ndarray of float, shape (m,)
-    positive : ndarray of bool, shape (m,)
-    thresholds : ndarray of float, shape (s,), sorted ascending
-
-    Returns
-    -------
-    b, c : ndarray of int64, shape (s,)
-        b[i] = #{values <= thresholds[i]}, c[i] = positives among them.
-    """
-    s = len(thresholds)
-    idx = np.searchsorted(thresholds, values, side="left")
-    b = np.bincount(idx, minlength=s + 1)[:s].cumsum()
-    c = np.bincount(idx[positive], minlength=s + 1)[:s].cumsum()
-    return b, c
-
-
 def best_cells(b, c, n, n_pos, flat, criterion):
     """Score one (p, s) count grid, or an (m, p, s) stack of them, and
     return each grid's first minimum cell as best_k, best_i and whether it
@@ -437,16 +406,7 @@ def best_cells(b, c, n, n_pos, flat, criterion):
     cells = score.reshape(m, b.shape[1] * s)
     best = cells.argmin(axis=1)
     best_k, best_i = np.divmod(best, s)
-    return best_k, best_i, np.isfinite(cells[np.arange(m), best])
-
-
-def _moved(node, cell, thr):
-    """Is cell (k, i, usable) of a split node's current grid not its
-    recorded split: unusable, another cell, or the same cell at another
-    threshold value?  thr is the pool's threshold array."""
-    k, i, usable = cell
-    return (not usable or k != node.best_k or i != node.best_i
-            or thr[node.row, k, i] != node.best_w)
+    return best_k, best_i, np.isfinite(cells.min(axis=1))
 
 
 class Tree:
@@ -492,13 +452,6 @@ class Tree:
         """The stop rule, for one node's numbers or for arrays of them."""
         return ((depth >= self.params.max_depth) | (n < self.params.min_split_size)
                 | (n_pos == 0) | (n_pos == n))
-
-    def _best_cell(self, node):
-        """Score node's grid from its counts; returns its first argmin cell
-        as (k, i, usable)."""
-        pool, r = self.pool, node.row
-        return best_cells(pool.b[r], pool.c[r], node.n, node.n_pos, pool.amin[r] == pool.amax[r],
-                          self.params.criterion)
 
     def _key_stream(self, key, out):
         """Fill out with uniforms from the Philox stream keyed by key, its
@@ -559,19 +512,6 @@ class Tree:
         setattr(self.telemetry, cause, getattr(self.telemetry, cause) + 1)
         return node
 
-    def _resample_slots(self, node, which):
-        """Redraw thresholds (and recount) for the flagged slots."""
-        pool, r = self.pool, node.row
-        ids = node.ids
-        positive = self.ds.y[ids] == 1
-        for k in np.flatnonzero(which):
-            thr = pool.thr[r, k] = sample_thresholds(pool.amin[r, k], pool.amax[r, k], self.s,
-                                                     self.rng)
-            pool.b[r, k], pool.c[r, k] = prefix_counts(self.ds.X[ids, pool.attrs[r, k]],
-                                                       positive, thr)
-        self.telemetry.attrs_resampled += int(which.sum())
-        self.telemetry.range_resample_samples += node.n
-
     # -- update operations ------------------------------------------------
 
     def delete(self, sample_id):
@@ -600,75 +540,6 @@ class Tree:
         """
         return delete_groups([(self, group)])[0]
 
-    def _settle_deleted(self, node, hit, cell):
-        """Settle one node whose ids, n_pos and counts a single-sample
-        deletion has patched; returns the node if it was tagged here, else
-        None.  The walk goes on below the node only if it still has
-        children.  delete_groups applies the same rules a level at a time.
-
-        hit marks the slots where a removed value sat on a range boundary,
-        or is None if there are none (or the node has no grid).  cell is
-        the patched grid's first argmin cell, or None to score the node
-        here; it is not used if a slot is redrawn.
-        """
-        self.telemetry.nodes_updated += 1
-        stopped = node.left is not None and self._stop(node.depth, node.n, node.n_pos)
-        if node.tagged or stopped:
-            if hit is not None:
-                self._rescan_ranges(node, hit)
-            return self._tag(node, "tags_stopped") if stopped else None
-        if node.row == -1:
-            return None
-        which = None if hit is None else self._rescan_ranges(node, hit)
-        if which is not None:
-            self._resample_slots(node, which)
-            cell = None
-        if node.left is None:
-            return None
-        if cell is None:
-            cell = self._best_cell(node)
-        return self._tag(node, "tags_moved") if _moved(node, cell, self.pool.thr) else None
-
-    def _rescan_ranges(self, node, hit):
-        """Rescan the ranges of the slots hit marks, so that no range keeps
-        a removed value; returns the mask of slots whose range shrank, or
-        None.  Nothing is redrawn: a tagged node's grid is dropped when it
-        regrows.
-
-        A node's bounds are always values of its live rows, so the last
-        row removed from a node sits on every boundary and an emptied node
-        always comes here.  With no value left to rescan to, its ranges and
-        thresholds are zeroed, as its dead rows are.
-        """
-        pool, r = self.pool, node.row
-        amin, amax = pool.amin[r], pool.amax[r]
-        if node.n == 0:
-            amin[:] = 0.0
-            amax[:] = 0.0
-            pool.thr[r] = 0.0
-            return None
-        sub = self.ds.X[node.ids[:, None], pool.attrs[r, hit]]
-        new_min = sub.min(axis=0)
-        new_max = sub.max(axis=0)
-        changed = (new_min != amin[hit]) | (new_max != amax[hit])
-        if not changed.any():
-            return None
-        which = np.zeros(self.p, bool)
-        which[np.flatnonzero(hit)[changed]] = True
-        amin[which] = new_min[changed]
-        amax[which] = new_max[changed]
-        return which
-
-    def _widen_ranges(self, node, xs, widened):
-        """Stretch the flagged slots' ranges over an added value (xs holds
-        it per slot), redraw those slots and rescore the node; returns its
-        first argmin cell."""
-        amin, amax = self.pool.amin[node.row], self.pool.amax[node.row]
-        amin[widened] = np.minimum(amin[widened], xs[widened])
-        amax[widened] = np.maximum(amax[widened], xs[widened])
-        self._resample_slots(node, widened)
-        return self._best_cell(node)
-
     def _route_delete(self, sample_id, label, x):
         """Take the id out of each node on its path, top down; returns the
         path.  The walk stops at a tagged node, a leaf, or a split node
@@ -694,9 +565,9 @@ class Tree:
         node = self.root
         if (node.ids == sample_id).any():
             raise ValueError("sample %d already present in tree" % sample_id)
-        path = []
+        path, one = [], np.array([sample_id], np.int64)
         while True:
-            node.ids = np.append(node.ids, sample_id)
+            node.ids = np.concatenate((node.ids, one))
             node.n_pos += label
             path.append(node)
             if node.tagged or node.left is None:
@@ -705,16 +576,24 @@ class Tree:
 
     def _settle_delete(self, path, grids, j):
         """Settle a routed deletion top down, from row j of the stacked
-        grids on; returns the node it tagged, or None."""
+        grids on; returns the node it tagged, or None.  delete_groups
+        applies the same rules a level at a time."""
         for node in path:
-            hit = cell = None
+            self.telemetry.nodes_updated += 1
+            stopped = node.left is not None and self._stop(node.depth, node.n, node.n_pos)
+            moved = False
             if node.row != -1:
-                hit = grids.flags[j] if grids.flagged[j] else None
-                cell = grids.cells[j]
+                moved = grids.moved[j]
+                if (grids.flagged[j] or not node.n) and _range_change(
+                        [(self, node)], grids.flags[j:j + 1], [not (node.tagged or stopped)])[0]:
+                    moved, = _moved_nodes(self, [node])
                 j += 1
-            tag = self._settle_deleted(node, hit, cell)
-            if tag is not None or node.left is None:
-                return tag
+            if stopped:
+                return self._tag(node, "tags_stopped")
+            if node.tagged or node.left is None:
+                return None
+            if moved:
+                return self._tag(node, "tags_moved")
         return None
 
     def _settle_add(self, path, grids, j):
@@ -729,18 +608,18 @@ class Tree:
                 if not self._stop(node.depth, node.n, node.n_pos):
                     return self._tag(node, "tags_stopped")
                 return None
+            moved = grids.moved[j]
             if grids.flagged[j]:
                 if node.left is None:
                     # leaf kept its grid because every slot was degenerate;
                     # a widening value makes it splittable again
                     return self._tag(node, "tags_widened")
-                cell = self._widen_ranges(node, grids.xs[j], grids.flags[j])
-            else:
-                cell = grids.cells[j]
+                _range_change([(self, node)], grids.flags[j:j + 1], [True])
+                moved, = _moved_nodes(self, [node])
             j += 1
             if node.left is None:
                 return None
-            if _moved(node, cell, self.pool.thr):
+            if moved:
                 return self._tag(node, "tags_moved")
         return None
 
@@ -840,10 +719,10 @@ class _StackedGrids:
     from the pool rows, patched by the one sample, written back, and
     scored in one best_cells call.
 
-    xs holds the sample's value per slot, flags marks per slot a range hit
-    (delete: the value sits on a range boundary) or widening (add: the
-    value lies outside the range), and cells is each grid's first argmin
-    cell as (k, i, usable).
+    flags marks per slot a range hit (delete: the value sits on a range
+    boundary) or widening (add: the value lies outside the range), and
+    moved says per grid whether its first argmin cell is no longer the
+    node's split (see _moved_mask).
     """
 
     def __init__(self, tree, nodes, x, label, add):
@@ -851,7 +730,7 @@ class _StackedGrids:
         rows = np.array([node.row for node in nodes])
         amin = pool.amin[rows]
         amax = pool.amax[rows]
-        self.xs = xs = x[pool.attrs[rows]]
+        xs = x[pool.attrs[rows]]
         covered = pool.thr[rows] >= xs[:, :, None]
         patch = np.add if add else np.subtract
         b = pool.b[rows]
@@ -865,8 +744,8 @@ class _StackedGrids:
         self.flagged = self.flags.any(axis=1).tolist()
         n = np.array([node.n for node in nodes])
         n_pos = np.array([node.n_pos for node in nodes])
-        k, i, usable = best_cells(b, c, n, n_pos, amin == amax, tree.params.criterion)
-        self.cells = list(zip(k.tolist(), i.tolist(), usable.tolist()))
+        cells = best_cells(b, c, n, n_pos, amin == amax, tree.params.criterion)
+        self.moved = _moved_mask(pool, rows, nodes, *(cell.tolist() for cell in cells))
 
 
 # -- group deletion -----------------------------------------------------------
@@ -934,8 +813,9 @@ def _delete_level(trees, frontier, grp, lens, member, cap, tagged):
     moved = set()
     if gridded:
         _patch_level(trees, frontier, grp, lens, gridded, stopped, cap)
-        moved = _moved_nodes(kernel, frontier, [j for j in gridded if not stopped[j]
-                                                and frontier[j][1].left is not None])
+        scored = [j for j in gridded if not stopped[j] and frontier[j][1].left is not None]
+        moved = {j for j, off in zip(scored, _moved_nodes(kernel, [frontier[j][1] for j in scored]))
+                 if off}
     # tags draw their keys in frontier order, after every redraw of the level
     for j, (t, node) in enumerate(frontier):
         if stopped[j] or j in moved:
@@ -973,49 +853,21 @@ def _groups_of(picked, grp, lens):
 
 def _patch_level(trees, frontier, grp, lens, gridded, stopped, cap):
     """Patch the grids of a delete_groups level: take each gridded node's
-    group out of its counts, zero the grids of emptied nodes, and rescan
-    the slots where a deleted value sat on a range boundary; an untagged,
-    unstopped node redraws the slots whose range changed.  Patches go in
-    chunks of whole nodes of at most CHUNK_ROWS rows, a grid counting as s
-    rows; rescans in runs of whole slots of at most as many rows as the
-    largest root or CHUNK_ROWS, whichever is more."""
+    group out of its counts, then put every gridded node through the
+    range-change step, the slots where a deleted value sat on a range
+    boundary marked as hit; an untagged, unstopped node may redraw.
+    Patches go in chunks of whole nodes of at most CHUNK_ROWS rows, a grid
+    counting as s rows."""
     kernel = trees[frontier[0][0]]
-    pool, p, s = kernel.pool, kernel.p, kernel.s
     grp, lens = _groups_of(gridded, grp, lens)
     rows = np.array([frontier[j][1].row for j in gridded])
-    hit = np.empty((len(gridded), p), bool)
+    hit = np.empty((len(gridded), kernel.p), bool)
     ends = lens.cumsum()
-    for a, z in _runs(lens + s, CHUNK_ROWS):
+    for a, z in _runs(lens + kernel.s, CHUNK_ROWS):
         span = slice(ends[a] - lens[a], ends[z - 1])
         hit[a:z] = _patch_chunk(kernel, rows[a:z], grp[span], lens[a:z], cap)
-    # an emptied node has no value left to rescan to: zero its ranges and
-    # thresholds, as its dead rows are
-    emptied = np.array([frontier[j][1].n == 0 for j in gridded])
-    if emptied.any():
-        pool.amin[rows[emptied]] = 0.0
-        pool.amax[rows[emptied]] = 0.0
-        pool.thr[rows[emptied]] = 0.0
-        hit[emptied] = False
-    # the hit (node, slot) pairs, in frontier then slot order
-    at, slots = np.nonzero(hit)
-    if not len(at):
-        return
-    at = at.tolist()
-    pairs = [(frontier[gridded[j]], not (stopped[gridded[j]] or frontier[gridded[j]][1].tagged))
-             for j in at]
-    sizes = np.array([node.n for (_, node), _ in pairs])
-    redrawn = np.empty(len(pairs), bool)
-    for a, z in _runs(sizes, max(cap, CHUNK_ROWS)):
-        redrawn[a:z] = _rescan_run(trees, pairs[a:z], rows[at[a:z]], slots[a:z], sizes[a:z],
-                                   cap)
-    last = None
-    for ((t, node), _), again in zip(pairs, redrawn.tolist()):
-        if again:
-            telemetry = trees[t].telemetry
-            telemetry.attrs_resampled += 1
-            if node is not last:
-                telemetry.range_resample_samples += node.n
-                last = node
+    _range_change([(trees[frontier[j][0]], frontier[j][1]) for j in gridded], hit,
+                  [not (stopped[j] or frontier[j][1].tagged) for j in gridded])
 
 
 def _patch_chunk(kernel, rows, grp, lens, cap):
@@ -1033,63 +885,126 @@ def _patch_chunk(kernel, rows, grp, lens, cap):
     return np.logical_or.reduceat(edge, np.concatenate(([0], lens[:-1].cumsum())), axis=0)
 
 
-def _rescan_run(trees, pairs, rows, slots, sizes, cap):
-    """Rescan a run of hit slots: pairs lists ((tree index, node),
-    redrawable) per slot, at pool rows rows and slots slots, whose nodes
-    hold sizes ids.  A changed range is stored.  A redrawable one also
-    draws s uniforms from its tree's stream, as sample_thresholds draws
-    them (nothing if the new range is a single value), and is recounted;
-    the recount compares one slot per row, in runs of at most cap * p
-    rows, no more than growth compares in its runs.  Returns the mask of
-    redrawn slots."""
-    kernel = trees[pairs[0][0][0]]
-    ds, pool, p, s = kernel.ds, kernel.pool, kernel.p, kernel.s
-    ids = np.concatenate([node.ids for (_, node), _ in pairs])
-    vals = ds.X[ids, np.repeat(pool.attrs[rows, slots], sizes)]
-    starts = np.concatenate(([0], sizes[:-1].cumsum()))
-    lo = np.minimum.reduceat(vals, starts)
-    hi = np.maximum.reduceat(vals, starts)
-    changed = (lo != pool.amin[rows, slots]) | (hi != pool.amax[rows, slots])
-    pool.amin[rows[changed], slots[changed]] = lo[changed]
-    pool.amax[rows[changed], slots[changed]] = hi[changed]
-    redrawn = changed & np.array([again for _, again in pairs])
-    if not redrawn.any():
-        return redrawn
-    at = np.flatnonzero(redrawn)
-    lo, hi, rows, slots = lo[at], hi[at], rows[at], slots[at]
-    thr = np.repeat(lo[:, None], s, axis=1)
-    drawn = lo != hi
-    if drawn.any():
-        owners = [pairs[q][0][0] for q in at[drawn].tolist()]
-        u = np.concatenate([trees[t].rng.random((len(list(run)), s))
-                            for t, run in groupby(owners)])
-        lo_d, hi_d = lo[drawn], hi[drawn]
-        thr[drawn] = np.sort(lo_d[:, None] + (hi_d - lo_d)[:, None] * u, axis=1)
-    pool.thr[rows, slots] = thr
-    keep = np.repeat(redrawn, sizes)
-    ids, vals, sizes = ids[keep], vals[keep, None], sizes[at]
-    b, c = _prefix_grids(_below(thr[:, None, :], sizes, vals, cap * p), sizes,
-                         ds.y[ids] == 1, s)
-    pool.b[rows, slots] = b[:, 0]
-    pool.c[rows, slots] = c[:, 0]
-    return redrawn
+def _range_change(entries, hit, redraw):
+    """The range-change step of every update, over (tree, node) entries:
+    gridded nodes of trees that share one Dataset and one GridPool.  hit,
+    an (m, p) mask, marks the slots whose range the update may have
+    changed, and redraw[j] says whether node j may redraw.  Returns per
+    node whether it redrew, as a list of bools.
+
+    An emptied node has no value left to rescan to: its ranges and
+    thresholds are zeroed, as its dead rows are.  Every other hit slot is
+    rescanned, a min and max over its node's ids, and its range stored.
+    If the range changed and its node may redraw, the slot then reads s
+    uniforms from its tree's stream, scaled onto the new range and sorted
+    (nothing if the range is a single value), as growth draws them, and is
+    recounted; the tree's attrs_resampled and range_resample_samples count
+    it.  Draws go in entry then slot order.  Slots go in runs of whole
+    slots of at most CHUNK_ROWS ids (a larger slot is a run of its own),
+    and a recount compares each id of its run with s thresholds.
+    """
+    kernel = entries[0][0]
+    ds, pool, s = kernel.ds, kernel.pool, kernel.s
+    nodes = [node for _, node in entries]
+    emptied = [j for j, node in enumerate(nodes) if not node.n]
+    if emptied:
+        rows = [nodes[j].row for j in emptied]
+        pool.amin[rows] = 0.0
+        pool.amax[rows] = 0.0
+        pool.thr[rows] = 0.0
+        hit = hit.copy()
+        hit[emptied] = False
+    at, slots = np.nonzero(hit)
+    if not len(at):
+        return [False] * len(nodes)
+    owner = at.tolist()
+    sizes = [nodes[j].n for j in owner]
+    redrew = [0] * len(nodes)
+    runs = [(0, len(owner))] if sum(sizes) <= CHUNK_ROWS else _runs(np.array(sizes), CHUNK_ROWS)
+    for a, z in runs:
+        run, n = owner[a:z], np.array(sizes[a:z])
+        r, k = np.array([nodes[j].row for j in run]), slots[a:z]
+        ids = np.concatenate([nodes[j].ids for j in run])
+        vals = ds.X[ids, np.repeat(pool.attrs[r, k], n)]
+        starts = list(accumulate(sizes[a:z - 1], initial=0))
+        lo = np.minimum.reduceat(vals, starts)
+        hi = np.maximum.reduceat(vals, starts)
+        old_lo, old_hi = pool.amin[r, k], pool.amax[r, k]
+        changed = (lo != old_lo) | (hi != old_hi)
+        pool.amin[r, k] = np.where(changed, lo, old_lo)
+        pool.amax[r, k] = np.where(changed, hi, old_hi)
+        again = [c and redraw[j] for c, j in zip(changed.tolist(), run)]
+        if not any(again):
+            continue
+        if not all(again):
+            q = np.flatnonzero(again)
+            lo, hi, r, k, n = lo[q], hi[q], r[q], k[q], n[q]
+            keep = np.repeat(again, sizes[a:z])
+            ids, vals = ids[keep], vals[keep]
+            starts = list(accumulate(n[:-1].tolist(), initial=0))
+        # each slot reads s uniforms from its tree's stream, but a flat one
+        # draws nothing: its thresholds are its one value
+        span = hi - lo
+        flat = (span == 0).tolist()
+        trees = [entries[j][0] for j, g in zip(run, again) if g]
+        draws = [tree.rng.random((len(list(same)), s))
+                 for tree, same in groupby(tree for tree, f in zip(trees, flat) if not f)]
+        if any(flat):
+            u = np.zeros((len(lo), s))
+            if draws:
+                u[np.logical_not(flat)] = np.concatenate(draws)
+        else:
+            u = np.concatenate(draws)
+        thr = np.sort(lo[:, None] + span[:, None] * u, axis=1)
+        if any(flat):
+            thr[flat] = lo[flat, None]
+        pool.thr[r, k] = thr
+        # b and c count, per threshold, the slot's ids at or below it
+        at_or_above = np.repeat(thr.T, n, axis=1) >= vals
+        pool.b[r, k] = np.add.reduceat(at_or_above, starts, axis=1, dtype=np.int32).T
+        at_or_above &= ds.y[ids] == 1
+        pool.c[r, k] = np.add.reduceat(at_or_above, starts, axis=1, dtype=np.int32).T
+        for j, g in zip(run, again):
+            redrew[j] += g
+    for (tree, node), count in zip(entries, redrew):
+        if count:
+            tree.telemetry.attrs_resampled += count
+            tree.telemetry.range_resample_samples += node.n
+    return [count > 0 for count in redrew]
 
 
-def _moved_nodes(kernel, frontier, scored):
-    """The indices among scored of the frontier's split nodes whose best
-    cell moved (see _moved), scored in one best_cells call per chunk of
-    whole grids, a grid counting as s rows of CHUNK_ROWS."""
-    pool, moved = kernel.pool, set()
-    for a, z in _runs(np.full(len(scored), kernel.s), CHUNK_ROWS):
-        nodes = [frontier[j][1] for j in scored[a:z]]
-        rows = np.array([node.row for node in nodes])
-        k, i, usable = best_cells(pool.b[rows], pool.c[rows], np.array([node.n for node in nodes]),
-                                  np.array([node.n_pos for node in nodes]),
-                                  pool.amin[rows] == pool.amax[rows], kernel.params.criterion)
-        off = (~usable | (k != [node.best_k for node in nodes])
-               | (i != [node.best_i for node in nodes])
-               | (pool.thr[rows, k, i] != [node.best_w for node in nodes]))
-        moved.update(scored[a + q] for q in np.flatnonzero(off).tolist())
+def _moved_mask(pool, rows, nodes, k, i, usable):
+    """Per split node of nodes, at pool rows rows: is the first argmin cell
+    (k, i, usable, as lists) that best_cells found on its current grid not
+    its recorded split?  That is, unusable, another cell, or the same cell
+    at another threshold value.  Returns a list of bools.  The cells are
+    compared as Python scalars, which costs less than building arrays of
+    the nodes' splits."""
+    return [not ok or (kk, ii, w) != (node.best_k, node.best_i, node.best_w)
+            for node, kk, ii, ok, w in zip(nodes, k, i, usable, pool.thr[rows, k, i].tolist())]
+
+
+def _moved_nodes(tree, nodes):
+    """Per split node of nodes (of trees sharing tree's pool and params),
+    whether its best cell moved (_moved_mask), each grid scored afresh in
+    one best_cells call per chunk of whole grids, a grid counting as s rows
+    of CHUNK_ROWS."""
+    pool, per, moved = tree.pool, max(CHUNK_ROWS // tree.s, 1), []
+    for a in range(0, len(nodes), per):
+        chunk = nodes[a:a + per]
+        rows = [node.row for node in chunk]
+        if len(chunk) == 1:
+            # one grid is scored on views, which costs less than a gather
+            (node,), (r,) = chunk, rows
+            cells = [[cell] for cell in best_cells(pool.b[r], pool.c[r], node.n, node.n_pos,
+                                                   pool.amin[r] == pool.amax[r],
+                                                   tree.params.criterion)]
+        else:
+            cells = [cell.tolist() for cell in best_cells(
+                pool.b[rows], pool.c[rows], np.array([node.n for node in chunk]),
+                np.array([node.n_pos for node in chunk]), pool.amin[rows] == pool.amax[rows],
+                tree.params.criterion)]
+        moved += _moved_mask(pool, rows, chunk, *cells)
     return moved
 
 
@@ -1311,10 +1226,10 @@ def _below(thr, lens, vals, cap):
 
 
 def _prefix_grids(below, lens, positive, s):
-    """The b and c grids of a stack of whole nodes, as prefix_counts counts
-    them, from each row's _below count and label: histogram the
-    counts into (node, slot, bin) and prefix-sum the bins.  Returns two
-    (m, p, s) int64 arrays."""
+    """The b and c grids of a stack of whole nodes (per threshold, the
+    samples at or below it and the positives among them), from each row's
+    _below count and label: histogram the counts into (node, slot, bin)
+    and prefix-sum the bins.  Returns two (m, p, s) int64 arrays."""
     m, p = len(lens), below.shape[1]
     size = m * p * (s + 1)
     cell = np.repeat(np.arange(0, size, s + 1).reshape(m, p), lens, axis=0)
@@ -1384,8 +1299,8 @@ def _split_chunk(kernel, splitting, keys, lens, thresholds, cap):
     amin = np.minimum.reduceat(vals, starts, axis=0)
     amax = np.maximum.reduceat(vals, starts, axis=0)
     flat = amin == amax
-    # s uniform thresholds per non-degenerate slot, drawn as
-    # sample_thresholds draws them; a degenerate slot draws nothing
+    # s uniform thresholds per non-degenerate slot, scaled onto its range
+    # and sorted; a degenerate slot draws nothing
     thr = np.repeat(amin[:, :, None], s, axis=2)
     lo, hi = amin[~flat], amax[~flat]
     drawn = lo[:, None] + (hi - lo)[:, None] * thresholds(flat)

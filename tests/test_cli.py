@@ -16,7 +16,8 @@ from dynforest import snapshot
 from dynforest.cli import main
 from dynforest.snapshot import load
 
-from test_snapshot import drop_header_key, edit_arrays, tamper_counts
+from test_snapshot import (drop_header_key, edit_arrays, join_snapshot, split_snapshot,
+                           tamper_counts)
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -404,6 +405,16 @@ def test_model_missing_header_key_exits_2(workspace, tmp_path, capsys):
     code, _, err = run_cli(capsys, "unlearn-seq", "--model", str(bad),
                            "--ids", "1", "--skip-naive")
     assert code == 2 and "malformed" in err
+
+
+def test_model_with_an_unallocatable_id_counter_exits_2(workspace, tmp_path, capsys):
+    # 2**50 ids cannot be allocated under any overcommit setting: it fails at once
+    header, body = split_snapshot(open(workspace["model"], "rb").read())
+    header["data"]["next_id"] = 2**50
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(join_snapshot(header, body))
+    code, _, err = run_cli(capsys, "audit", "--model", str(bad))
+    assert code == 2 and "cannot be allocated" in err
 
 
 def test_model_with_corrupt_child_index_exits_2(workspace, tmp_path, capsys):

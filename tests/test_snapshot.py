@@ -237,6 +237,20 @@ def test_load_of_an_inflated_id_counter_writes_only_the_assignment(tmp_path):
     assert peak[big] - peak[small] < extra + 8 * 2**20, (peak, extra)
 
 
+def test_load_rejects_an_id_counter_it_cannot_allocate(tmp_path):
+    """A header whose next_id no address space can hold raises
+    SnapshotError, not MemoryError.  2**50 ids make Forest.assignment
+    petabytes, so the allocation fails at once, without touching memory."""
+    _, forest = trained(seed=2, n=120)
+    path = tmp_path / "m.bin"
+    save(forest, path)
+    header, body = split_snapshot(path.read_bytes())
+    header["data"]["next_id"] = 2**50
+    path.write_bytes(join_snapshot(header, body))
+    with pytest.raises(SnapshotError, match="cannot be allocated"):
+        load(path)
+
+
 def test_lockstep_updates_after_load_stay_identical(tmp_path):
     ds, forest = trained(seed=3)
     save(forest, tmp_path / "m.bin")

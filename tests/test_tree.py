@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from dynforest.data import dataset_from_arrays
-from dynforest.oracle import AttributeSlot, score_candidates, sortmerge_best_split
+from dynforest.oracle import (AttributeSlot, prefix_counts, sample_thresholds,
+                              score_candidates, sortmerge_best_split)
 from dynforest.synth import make_dataset
-from dynforest.tree import (TreeParams, audit_tree, best_cells, build_tree, prefix_counts,
-                            sample_thresholds)
+from dynforest.tree import TreeParams, audit_tree, best_cells, build_tree
 
 
 def small_params(**kw):

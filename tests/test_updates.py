@@ -3,9 +3,12 @@
 Forest.delete and Forest.add walk all k trees of a sample in one stacked
 pass (tree.update_paths).  Its references are the same walk one tree at a
 time (Tree.delete and Tree.add), the group walk for deletes
-(Tree.delete_group on a group of one) and, for adds, the per-node add walk
-that the stacked walk replaced, kept below as per_node_add.  All must
-leave every node, every generator and every counter the same.
+(Tree.delete_group on a group of one), the depth-first reference walk of
+oracle.py for deletes (oracle.reference_delete_group on a group of one)
+and, for adds, a per-node add walk kept below as per_node_add.  The
+references that redraw on their own (oracle.py's and per_node_add) share
+no rescan or redraw code with tree.py.  All must leave every node, every
+generator and every counter the same.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ import numpy as np
 import pytest
 
 from dynforest import criterion as crit
+from dynforest import tree as tree_mod
 from dynforest.data import dataset_from_arrays
 from dynforest.forest import Forest, ForestParams
-from dynforest.oracle import forest_audit
+from dynforest.oracle import forest_audit, prefix_counts, reference_delete_group, sample_thresholds
 from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
-from dynforest.tree import Tree, TreeParams
+from dynforest.tree import TreeParams
 from test_forest import quick_params
 from test_tree import grid
 
@@ -38,9 +42,10 @@ class TreeByTree(Forest):
 
 def per_node_add(tree, sample_id):
     """Add a sample one node at a time, top down: patch the node's counts,
-    widen and redraw its ranges, rescore it, and tag it or go on.  This is
-    the walk the stacked one replaced, kept as an independent reference;
-    returns the node it tagged, or None."""
+    widen its ranges and redraw each widened slot through
+    sample_thresholds and prefix_counts, rescore it, and tag it or go on.
+    An independent reference for the stacked walk; returns the node it
+    tagged, or None."""
     x = tree.ds.X[sample_id]
     label = int(tree.ds.y[sample_id])
     node = tree.root
@@ -70,7 +75,13 @@ def per_node_add(tree, sample_id):
         if widened.any():
             blk.amin[widened] = np.minimum(blk.amin[widened], xs[widened])
             blk.amax[widened] = np.maximum(blk.amax[widened], xs[widened])
-            tree._resample_slots(node, widened)
+            positive = tree.ds.y[node.ids] == 1
+            for k in np.flatnonzero(widened):
+                blk.thr[k] = sample_thresholds(blk.amin[k], blk.amax[k], tree.s, tree.rng)
+                blk.b[k], blk.c[k] = prefix_counts(tree.ds.X[node.ids, blk.attrs[k]], positive,
+                                                   blk.thr[k])
+            tree.telemetry.attrs_resampled += int(widened.sum())
+            tree.telemetry.range_resample_samples += node.n
         score = crit.score_matrix(blk.b, blk.c, node.n, node.n_pos, tree.params.criterion)
         score[blk.amin == blk.amax] = np.inf
         k, i = np.unravel_index(np.argmin(score), score.shape)
@@ -84,13 +95,25 @@ class GroupWalk(TreeByTree):
     """Deletes through the group walk, a group of one per tree, and adds
     through per_node_add."""
 
+    @staticmethod
+    def delete_group(tree, group):
+        return tree.delete_group(group)
+
     def _update(self, tree_ids, sample_id, add):
         for t in tree_ids:
             tree = self.trees[t]
-            tagged = [per_node_add(tree, sample_id)] if add else tree.delete_group([sample_id])
+            tagged = ([per_node_add(tree, sample_id)] if add
+                      else self.delete_group(tree, [sample_id]))
             for node in tagged:
                 if node is not None and not self.lazy:
                     tree.rebuild_node(node)
+
+
+class ReferenceWalk(GroupWalk):
+    """Deletes through oracle.reference_delete_group, a group of one per
+    tree, and adds through per_node_add."""
+
+    delete_group = staticmethod(reference_delete_group)
 
 
 def node_state(tree):
@@ -177,17 +200,18 @@ def apply(forest, op, arg):
 @pytest.mark.parametrize("seed,criterion", [(0, "gini"), (1, "gini"), (2, "entropy")])
 def test_stacked_walk_matches_tree_by_tree_and_group_walk(tmp_path, lazy, seed, criterion):
     path = tagged_snapshot(tmp_path / "tagged.bin", seed, criterion)
-    stacked, by_tree, group = twins(path, lazy, TreeByTree, GroupWalk)
+    stacked, by_tree, group, reference = twins(path, lazy, TreeByTree, GroupWalk, ReferenceWalk)
     rng = np.random.default_rng(100 + seed)
     tags = 0
     for op, arg in random_updates(stacked, rng, 60):
         before = stacked.tagged_count()
-        for forest in (stacked, by_tree, group):
+        for forest in (stacked, by_tree, group, reference):
             apply(forest, op, arg)
         tags += stacked.tagged_count() != before
         want = forest_state(by_tree)
         assert forest_state(stacked) == want, (op, arg)
         assert forest_state(group) == want, (op, arg)
+        assert forest_state(reference) == want, (op, arg)
     # the sequence exercised tags and redraws, not just patches
     telemetry = stacked.telemetry()
     assert telemetry.attrs_resampled > 0 and telemetry.tags_moved > 0
@@ -228,14 +252,14 @@ def test_adds_match_the_per_node_walk_where_ranges_widen(lazy):
 
 def test_telemetry_sums_match_updates_one_tree_at_a_time(tmp_path):
     path = tagged_snapshot(tmp_path / "tagged.bin", 3, "gini")
-    stacked, by_tree, group = twins(path, True, TreeByTree, GroupWalk)
+    stacked, by_tree, group, reference = twins(path, True, TreeByTree, GroupWalk, ReferenceWalk)
     rng = np.random.default_rng(7)
     for op, arg in random_updates(stacked, rng, 40):
-        for forest in (stacked, by_tree, group):
+        for forest in (stacked, by_tree, group, reference):
             apply(forest, op, arg)
         assert stacked.telemetry() == by_tree.telemetry()
-        if op == "delete":
-            assert stacked.telemetry().nodes_updated == group.telemetry().nodes_updated
+        assert stacked.telemetry() == group.telemetry(), (op, arg)
+        assert stacked.telemetry() == reference.telemetry(), (op, arg)
     per_tree = [tree.telemetry.as_dict() for tree in by_tree.trees]
     assert stacked.telemetry().as_dict() == {key: sum(d[key] for d in per_tree)
                                             for key in per_tree[0]}
@@ -246,18 +270,19 @@ def test_one_update_makes_one_kernel_call_plus_one_per_redrawn_node(tmp_path, mo
     path = tagged_snapshot(tmp_path / "tagged.bin", 4, "gini")
     forest = load(path)
     calls, redrawn = [0], [0]
-    score_matrix, resample = crit.score_matrix, Tree._resample_slots
+    score_matrix, range_change = crit.score_matrix, tree_mod._range_change
 
     def spy_score(*args, **kwargs):
         calls[0] += 1
         return score_matrix(*args, **kwargs)
 
-    def spy_resample(self, node, which):
-        redrawn[0] += 1
-        return resample(self, node, which)
+    def spy_range_change(*args):
+        out = range_change(*args)
+        redrawn[0] += sum(out)
+        return out
 
     monkeypatch.setattr(crit, "score_matrix", spy_score)
-    monkeypatch.setattr(Tree, "_resample_slots", spy_resample)
+    monkeypatch.setattr(tree_mod, "_range_change", spy_range_change)
     rng = np.random.default_rng(11)
     path_nodes = total_redrawn = 0
     for op, arg in random_updates(forest, rng, 60):

@@ -34,7 +34,9 @@ the pairs the change won, and "unresolved" where the metric is.
 
 The script exits 1 when a claim fails, when any run reports correct:
 false, or when the change fails more operations than the parent on some
-workload; the file is written either way.
+workload; the file is written either way.  It exits 2, before any run,
+when --parent is not the top of a git work tree, since the file records
+the parent's full commit hash.
 
 The runs take the whole machine: run nothing else meanwhile.  One pair of
 10-second runs takes about a minute on a 2-core VM.
@@ -133,7 +135,14 @@ def summary_lines(doc):
 
 
 def git_head(checkout):
-    out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
+    """The full hash of the commit checked out at checkout, or None when
+    checkout is not the top of a git work tree (a `git archive` copy, say,
+    even one unpacked inside another work tree)."""
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=checkout,
+                         capture_output=True, text=True)
+    if top.returncode or os.path.realpath(top.stdout.strip()) != os.path.realpath(checkout):
+        return None
+    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                          capture_output=True, text=True)
     return out.stdout.strip() or None
 
@@ -151,13 +160,19 @@ def main(argv=None):
                     help="workload:seeds, e.g. update-stream:3001-3005")
     ap.add_argument("--out-dir", default=ROOT)
     args = ap.parse_args(argv)
+    parent_commit = git_head(args.parent)
+    if parent_commit is None:
+        print("error: --parent %s is not a git work tree, so its commit cannot be recorded; "
+              "check the parent out with `git worktree add <dir> <commit>`" % args.parent,
+              file=sys.stderr)
+        return 2
     seeds = parse_seeds(args.seeds)
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
     declared = {m["name"]: m for m in benchmark["end_to_end"]}
     doc = {
         "change": args.describe,
-        "parent_commit": git_head(args.parent),
+        "parent_commit": parent_commit,
         "command": "python3 benchmark/run.py --workload <w> --seed <s> --seconds %g --trace 0"
                    % args.seconds,
         "method": "alternating parent/change pairs (parent first on odd pairs), one run "
