@@ -313,7 +313,12 @@ class Dataset:
     def tombstone(self, sample_id):
         """Mark a live sample dead and zero its row, so that its features
         and label leave memory.  The id is never reused."""
-        self.tombstone_many([sample_id])
+        self._check_live(sample_id)
+        self._live[sample_id] = False
+        self._n_live -= 1
+        self._n_pos -= int(self._y[sample_id])
+        self._X[sample_id] = 0.0
+        self._y[sample_id] = 0
 
     def tombstone_many(self, ids):
         """Tombstone distinct live ids as tombstone() does one, zeroing

@@ -201,9 +201,9 @@ class Forest:
         """Add a sample to the dataset and to k freshly drawn trees.
 
         The k trees take it in one path walk (see tree.update_paths):
-        each is routed, all their path grids are patched and scored
-        together, then each tree settles its redraws and tag.  Returns
-        the new sample id.
+        each is routed, all their path grids are patched, range-changed
+        and scored together, then each tree walks down to its tag.
+        Returns the new sample id.
         """
         sample_id = self.ds.add(features, label)
         chosen = np.sort(self.rng.choice(self.params.n_trees, size=self.k,

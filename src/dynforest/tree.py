@@ -38,34 +38,41 @@ Every update walk settles nodes by two rules, each one function.
            deleted value.  An emptied node's ranges and thresholds are
            zeroed.
   Moved split (_moved_mask).  A split node is tagged (tags_moved) when
-           the first argmin cell of its current grid is not its split:
-           another cell, the same cell at another threshold, or no usable
-           cell.  A node that redrew is scored afresh (_moved_nodes).
+           the first argmin cell of its grid, scored after any redraw, is
+           not its split: another cell, the same cell at another
+           threshold, or no usable cell.
 
 A single-sample deletion or addition is one walk over the k trees that
 hold the sample, update_paths: Forest.delete and Forest.add pass their k
-trees, and Tree.delete and Tree.add are one-tree calls into it.  It has
-three steps.
+trees, and Tree.delete and Tree.add are one-tree calls into it.  It runs
+the stacked steps of one delete_groups depth over the k paths, each step
+one call for all k trees.
 
   Route.   Each tree's path is walked top down on its current splits; the
            id leaves (or joins) every node's ids and n_pos follows.  The
            walk stops at a tagged node, a leaf, or (deleting) a split node
            whose stop rule now holds.
-  Stack.   The pool rows of every visited node of all k trees are
+  Patch.   The pool rows of every visited node of all k trees are
            gathered, patched at once (-1 or +1 in each cell whose
            threshold is at or above the sample's value) and written back,
-           tested for range hits (deleting: the value sits on a boundary)
-           and widenings (adding: it lies outside), and scored in one
-           best_cells call, which gives each node's moved test.
-  Settle.  Each tree goes down its path, one node at a time, through
-           the range change where a slot was hit or widened (a widening
-           only at an untagged split node, whose exact range the rescan
-           widens by the added value) or the node was emptied.  The walk
+           and tested for range hits (deleting: the value sits on a
+           boundary) and widenings (adding: it lies outside).
+  Range change.  Every path node of all k trees that was hit or emptied
+           (deleting) or widened (adding, only at an untagged split node,
+           whose exact range the rescan widens by the added value) goes
+           through one range change.  Deleting, an untagged node whose
+           stop rule does not hold may redraw; adding, every such node
+           may.
+  Score.   Every path grid is scored in one best_cells call, after the
+           redraws, which gives each node's moved test.
+  Tag.     Each tree walks its flags top down, drawing nothing.  The walk
            ends at a tagged node or a leaf, or by tagging a split node
            whose stop rule now holds (tags_stopped) or whose split moved
            (tags_moved), or a grid leaf that an added value widened
-           (tags_widened).  Nodes the route patched below a node tagged
-           here are discarded with its subtree.
+           (tags_widened).  Nodes below the node tagged here are discarded
+           with its subtree, and with them what the range change did
+           there: their grid rows go on the free list, and their redraws
+           are put back (see Randomness).
 
 Deleting a group is one walk over any number of trees, delete_groups:
 Forest.unlearn_batch passes every tree with its share of the batch, and
@@ -142,13 +149,23 @@ only its own stream and its frontier is contiguous (frontiers are
 tree-major), so its draws do not depend on which trees share a call: a
 tree grown with others is the tree grown alone, bit for bit.
 
-On the update path only the settle step draws, tree by tree and in path
-order: s uniforms per redrawn slot, in slot order, then one 64-bit key
-for the node the update tags, which an eager forest then rebuilds from
-the same stream (rebuild).  Routing and stacking draw nothing, so a
-tree reads the same draws whether its grids were stacked with other
-trees' or not: a k-tree update leaves each tree as k one-tree updates
-would.
+On the update path the range change draws, each tree in path order: s
+uniforms per redrawn slot, in slot order.  Then the tag walk draws one
+64-bit key for the node the update tags, which an eager forest then
+rebuilds from the same stream (rebuild).  Which node a walk stops at is
+known only once the redrawn grids are scored, so a node below it, in
+the subtree the tag discards, may have redrawn too.  Those draws are put
+back before the key is drawn (_put_back): the tree's generator state,
+saved before the range change, is restored, and the blocks of uniforms
+of the nodes the walk kept are read again.  The stream then stands where
+a walk that redrew node by node and stopped at the tag leaves it, and
+the counters forget the discarded redraws.  This needs no more of the
+generator than setting a state and reading uniforms, so any
+np.random.Generator serves.  Routing, patching and scoring draw nothing,
+and no tree reads another's stream, so a tree reads the same draws
+whether its grids were stacked with other trees' or not: a k-tree update
+leaves each tree as k one-tree updates, or the node-by-node walks the
+tests compare against, would.
 
 A group deletion draws depth by depth.  At each depth a tree reads s
 uniforms per redrawn slot of its nodes, in frontier then slot order,
@@ -574,54 +591,49 @@ class Tree:
                 return path
             node = node.left if x[node.axis] <= node.best_w else node.right
 
-    def _settle_delete(self, path, grids, j):
-        """Settle a routed deletion top down, from row j of the stacked
-        grids on; returns the node it tagged, or None.  delete_groups
-        applies the same rules a level at a time."""
+    def _settle_delete(self, path, moved, j):
+        """Walk a routed deletion's flags top down, from row j of the stack
+        on, drawing nothing; returns the node to tag and its Telemetry
+        cause (None, None if none) and the stack row past the last node
+        settled.  delete_groups applies the same rules a level at a time."""
         for node in path:
             self.telemetry.nodes_updated += 1
             stopped = node.left is not None and self._stop(node.depth, node.n, node.n_pos)
-            moved = False
+            off = False
             if node.row != -1:
-                moved = grids.moved[j]
-                if (grids.flagged[j] or not node.n) and _range_change(
-                        [(self, node)], grids.flags[j:j + 1], [not (node.tagged or stopped)])[0]:
-                    moved, = _moved_nodes(self, [node])
+                off = moved[j]
                 j += 1
             if stopped:
-                return self._tag(node, "tags_stopped")
+                return node, "tags_stopped", j
             if node.tagged or node.left is None:
-                return None
-            if moved:
-                return self._tag(node, "tags_moved")
-        return None
+                break
+            if off:
+                return node, "tags_moved", j
+        return None, None, j
 
-    def _settle_add(self, path, grids, j):
-        """Settle a routed addition top down, from row j of the stacked
-        grids on; returns the node it tagged, or None."""
+    def _settle_add(self, path, moved, flagged, j):
+        """Walk a routed addition's flags top down, from row j of the stack
+        on, drawing nothing; returns as _settle_delete does."""
         for node in path:
             self.telemetry.nodes_updated += 1
-            if node.tagged:
-                return None
             if node.row == -1:
                 # slotless leaf: tag once every stop criterion has lifted
-                if not self._stop(node.depth, node.n, node.n_pos):
-                    return self._tag(node, "tags_stopped")
-                return None
-            moved = grids.moved[j]
-            if grids.flagged[j]:
-                if node.left is None:
-                    # leaf kept its grid because every slot was degenerate;
-                    # a widening value makes it splittable again
-                    return self._tag(node, "tags_widened")
-                _range_change([(self, node)], grids.flags[j:j + 1], [True])
-                moved, = _moved_nodes(self, [node])
+                if node.tagged or self._stop(node.depth, node.n, node.n_pos):
+                    break
+                return node, "tags_stopped", j
+            off, widened = moved[j], flagged[j]
             j += 1
+            if node.tagged:
+                break
             if node.left is None:
-                return None
-            if moved:
-                return self._tag(node, "tags_moved")
-        return None
+                # leaf kept its grid because every slot was degenerate; a
+                # widening value makes it splittable again
+                if widened:
+                    return node, "tags_widened", j
+                break
+            if off:
+                return node, "tags_moved", j
+        return None, None, j
 
     # -- queries ----------------------------------------------------------
 
@@ -691,11 +703,13 @@ def update_paths(trees, sample_id, add):
     """Delete (add=False) or add (add=True) one sample in each of trees;
     returns, per tree, the node the update tagged or None.
 
-    Routes every tree, stacks the visited grids of all of them into one
-    patch and one kernel call, then settles each tree in path order (see
-    the module docstring, Updates).  The trees must share one Dataset, one
-    TreeParams and one GridPool; an added sample must already be in the
-    Dataset, and a deleted one must still be live there.
+    Routes every tree, patches the visited grids of all of them in one
+    stacked step, puts every path node a range change may reach through
+    one range change, scores every path grid in one kernel call, then walks
+    each tree's flags in path order to its tag (see the module docstring,
+    Updates).  The trees must share one Dataset, one TreeParams and one
+    GridPool, and each must read its own generator; an added sample must
+    already be in the Dataset, and a deleted one must still be live there.
     """
     ds = trees[0].ds
     x = ds.X[sample_id]
@@ -703,49 +717,103 @@ def update_paths(trees, sample_id, add):
     row = x.tolist()  # routing compares Python floats faster
     paths = [tree._route_add(sample_id, label, row) if add
              else tree._route_delete(sample_id, label, row) for tree in trees]
-    # each path's first row in the stack, counted before a settle's tag
-    # frees rows below it
-    nodes, starts = [], []
-    for path in paths:
+    # the path grids of all trees in one stack, tree by tree in path order;
+    # starts[t] is tree t's first row in it
+    nodes, owner, starts = [], [], []
+    for t, path in enumerate(paths):
         starts.append(len(nodes))
         nodes.extend(node for node in path if node.row != -1)
-    grids = _StackedGrids(trees[0], nodes, x, label, add) if nodes else None
-    return [tree._settle_add(path, grids, j) if add else tree._settle_delete(path, grids, j)
-            for tree, path, j in zip(trees, paths, starts)]
+        owner += [t] * (len(nodes) - len(owner))
+    moved, flagged, changes = [], [], {}
+    if nodes:
+        moved, flagged, changes = _patch_paths(trees, owner, nodes, x, label, add)
+    tagged = []
+    for t, (tree, path) in enumerate(zip(trees, paths)):
+        if add:
+            node, cause, j = tree._settle_add(path, moved, flagged, starts[t])
+        else:
+            node, cause, j = tree._settle_delete(path, moved, starts[t])
+        if t in changes:
+            _put_back(tree, nodes, j, *changes[t])
+        tagged.append(node if node is None else tree._tag(node, cause))
+    return tagged
 
 
-class _StackedGrids:
-    """The grids of every node an update visited, in path order: gathered
-    from the pool rows, patched by the one sample, written back, and
-    scored in one best_cells call.
+def _patch_paths(trees, owner, nodes, x, label, add):
+    """The stacked steps of update_paths over the path grids of all its
+    trees (nodes, the grid of tree owner[j] at row j): patch, range change,
+    score.  Returns per row whether the node's split moved (_moved_mask)
+    and whether a slot was hit (deleting: the value sat on a range
+    boundary) or widened (adding: it lay outside), as lists, and for each
+    tree that may have redrawn, its generator's state before the range
+    change with the (slots, blocks) the range change redrew per row."""
+    kernel = trees[0]
+    pool = kernel.pool
+    rows = np.array([node.row for node in nodes])
+    amin = pool.amin[rows]
+    amax = pool.amax[rows]
+    xs = x[pool.attrs[rows]]
+    covered = pool.thr[rows] >= xs[:, :, None]
+    patch = np.add if add else np.subtract
+    b = pool.b[rows]
+    c = pool.c[rows]
+    patch(b, covered, out=b)
+    pool.b[rows] = b
+    if label:
+        patch(c, covered, out=c)
+        pool.c[rows] = c
+    flags = (xs < amin) | (xs > amax) if add else (xs == amin) | (xs == amax)
+    flagged = flags.any(axis=1).tolist()
+    # the nodes that go through the range change, and whether each may
+    # redraw: adding, the widened untagged split nodes, whose exact range
+    # the rescan widens by the added value; deleting, the hit or emptied
+    # nodes, an untagged one whose stop rule does not hold redrawing
+    if add:
+        entries = [j for j, node in enumerate(nodes)
+                   if flagged[j] and not node.tagged and node.left is not None]
+        redraw = [True] * len(entries)
+    else:
+        entries = [j for j, node in enumerate(nodes) if flagged[j] or not node.n]
+        redraw = [not (node.tagged or node.left is not None
+                       and kernel._stop(node.depth, node.n, node.n_pos))
+                  for node in (nodes[j] for j in entries)]
+    changes = {}
+    if entries:
+        states = {owner[j]: trees[owner[j]].rng.bit_generator.state
+                  for j, may in zip(entries, redraw) if may}
+        slots, blocks = _range_change([(trees[owner[j]], nodes[j]) for j in entries],
+                                      flags[entries], redraw)
+        if any(slots):
+            # the redrawn grids are scored as they now are
+            b, c, amin, amax = pool.b[rows], pool.c[rows], pool.amin[rows], pool.amax[rows]
+            for t, state in states.items():
+                redrawn = {j: (count, drawn) for j, count, drawn in zip(entries, slots, blocks)
+                           if count and owner[j] == t}
+                if redrawn:
+                    changes[t] = state, redrawn
+    n = np.array([node.n for node in nodes])
+    n_pos = np.array([node.n_pos for node in nodes])
+    cells = best_cells(b, c, n, n_pos, amin == amax, kernel.params.criterion)
+    return _moved_mask(pool, rows, nodes, *(cell.tolist() for cell in cells)), flagged, changes
 
-    flags marks per slot a range hit (delete: the value sits on a range
-    boundary) or widening (add: the value lies outside the range), and
-    moved says per grid whether its first argmin cell is no longer the
-    node's split (see _moved_mask).
-    """
 
-    def __init__(self, tree, nodes, x, label, add):
-        pool = tree.pool
-        rows = np.array([node.row for node in nodes])
-        amin = pool.amin[rows]
-        amax = pool.amax[rows]
-        xs = x[pool.attrs[rows]]
-        covered = pool.thr[rows] >= xs[:, :, None]
-        patch = np.add if add else np.subtract
-        b = pool.b[rows]
-        c = pool.c[rows]
-        patch(b, covered, out=b)
-        pool.b[rows] = b
-        if label:
-            patch(c, covered, out=c)
-            pool.c[rows] = c
-        self.flags = (xs < amin) | (xs > amax) if add else (xs == amin) | (xs == amax)
-        self.flagged = self.flags.any(axis=1).tolist()
-        n = np.array([node.n for node in nodes])
-        n_pos = np.array([node.n_pos for node in nodes])
-        cells = best_cells(b, c, n, n_pos, amin == amax, tree.params.criterion)
-        self.moved = _moved_mask(pool, rows, nodes, *(cell.tolist() for cell in cells))
+def _put_back(tree, nodes, end, state, redrawn):
+    """Undo the redraws of tree's path nodes at stack rows end and past,
+    below the node its walk stopped at, which its tag discards with the
+    subtree.  redrawn maps each of the tree's stack rows that redrew to the
+    (slots, blocks of s uniforms) it redrew, and state is the tree's
+    generator state before the range change.  The generator goes back to
+    state and re-reads the blocks of the rows the walk settled, so it
+    stands where a walk that stopped there would leave it, and the
+    counters forget the discarded redraws."""
+    lost = [j for j in redrawn if j >= end]
+    if not lost:
+        return
+    tree.rng.bit_generator.state = state
+    tree.rng.random((sum(redrawn[j][1] for j in redrawn if j < end), tree.s))
+    for j in lost:
+        tree.telemetry.attrs_resampled -= redrawn[j][0]
+        tree.telemetry.range_resample_samples -= nodes[j].n
 
 
 # -- group deletion -----------------------------------------------------------
@@ -890,7 +958,8 @@ def _range_change(entries, hit, redraw):
     gridded nodes of trees that share one Dataset and one GridPool.  hit,
     an (m, p) mask, marks the slots whose range the update may have
     changed, and redraw[j] says whether node j may redraw.  Returns per
-    node whether it redrew, as a list of bools.
+    node the slots it redrew and, of those, the ones that read uniforms
+    (blocks of s), as two lists of ints.
 
     An emptied node has no value left to rescan to: its ranges and
     thresholds are zeroed, as its dead rows are.  Every other hit slot is
@@ -916,10 +985,10 @@ def _range_change(entries, hit, redraw):
         hit[emptied] = False
     at, slots = np.nonzero(hit)
     if not len(at):
-        return [False] * len(nodes)
+        return [0] * len(nodes), [0] * len(nodes)
     owner = at.tolist()
     sizes = [nodes[j].n for j in owner]
-    redrew = [0] * len(nodes)
+    redrew, drawn = [0] * len(nodes), [0] * len(nodes)
     runs = [(0, len(owner))] if sum(sizes) <= CHUNK_ROWS else _runs(np.array(sizes), CHUNK_ROWS)
     for a, z in runs:
         run, n = owner[a:z], np.array(sizes[a:z])
@@ -946,7 +1015,8 @@ def _range_change(entries, hit, redraw):
         # draws nothing: its thresholds are its one value
         span = hi - lo
         flat = (span == 0).tolist()
-        trees = [entries[j][0] for j, g in zip(run, again) if g]
+        picked = [j for j, g in zip(run, again) if g]
+        trees = [entries[j][0] for j in picked]
         draws = [tree.rng.random((len(list(same)), s))
                  for tree, same in groupby(tree for tree, f in zip(trees, flat) if not f)]
         if any(flat):
@@ -964,13 +1034,14 @@ def _range_change(entries, hit, redraw):
         pool.b[r, k] = np.add.reduceat(at_or_above, starts, axis=1, dtype=np.int32).T
         at_or_above &= ds.y[ids] == 1
         pool.c[r, k] = np.add.reduceat(at_or_above, starts, axis=1, dtype=np.int32).T
-        for j, g in zip(run, again):
-            redrew[j] += g
+        for j, f in zip(picked, flat):
+            redrew[j] += 1
+            drawn[j] += not f
     for (tree, node), count in zip(entries, redrew):
         if count:
             tree.telemetry.attrs_resampled += count
             tree.telemetry.range_resample_samples += node.n
-    return [count > 0 for count in redrew]
+    return redrew, drawn
 
 
 def _moved_mask(pool, rows, nodes, k, i, usable):

@@ -150,6 +150,34 @@ def test_dataset_rejects_dead_and_unknown_ids():
         ds.tombstone(sid)  # double delete
 
 
+def test_tombstone_leaves_the_state_tombstone_many_leaves():
+    """The one-id path and the batch path agree on live, dead and unknown
+    ids: the same rows, counters and error message."""
+    def state(ds):
+        return (ds._X.tobytes(), ds._y.tobytes(), ds._live.tobytes(), ds.n_live, ds.n_pos,
+                ds.next_id)
+
+    def outcome(ds, call, sample_id):
+        try:
+            call(ds, sample_id)
+        except KeyError as e:
+            return state(ds), str(e)
+        return state(ds), None
+
+    rng = np.random.default_rng(3)
+    X, y = rng.random((12, 3)), np.array([1, 0] * 6)
+    for sample_id in (0, 1, 7, 11, 4, 12, 10 ** 6, -1):
+        one, many = dataset_from_arrays(X, y), dataset_from_arrays(X, y)
+        for ds in (one, many):
+            ds.tombstone_many([4, 5])  # 4 is dead
+        got = outcome(one, Dataset.tombstone, sample_id)
+        want = outcome(many, lambda ds, i: ds.tombstone_many([i]), sample_id)
+        assert got == want, sample_id
+        assert (got[1] is None) == (sample_id in (0, 1, 7, 11))
+    assert "dead" in outcome(one, Dataset.tombstone, 4)[1]
+    assert "unknown" in outcome(one, Dataset.tombstone, 12)[1]
+
+
 def test_dataset_validates_rows():
     ds = Dataset(2)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dynforest import tree as tree_mod
 from dynforest.data import dataset_from_arrays
 from dynforest.oracle import (AttributeSlot, prefix_counts, sample_thresholds,
                               score_candidates, sortmerge_best_split)
@@ -89,6 +90,89 @@ def test_prefix_counts_matches_sortmerge_oracle():
         b, c = prefix_counts(values, positive, thr)
         ob, oc = sortmerge_best_split(values, positive, thr)
         assert np.array_equal(b, ob) and np.array_equal(c, oc)
+
+
+def assert_counts_match_prefix_counts(thr, b, c, X, y, attrs, nodes):
+    """Each node's (p, s) counts b and c at thresholds thr against
+    prefix_counts over its ids' values of attrs."""
+    for j, ids in enumerate(nodes):
+        for k, attr in enumerate(attrs[j]):
+            want = prefix_counts(X[ids, attr], y[ids] == 1, thr[j, k])
+            assert np.array_equal(b[j, k], want[0]), (j, k)
+            assert np.array_equal(c[j, k], want[1]), (j, k)
+
+
+@pytest.mark.parametrize("cap", [11, 10 ** 6], ids=["runs", "one-run"])
+def test_growth_counters_match_prefix_counts(cap):
+    """Growth's counters, _prefix_grids over _below, on random stacks whose
+    values mostly tie with a threshold and with flat slots (one value and
+    thresholds all at it), counted in one run or in runs of whole nodes."""
+    rng = np.random.default_rng(cap)
+    for _ in range(20):
+        m, p, s = int(rng.integers(1, 7)), 3, 4
+        lens = rng.integers(1, 12, m)
+        thr = np.sort(rng.integers(0, 5, (m, p, s)).astype(float), axis=2)
+        vals = rng.integers(-1, 6, (int(lens.sum()), p)).astype(float)
+        nodes = np.split(np.arange(len(vals)), lens.cumsum()[:-1])
+        for j, k in zip(rng.integers(m, size=2), rng.integers(p, size=2)):
+            thr[j, k] = vals[nodes[j], k] = float(rng.integers(5))
+        y = rng.integers(0, 2, len(vals))
+        b, c = tree_mod._prefix_grids(tree_mod._below(thr, lens, vals, cap), lens, y == 1, s)
+        assert_counts_match_prefix_counts(thr, b, c, vals, y, [range(p)] * m, nodes)
+
+
+class GridUniforms:
+    """A stand-in generator whose uniforms are multiples of 1/4, so that
+    thresholds drawn over a range [0, 4] land on the integer values."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return self.rng.integers(0, 4, shape) / 4.0
+
+
+@pytest.mark.parametrize("chunk", [40, tree_mod.CHUNK_ROWS], ids=["runs", "one-run"])
+def test_range_change_recount_matches_prefix_counts(monkeypatch, chunk):
+    """_range_change's recount, over every gridded node of two trees at
+    once: values tie with redrawn thresholds, and a constant column and
+    deep nodes make flat slots."""
+    rng = np.random.default_rng(8)
+    X = np.column_stack([rng.integers(0, 5, 300), np.full(300, 2), rng.integers(0, 5, 300),
+                         rng.random(300)]).astype(float)
+    X[:2, 0] = X[:2, 2] = [0.0, 4.0]  # every integer column spans [0, 4] at the roots
+    y = rng.integers(0, 2, 300)
+    ds = dataset_from_arrays(X, y)
+    params = small_params(max_depth=6, n_thresholds=5, n_attrs=4, min_split_size=4)
+    pool = tree_mod.GridPool(4, 5)
+    trees = [tree_mod.Tree(params, ds, np.random.default_rng(t), pool).build(np.arange(300))
+             for t in range(2)]
+    entries = [(tree, node) for tree in trees for node in walk(tree.root) if node.row != -1]
+    rows = [node.row for _, node in entries]
+    assert len(entries) > 10 and (pool.amin[rows] == pool.amax[rows]).any(axis=1).all()
+    for t, tree in enumerate(trees):
+        tree.rng = GridUniforms(t)
+    pool.amin[rows] -= 1.0  # every range reads as changed, so every slot redraws
+    monkeypatch.setattr(tree_mod, "CHUNK_ROWS", chunk)
+    slots, _ = tree_mod._range_change(entries, np.ones((len(rows), 4), bool),
+                                      [True] * len(rows))
+    assert slots == [4] * len(rows)
+    thr = pool.thr[rows]
+    assert_counts_match_prefix_counts(thr, pool.b[rows], pool.c[rows], X, y, pool.attrs[rows],
+                                      [node.ids for _, node in entries])
+    # thresholds tie with values in unflat slots as well
+    unflat = pool.amin[rows] < pool.amax[rows]
+    assert np.isin(thr[unflat], X[:, [0, 2]]).any()
+
+
+def walk(node):
+    """node and every node below it, in preorder."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.left is not None:
+            stack.extend((node.right, node.left))
 
 
 def test_score_candidates_recounts_from_scratch():

@@ -13,6 +13,8 @@ generator and every counter the same.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -266,31 +268,131 @@ def test_telemetry_sums_match_updates_one_tree_at_a_time(tmp_path):
     assert stacked.telemetry().nodes_updated > 0
 
 
-def test_one_update_makes_one_kernel_call_plus_one_per_redrawn_node(tmp_path, monkeypatch):
+def test_one_update_makes_one_kernel_call_and_at_most_one_range_change(tmp_path, monkeypatch):
     path = tagged_snapshot(tmp_path / "tagged.bin", 4, "gini")
     forest = load(path)
-    calls, redrawn = [0], [0]
+    calls = {"score": 0, "range": 0}
     score_matrix, range_change = crit.score_matrix, tree_mod._range_change
 
     def spy_score(*args, **kwargs):
-        calls[0] += 1
+        calls["score"] += 1
         return score_matrix(*args, **kwargs)
 
     def spy_range_change(*args):
-        out = range_change(*args)
-        redrawn[0] += sum(out)
-        return out
+        calls["range"] += 1
+        return range_change(*args)
 
     monkeypatch.setattr(crit, "score_matrix", spy_score)
     monkeypatch.setattr(tree_mod, "_range_change", spy_range_change)
     rng = np.random.default_rng(11)
-    path_nodes = total_redrawn = 0
+    visits = range_changes = path_nodes = 0
     for op, arg in random_updates(forest, rng, 60):
-        calls[0] = redrawn[0] = 0
+        calls["score"] = calls["range"] = 0
         before = forest.telemetry().nodes_updated
-        apply(forest, op, arg)
-        assert calls[0] == 1 + redrawn[0], (op, arg)
+        if op == "delete":
+            trees = forest.assignment[arg].tolist()
+            forest.delete(arg)
+        else:
+            sid = forest.add(*arg)
+            trees = forest.assignment[sid].tolist()
+        # a path holds a grid exactly when its root does: a root without
+        # one is a leaf or tagged, and the path ends there
+        grids = any(forest.trees[t].root.row != -1 for t in trees)
+        assert calls["score"] == grids, (op, arg)
+        assert calls["range"] <= grids, (op, arg)
+        visits += grids
+        range_changes += calls["range"]
         path_nodes += forest.telemetry().nodes_updated - before
-        total_redrawn += redrawn[0]
     # the per-node walk scored each visited grid in a call of its own
-    assert total_redrawn > 0 and path_nodes > 3 * 60
+    assert visits > 50 and range_changes > 0 and path_nodes > 3 * 60
+
+
+def spy_put_back(monkeypatch):
+    """Record, per tree_mod._put_back call, whether it discarded redraws:
+    whether the tree's walk stopped above a node that redrew."""
+    seen = []
+    put_back = tree_mod._put_back
+
+    def spy(tree, nodes, end, state, redrawn):
+        seen.append(any(j >= end for j in redrawn))
+        return put_back(tree, nodes, end, state, redrawn)
+
+    monkeypatch.setattr(tree_mod, "_put_back", spy)
+    return seen
+
+
+def deep_twins(seed, classes, bit_generator=None):
+    """Lazy forests trained alike, one per class, deep enough that a walk
+    often stops above nodes whose ranges the update changed.  With
+    bit_generator, tree t of each reads np.random.Generator(
+    bit_generator(100 * seed + t)) from then on."""
+    ds = make_dataset(500, d=6, seed=seed)
+    params = ForestParams(n_trees=6, occupancy=0.5, seed=seed,
+                          tree=TreeParams(max_depth=12, n_thresholds=4, min_split_size=4))
+    forests = []
+    for cls in classes:
+        forest = Forest.train(dataset_from_arrays(ds.X.copy(), ds.y.copy()), params)
+        forest.__class__ = cls
+        if bit_generator is not None:
+            for t, tree in enumerate(forest.trees):
+                tree.rng = np.random.Generator(bit_generator(100 * seed + t))
+        forests.append(forest)
+    return forests
+
+
+def comparable_state(forest):
+    """forest_state with each generator's state as JSON, so that states
+    holding arrays (MT19937's) compare by value."""
+    state = list(forest_state(forest))
+    state[3] = [json.dumps(tree.rng.bit_generator.state, sort_keys=True,
+                           default=lambda a: a.tolist()) for tree in forest.trees]
+    return state
+
+
+def put_back_run(forests, ops, seen):
+    """Apply ops (as apply() takes them) to every forest, the first on its
+    own while seen is recorded, checking after each op that the others
+    equal the first; returns the ops whose walk discarded a redraw."""
+    first, *others = forests
+    discarded = 0
+    for op, arg in ops:
+        seen.clear()
+        apply(first, op, arg)
+        discarded += any(seen)
+        for forest in others:
+            apply(forest, op, arg)
+        want = comparable_state(first)
+        for forest in others:
+            assert comparable_state(forest) == want, (op, arg, type(forest).__name__)
+    assert forest_audit(first).ok
+    return discarded
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_deletes_put_back_the_redraws_of_discarded_nodes(monkeypatch, seed):
+    seen = spy_put_back(monkeypatch)
+    forests = deep_twins(seed, (Forest, TreeByTree, GroupWalk, ReferenceWalk))
+    doomed = np.random.default_rng(seed).choice(500, 30, replace=False).tolist()
+    assert put_back_run(forests, [("delete", sid) for sid in doomed], seen) >= 5
+    assert forests[0].telemetry().attrs_resampled > 0
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_adds_put_back_the_redraws_of_discarded_nodes(monkeypatch, seed):
+    seen = spy_put_back(monkeypatch)
+    forests = deep_twins(seed, (Forest, TreeByTree, GroupWalk))
+    rng = np.random.default_rng(seed)
+    rows = make_dataset(30, d=6, seed=50 + seed).X[:30]
+    ops = [("add", (x * rng.uniform(0.9, 1.15), int(rng.integers(2)))) for x in rows]
+    assert put_back_run(forests, ops, seen) >= 1
+    assert forests[0].telemetry().attrs_resampled > 0
+
+
+def test_put_back_needs_no_pcg64(monkeypatch):
+    """The put-back restores a saved state and re-reads, which any bit
+    generator supports: here every tree reads an MT19937 stream."""
+    seen = spy_put_back(monkeypatch)
+    forests = deep_twins(3, (Forest, TreeByTree, GroupWalk, ReferenceWalk), np.random.MT19937)
+    assert isinstance(forests[0].trees[0].rng.bit_generator, np.random.MT19937)
+    doomed = np.random.default_rng(3).choice(500, 30, replace=False).tolist()
+    assert put_back_run(forests, [("delete", sid) for sid in doomed], seen) >= 5
