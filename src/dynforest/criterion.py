@@ -76,14 +76,29 @@ def entropy(counts):
 CRITERIA = {"gini": gini, "entropy": entropy}
 
 
-def _gini_matrix(nl, pl, nr, pr, n):
-    def weighted_side(nv, pv):
-        # an empty side has pv = qv = 0: the floored denominator keeps the
-        # quotient 0 and the side's weight nv = 0 zeroes its term
-        qv = nv - pv
-        return nv * (1.0 - (pv * pv + qv * qv) / np.maximum(nv * nv, 1.0))
-
-    return (weighted_side(nl, pl) + weighted_side(nr, pr)) / n
+def _gini_matrix(b, c, n, n_pos):
+    # both sides in one (2, ...) stack, left over right, each side weighted
+    # as n * (1 - (p*p + q*q) / max(n*n, 1)) with q = n - p, in place; an
+    # empty side has p = q = 0: the floored denominator keeps the quotient
+    # 0 and the side's weight n = 0 zeroes its term
+    shape = (2,) + np.broadcast_shapes(np.shape(b), np.shape(n), np.shape(n_pos))
+    nv, pv = np.empty(shape), np.empty(shape)
+    nv[0] = b
+    np.subtract(n, nv[0], out=nv[1])
+    pv[0] = c
+    np.subtract(n_pos, pv[0], out=pv[1])
+    qv = nv - pv
+    pv *= pv
+    qv *= qv
+    pv += qv
+    np.multiply(nv, nv, out=qv)
+    np.maximum(qv, 1.0, out=qv)
+    pv /= qv
+    np.subtract(1.0, pv, out=pv)
+    pv *= nv
+    score = pv[0] + pv[1]
+    score /= n
+    return score
 
 
 def _entropy_matrix(nl, pl, nr, pr, n):
@@ -122,10 +137,8 @@ def score_matrix(b, c, n, n_pos, criterion="gini"):
         raise ValueError("unknown criterion %r" % (criterion,))
     if np.asarray(n).min(initial=1) <= 0:  # any node total non-positive
         raise ValueError("n must be positive")
+    if criterion == "gini":
+        return _gini_matrix(b, c, n, n_pos)
     nl = np.asarray(b, dtype=np.float64)
     pl = np.asarray(c, dtype=np.float64)
-    nr = n - nl
-    pr = n_pos - pl
-    if criterion == "gini":
-        return _gini_matrix(nl, pl, nr, pr, n)
-    return _entropy_matrix(nl, pl, nr, pr, n)
+    return _entropy_matrix(nl, pl, n - nl, n_pos - pl, n)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .tree import (GridPool, Telemetry, Tree, TreeParams, delete_groups, grow, rebuild, route_row,
-                   route_rows, update_paths)
+from .tree import (GridPool, Telemetry, Tree, TreeParams, delete_groups, feature_row,
+                   feature_rows, grow, rebuild, route_row, route_rows, update_paths)
 
 
 def subsample_count(occupancy, n_trees):
@@ -131,7 +131,12 @@ class Forest:
         k = subsample_count(params.occupancy, n_trees)
         ids = ds.live_ids()
         per_tree, assign = distribute(ids, n_trees, k, rng)
-        pool = GridPool(params.tree.resolve_attrs(ds.n_attrs), params.tree.n_thresholds)
+        # the grids of one depth cover at most len(ids) * k / min_split_size
+        # nodes, and a forest holds about 0.3-2 times that in all; twice it
+        # spares most of the pool's doublings, rows never written take no
+        # resident memory, and trim() drops them
+        pool = GridPool(params.tree.resolve_attrs(ds.n_attrs), params.tree.n_thresholds,
+                        2 * len(ids) * k // params.tree.min_split_size)
         trees = [Tree(params.tree, ds, np.random.default_rng(seeds[t]), pool)
                  for t in range(n_trees)]
         assignment = np.full((ds.next_id, k), -1, np.int32)
@@ -157,14 +162,7 @@ class Forest:
         by a query draw from their own keys, so the forest grows exactly as
         tree-by-tree Tree.query calls would grow it.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.ds.n_attrs,):
-            raise ValueError("expected %d features, got shape %s"
-                             % (self.ds.n_attrs, x.shape))
-        row = x.tolist()  # routing compares Python floats faster than numpy scalars
-        if not all(map(math.isfinite, row)):
-            raise ValueError("features must be finite, row 0 is not")
-        leaves = route_row(self.trees, row)
+        leaves = route_row(self.trees, feature_row(x, self.ds.n_attrs))
         prior = self.prior
         fractions = np.fromiter((leaf.n_pos / len(leaf.ids) if len(leaf.ids) else prior
                                  for leaf in leaves), np.float64, len(leaves))
@@ -174,21 +172,15 @@ class Forest:
     def predict_many(self, X):
         """Vectorized predict over the rows of X.
 
-        The rows go down each tree in turn to leaves and tagged nodes; the
-        tagged frontier of all trees then grows one level together, in one
-        kernel call (see tree.route_rows), and the rows there go on.  Keyed
+        The rows go down all trees together, a depth per step, to leaves
+        and tagged nodes; once every row has stopped, the tagged nodes
+        reached in all trees grow one level together, in one kernel call
+        (see tree.route_rows), and the rows there go on.  Keyed
         draws make the result equal to tree-by-tree Tree.query_many calls,
         and each row's trees are averaged as predict averages them, so a
         row gets the same bits from either call.
         """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.ds.n_attrs:
-            raise ValueError("expected (m, %d) matrix, got shape %s"
-                             % (self.ds.n_attrs, X.shape))
-        if not np.isfinite(X).all():
-            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
-            raise ValueError("features must be finite, row %d is not" % bad)
-        n, pos = route_rows(self.trees, X)
+        n, pos = route_rows(self.trees, feature_rows(X, self.ds.n_attrs))
         with np.errstate(invalid="ignore"):
             probs = np.where(n > 0, pos / np.maximum(n, 1), self.prior)
         # np.add.reduce sums a contiguous axis pairwise, as in predict; down

@@ -105,13 +105,21 @@ updated tree away from a retrain (tests/test_exactness.py; ROADMAP item
 
 A query reaching a tagged node materializes exactly one fresh level
 (redrawing attributes and thresholds), untags it, tags the new children,
-and walks on.  Queries are batched across trees: route_row (one row) and
-route_rows (a batch) take a list of trees, route down each tree in turn
-to the leaves and tagged nodes reached, then grow every reached tagged
-node of all the trees one level in one materialize() step, one kernel
-call, and repeat from there.  Tree.query and Tree.query_many are one-tree
-calls into them, and Forest.predict and predict_many pass the whole
-forest.  flush() rebuilds every tagged subtree eagerly.
+and walks on.  Queries are batched across trees, and both routers take a
+list of trees.  route_row (one row) routes down each tree in turn to the
+leaf or tagged node reached.  route_rows (a batch) moves the (tree, row)
+pairs of all trees down together, a depth per step: the pairs are one
+array of slots t*m + row in which each node's pairs are one run, so a
+step is one gather and one comparison for every run, and the left runs,
+then the right runs, are the next step's array, with no sort.  Leaves
+write their (n, n_pos) in one scatter per step; pairs at a tagged node
+wait.  Once no pair sits at a split node, either router grows every
+reached tagged node of all the trees one level in one materialize()
+step, one kernel call, and goes on from there.  Tree.query and
+Tree.query_many are one-tree calls into them, and Forest.predict and
+predict_many pass the whole forest; all four check their rows with
+feature_row or feature_rows first.  flush() rebuilds every tagged subtree
+eagerly.
 
 Growth
 ------
@@ -183,7 +191,11 @@ a query reads d + p*s uniforms (the attribute keys, then s per slot; a
 degenerate slot's block goes unused) from a Philox4x64 stream keyed by
 its key alone, counter at zero (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC'11), and its children's keys are the next two raw
-words of that stream.  Queries may reach tagged nodes in any order and
+words of that stream.  A materialize round reads d + p*s + 2 raw 64-bit
+words per node and turns the whole round's uniform words into floats in
+one step, (word >> 11) * 2**-53, which is how Generator.random turns a
+Philox word into a float64: the same bits as a Generator reading the
+node's stream.  Queries may reach tagged nodes in any order and
 in any grouping: one row or a batch, one tree or many, one kernel call or
 several.  A node's draws are a function of its key alone and the
 kernel's arithmetic is row-wise per node, so the grown trees are the
@@ -309,14 +321,14 @@ class GridPool:
     end and up have never been handed out; rows below end that no node
     holds sit on the free list, and take() hands them out again before it
     grows the arrays.  Growing replaces the arrays, so a view of a row is
-    good only until the next take().
+    good only until the next take().  rows is the first capacity.
     """
 
-    def __init__(self, p, s):
+    def __init__(self, p, s, rows=0):
         self.p = p
         self.s = s
         for name, dtype in GRID_FIELDS.items():
-            setattr(self, name, np.empty((0, p) + (s,) * (name in ("thr", "b", "c")), dtype))
+            setattr(self, name, np.empty((rows, p) + (s,) * (name in ("thr", "b", "c")), dtype))
         self.end = 0
         self.free = []
 
@@ -397,6 +409,13 @@ class Node:
         return len(self.ids)
 
 
+# The most grid cells best_cells scores in one criterion call: a larger
+# stack goes in blocks of whole grids, so that the criterion's temporaries
+# stay a few tens of kB.  Scored whole, a stack of 350 (5, 15) grids took
+# 1.5x and one of 1 000 or more 2x the blocked time (timeit, 2-core VM).
+SCORE_CELLS = 1 << 13
+
+
 def best_cells(b, c, n, n_pos, flat, criterion):
     """Score one (p, s) count grid, or an (m, p, s) stack of them, and
     return each grid's first minimum cell as best_k, best_i and whether it
@@ -407,7 +426,8 @@ def best_cells(b, c, n, n_pos, flat, criterion):
     +inf, so an all-flat grid has no usable cell.  Ties go to the first
     cell in row-major order (slots in draw order, thresholds ascending).
     An empty node is scored as if it held one sample; no caller reads its
-    cell.
+    cell.  A stack is scored in blocks of whole grids of at most SCORE_CELLS
+    cells, elementwise, so blocks change no bit.
     """
     s = b.shape[-1]
     if b.ndim == 2:
@@ -416,9 +436,14 @@ def best_cells(b, c, n, n_pos, flat, criterion):
         cells = score.ravel()
         best = int(cells.argmin())
         return best // s, best % s, math.isfinite(cells[best])
-    m = len(b)
-    score = crit.score_matrix(b, c, np.maximum(n, 1)[:, None, None], n_pos[:, None, None],
-                              criterion)
+    m, per = len(b), max(SCORE_CELLS // (b.shape[1] * s), 1)
+    n, n_pos = np.maximum(n, 1)[:, None, None], n_pos[:, None, None]
+    if m <= per:
+        score = crit.score_matrix(b, c, n, n_pos, criterion)
+    else:
+        score = np.concatenate([crit.score_matrix(b[a:a + per], c[a:a + per], n[a:a + per],
+                                                  n_pos[a:a + per], criterion)
+                                for a in range(0, m, per)])
     score[flat] = np.inf
     cells = score.reshape(m, b.shape[1] * s)
     best = cells.argmin(axis=1)
@@ -449,7 +474,6 @@ class Tree:
         # query-grown nodes read a Philox stream keyed by their own key;
         # one bit generator and one state dict serve every such node
         self._philox = np.random.Philox(key=0)
-        self._keyed = np.random.Generator(self._philox)
         self._philox_state = self._philox.state
 
     # -- construction ---------------------------------------------------
@@ -470,30 +494,15 @@ class Tree:
         return ((depth >= self.params.max_depth) | (n < self.params.min_split_size)
                 | (n_pos == 0) | (n_pos == n))
 
-    def _key_stream(self, key, out):
-        """Fill out with uniforms from the Philox stream keyed by key, its
-        counter at zero; returns the stream's next two raw words."""
+    def _key_stream(self, key, words):
+        """The first words raw 64-bit words of the Philox stream keyed by
+        key, its counter at zero, as a uint64 array."""
         state = self._philox_state
         state["state"]["key"][0] = key
         state["state"]["counter"][:] = 0
         state["buffer_pos"] = 4
         self._philox.state = state
-        self._keyed.random(out=out)
-        return self._philox.random_raw(2).tolist()
-
-    def _untag(self, nodes):
-        """Untag nodes and free their stale grids' rows; returns them, now
-        fresh."""
-        free = []
-        for node in nodes:
-            self.telemetry.subtree_samples_rebuilt += node.n
-            node.tagged = False
-            if node.row != -1:
-                free.append(node.row)
-                node.row = -1
-        self.pool.release(free)
-        self.n_tagged -= len(nodes)
-        return nodes
+        return self._philox.random_raw(words)
 
     # -- tag bookkeeping --------------------------------------------------
 
@@ -638,12 +647,12 @@ class Tree:
     # -- queries ----------------------------------------------------------
 
     def query(self, x):
-        """Route a feature vector (a sequence or a 1-d array) to its leaf;
-        returns (n, n_pos) there.
+        """Route a feature vector (a sequence or a 1-d array of d finite
+        values) to its leaf; returns (n, n_pos) there.
 
         Grows (one level at a time) any tagged node on the path.
         """
-        leaf, = route_row([self], x)
+        leaf, = route_row([self], feature_row(x, self.d))
         return len(leaf.ids), leaf.n_pos
 
     def query_many(self, X):
@@ -655,7 +664,7 @@ class Tree:
         query draws from its own key, so the tree grows exactly as
         row-by-row query() calls would grow it, in any row order.
         """
-        n, n_pos = route_rows([self], np.asarray(X, dtype=np.float64))
+        n, n_pos = route_rows([self], feature_rows(X, self.d))
         return n[0], n_pos[0]
 
     # -- maintenance --------------------------------------------------------
@@ -676,7 +685,7 @@ class Tree:
             elif node.left is not None:
                 stack.append(node.right)
                 stack.append(node.left)
-        return self._untag(tagged)
+        return _untag([(self, node) for node in tagged])
 
     def flush(self):
         """Rebuild every tagged subtree, all of them level by level together;
@@ -1082,6 +1091,31 @@ def _moved_nodes(tree, nodes):
 # -- query routing ----------------------------------------------------------
 
 
+def feature_row(x, d):
+    """x, one row of d finite features, as a list of Python floats, which
+    routing compares faster than numpy scalars; raises ValueError
+    otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d,):
+        raise ValueError("expected %d features, got shape %s" % (d, x.shape))
+    row = x.tolist()
+    if not all(map(math.isfinite, row)):
+        raise ValueError("features must be finite, row 0 is not")
+    return row
+
+
+def feature_rows(X, d):
+    """X, rows of d finite features, as a float64 (m, d) array; raises
+    ValueError otherwise, naming the first row that is not finite."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError("expected (m, %d) matrix, got shape %s" % (d, X.shape))
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError("features must be finite, row %d is not" % np.flatnonzero(~finite)[0])
+    return X
+
+
 def _descend(node, x):
     """Route row x from node down to the first leaf or tagged node."""
     while node.left is not None:
@@ -1108,51 +1142,65 @@ def route_row(trees, x):
     return reached
 
 
-def _descend_many(t, node, rows, X, out_n, out_pos, tagged):
-    """Route the given rows of X from node down to leaves and tagged nodes.
-
-    A leaf writes its (n, n_pos) into out_n and out_pos at its rows; a
-    tagged node is appended to tagged as (t, node, rows reaching it).
-    """
-    stack = [(node, rows)]
-    while stack:
-        node, rows = stack.pop()
-        if node.left is None:
-            if node.tagged:
-                tagged.append((t, node, rows))
-            else:
-                out_n[rows] = len(node.ids)
-                out_pos[rows] = node.n_pos
-            continue
-        go_left = X[rows, node.axis] <= node.best_w
-        left, right = rows[go_left], rows[~go_left]
-        if len(left):
-            stack.append((node.left, left))
-        if len(right):
-            stack.append((node.right, right))
-
-
 def route_rows(trees, X):
     """Route the rows of a float matrix X down each tree to their leaves;
     returns (n, n_pos) arrays of shape (len(trees), len(X)).
 
-    The rows go down one tree at a time to leaves and tagged nodes.  Then
-    the tagged frontier of all trees grows one level in one materialize()
-    step, and the rows there go on; this repeats until no row reaches a
-    tagged node.
+    The (tree, row) pairs of all trees go down together, a depth per step.
+    They are held as slots t*m + row, in one array in which each node's
+    pairs form one run.  A step compares every run's rows at its node's
+    split in one gather, and the runs of the left children, then of the
+    right children, make the next step's array.  A leaf writes its
+    (n, n_pos) at its slots.  A tagged node holds its run back until no
+    pair sits at a split node; then every tagged node reached, in all
+    trees, grows one level in one materialize() step, and their runs go
+    on from there.
     """
     m = len(X)
     out_n = np.empty((len(trees), m), np.int64)
     out_pos = np.empty((len(trees), m), np.int64)
-    frontier = []
-    if m:
-        for t, tree in enumerate(trees):
-            _descend_many(t, tree.root, np.arange(m), X, out_n[t], out_pos[t], frontier)
-    while frontier:
-        materialize([(trees[t], node) for t, node, _ in frontier])
-        reached, frontier = frontier, []
-        for t, node, rows in reached:
-            _descend_many(t, node, rows, X, out_n[t], out_pos[t], frontier)
+    if not m:
+        return out_n, out_pos
+    flat_n, flat_pos = out_n.reshape(-1), out_pos.reshape(-1)
+    frontier = [(t, tree.root) for t, tree in enumerate(trees)]
+    slots, lens = np.arange(len(trees) * m), [m] * len(trees)
+    waiting, held, held_lens = [], [], []
+    while frontier or waiting:
+        if not frontier:
+            materialize([(trees[t], node) for t, node in waiting])
+            frontier, slots, lens = waiting, np.concatenate(held), held_lens
+            waiting, held, held_lens = [], [], []
+        # 0 a split node, 1 a leaf, 2 a tagged node
+        kind = [0 if node.left is not None else 2 if node.tagged else 1 for _, node in frontier]
+        if any(kind):
+            at = np.repeat(kind, lens)
+            leaves = [j for j, k in enumerate(kind) if k == 1]
+            if leaves:
+                leaf_lens = [lens[j] for j in leaves]
+                mine = slots[at == 1]
+                flat_n[mine] = np.repeat([len(frontier[j][1].ids) for j in leaves], leaf_lens)
+                flat_pos[mine] = np.repeat([frontier[j][1].n_pos for j in leaves], leaf_lens)
+            tagged = [j for j, k in enumerate(kind) if k == 2]
+            if tagged:
+                waiting += [frontier[j] for j in tagged]
+                held.append(slots[at == 2])
+                held_lens += [lens[j] for j in tagged]
+            split = [j for j, k in enumerate(kind) if not k]
+            frontier, slots = [frontier[j] for j in split], slots[at == 0]
+            lens = [lens[j] for j in split]
+            if not frontier:
+                continue
+        nodes = [node for _, node in frontier]
+        # one flat gather of each pair's row of X at its node's split axis
+        left = (X.take(slots % m * X.shape[1] + np.repeat([node.axis for node in nodes], lens))
+                <= np.repeat([node.best_w for node in nodes], lens))
+        n_left = np.add.reduceat(left, list(accumulate(lens[:-1], initial=0)),
+                                 dtype=np.int64).tolist()
+        n_right = [size - n for size, n in zip(lens, n_left)]
+        slots = np.concatenate((slots[left], slots[~left]))
+        lens = [n for n in n_left + n_right if n]
+        frontier = ([(t, node.left) for (t, node), n in zip(frontier, n_left) if n]
+                    + [(t, node.right) for (t, node), n in zip(frontier, n_right) if n])
     return out_n, out_pos
 
 
@@ -1167,18 +1215,24 @@ def materialize(reached):
     share a call.  The trees must share one Dataset, one TreeParams and
     one GridPool.  Counters and tag counts go to each node's tree.
     """
-    cap = _largest_root([tree for tree, _ in reached])
+    cap = _largest_root(list(dict.fromkeys(tree for tree, _ in reached)))
     kernel = reached[0][0]
-    d, p, s = kernel.d, kernel.p, kernel.s
-    for tree, node in reached:
-        tree._untag([node])
+    for tree, _ in reached:
         tree.telemetry.nodes_materialized += 1
+    _untag(reached)
+    d, p, s = kernel.d, kernel.p, kernel.s
+    width = d + p * s
     child_keys = {}
 
     def draw(splitting):
-        u = np.empty((len(splitting), d + p * s))
-        for row, (_, node) in zip(u, splitting):
-            child_keys[node] = kernel._key_stream(node.key, row)
+        # each node's stream: d + p*s uniforms, then its children's keys;
+        # a uniform is a raw word's top 53 bits, as Generator.random reads it
+        raw = np.empty((len(splitting), width + 2), np.uint64)
+        for row, (_, node) in zip(raw, splitting):
+            row[:] = kernel._key_stream(node.key, width + 2)
+        u = (raw[:, :width] >> 11) * 2.0 ** -53
+        for (_, node), keys in zip(splitting, raw[:, width:].tolist()):
+            child_keys[node] = keys
         thr = u[:, d:].reshape(len(splitting), p, s)
         return u[:, :d], lambda lo, flat: thr[lo:lo + len(flat)][~flat]
 
@@ -1203,7 +1257,24 @@ def _largest_root(trees):
                 or tree.params is not first.params and tree.params != first.params):
             raise ValueError("trees grown together must share one Dataset "
                              "and one TreeParams, and one GridPool")
-    return max(tree.root.n for tree in trees)
+    return max(len(tree.root.ids) for tree in trees)
+
+
+def _untag(pairs):
+    """Untag the nodes of (tree, node) pairs of trees sharing one GridPool,
+    each tree counting its own, and put their stale grids' rows on the
+    free list in one release; returns the nodes, now fresh."""
+    free = []
+    for tree, node in pairs:
+        tree.telemetry.subtree_samples_rebuilt += len(node.ids)
+        tree.n_tagged -= 1
+        node.tagged = False
+        if node.row != -1:
+            free.append(node.row)
+            node.row = -1
+    if free:
+        pairs[0][0].pool.release(free)
+    return [node for _, node in pairs]
 
 
 def grow(frontiers):
@@ -1232,7 +1303,7 @@ def rebuild(frontiers):
         for node in nodes:
             if not node.tagged:
                 raise ValueError("node at depth %d is not tagged" % node.depth)
-    grow([(tree, tree._untag(nodes)) for tree, nodes in frontiers])
+    grow([(tree, _untag([(tree, node) for node in nodes])) for tree, nodes in frontiers])
 
 
 def _stream_draws(splitting):
@@ -1337,11 +1408,11 @@ def _split_level(pairs, draw, cap):
     """
     kernel = pairs[0][0]
     splitting = [(tree, node) for tree, node in pairs
-                 if not kernel._stop(node.depth, node.n, node.n_pos)]
+                 if not kernel._stop(node.depth, len(node.ids), node.n_pos)]
     if not splitting:
         return []
     keys, thresholds = draw(splitting)
-    lens = np.array([node.n for _, node in splitting])
+    lens = np.array([len(node.ids) for _, node in splitting])
     limit = max(cap, CHUNK_ROWS)
     if lens.sum() <= limit:
         return _split_chunk(kernel, splitting, keys, lens, partial(thresholds, 0), cap)
@@ -1366,13 +1437,15 @@ def _split_chunk(kernel, splitting, keys, lens, thresholds, cap):
     # each node's attribute subset: the p smallest of d uniform keys
     attrs = np.argpartition(keys, p - 1, axis=1)[:, :p]
     attrs.sort(axis=1)
-    vals = X[ids[:, None], np.repeat(attrs, lens, axis=0)]
+    # one flat gather: each id's row of X at its node's attributes
+    vals = X.take(ids[:, None] * kernel.d + np.repeat(attrs, lens, axis=0))
     amin = np.minimum.reduceat(vals, starts, axis=0)
     amax = np.maximum.reduceat(vals, starts, axis=0)
     flat = amin == amax
     # s uniform thresholds per non-degenerate slot, scaled onto its range
-    # and sorted; a degenerate slot draws nothing
-    thr = np.repeat(amin[:, :, None], s, axis=2)
+    # and sorted; a degenerate slot draws nothing and holds its one value
+    thr = np.empty((m, p, s))
+    thr[...] = amin[:, :, None]
     lo, hi = amin[~flat], amax[~flat]
     drawn = lo[:, None] + (hi - lo)[:, None] * thresholds(flat)
     drawn.sort(axis=1)
@@ -1383,14 +1456,17 @@ def _split_chunk(kernel, splitting, keys, lens, thresholds, cap):
     rows = np.arange(m)
     best_w = thr[rows, best_k, best_i]
     axis = attrs[rows, best_k]
-    # stable partition by (node, side) keeps each child's ids in order
-    right = X[ids, np.repeat(axis, lens)] > np.repeat(best_w, lens)
-    side = 2 * np.repeat(rows, lens) + right
-    ids = ids[np.argsort(side, kind="stable")]
-    bounds = np.concatenate(([0], np.bincount(side, minlength=2 * m).cumsum())).tolist()
-    side_pos = np.bincount(side[positive], minlength=2 * m).tolist()
-    best_k, best_i, best_w, axis = (best_k.tolist(), best_i.tolist(), best_w.tolist(),
-                                    axis.tolist())
+    # each node's ids split by its split; masking keeps each child's ids in
+    # order, and node j's left ids are run j of ids[left], its right ids
+    # run j of ids[~left]
+    left = X.take(ids * kernel.d + np.repeat(axis, lens)) <= np.repeat(best_w, lens)
+    n_left = np.add.reduceat(left, starts, dtype=np.int64)
+    pos_left = np.add.reduceat(left & positive, starts, dtype=np.int64).tolist()
+    ids_left, ids_right = ids[left], ids[~left]
+    ends_left = [0] + n_left.cumsum().tolist()
+    ends_right = [0] + (lens - n_left).cumsum().tolist()
+    best_k, best_i, best_w, axis, n_pos = (best_k.tolist(), best_i.tolist(), best_w.tolist(),
+                                           axis.tolist(), n_pos.tolist())
     pool = kernel.pool
     grid_rows = pool.take(m)
     pool.attrs[grid_rows] = attrs
@@ -1408,9 +1484,10 @@ def _split_chunk(kernel, splitting, keys, lens, thresholds, cap):
         node.best_i = best_i[j]
         node.best_w = best_w[j]
         node.axis = axis[j]
-        start, mid, end = bounds[2 * j:2 * j + 3]
-        node.left = Node(node.depth + 1, ids[start:mid].copy(), side_pos[2 * j])
-        node.right = Node(node.depth + 1, ids[mid:end].copy(), side_pos[2 * j + 1])
+        depth = node.depth + 1
+        node.left = Node(depth, ids_left[ends_left[j]:ends_left[j + 1]].copy(), pos_left[j])
+        node.right = Node(depth, ids_right[ends_right[j]:ends_right[j + 1]].copy(),
+                          n_pos[j] - pos_left[j])
         children.append((tree, node.left))
         children.append((tree, node.right))
     return children

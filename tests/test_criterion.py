@@ -122,3 +122,45 @@ def test_score_matrix_rejects_any_empty_node_total():
     b = np.zeros((2, 1, 1))
     with pytest.raises(ValueError, match="positive"):
         score_matrix(b, b, np.array([[[3]], [[0]]]), np.zeros((2, 1, 1)), "gini")
+
+
+def per_side_gini(b, c, n, n_pos):
+    """The per-side Gini expression, each side scored on its own arrays."""
+    nl = np.asarray(b, dtype=np.float64)
+    pl = np.asarray(c, dtype=np.float64)
+
+    def weighted_side(nv, pv):
+        qv = nv - pv
+        return nv * (1.0 - (pv * pv + qv * qv) / np.maximum(nv * nv, 1.0))
+
+    return (weighted_side(nl, pl) + weighted_side(n - nl, n_pos - pl)) / n
+
+
+def test_stacked_gini_equals_the_per_side_expression_bit_for_bit():
+    """score_matrix scores both sides in one stacked pass: the same float
+    operations in the same order, so the same bits, on int32 stacks with
+    broadcast totals, Python-int totals, empty sides and all-empty nodes."""
+    rng = np.random.default_rng(24)
+    for m, p, s in ((1, 5, 15), (4, 5, 15), (37, 3, 7), (300, 2, 4)):
+        n = rng.integers(1, 200, size=m)
+        n[0] = 1
+        n_pos = rng.integers(0, n + 1)
+        b = rng.integers(0, n[:, None, None] + 1, size=(m, p, s)).astype(np.int32)
+        b[:, 0, 0] = 0  # the left side empty
+        b[:, -1, -1] = n  # the right side empty
+        lo = np.maximum(0, b - (n - n_pos)[:, None, None])
+        hi = np.minimum(b, n_pos[:, None, None])
+        c = rng.integers(lo, hi + 1).astype(np.int32)
+        totals = n[:, None, None], n_pos[:, None, None]
+        with np.errstate(all="raise"):
+            got = score_matrix(b, c, *totals, "gini")
+        assert got.dtype == np.float64 and got.shape == (m, p, s)
+        assert got.tobytes() == per_side_gini(b, c, *totals).tobytes()
+        one = score_matrix(b[-1], c[-1], int(n[-1]), int(n_pos[-1]), "gini")
+        assert one.tobytes() == per_side_gini(b[-1], c[-1], int(n[-1]), int(n_pos[-1])).tobytes()
+    # totals broadcast over a larger shape than the counts'
+    b, c = np.array([[0, 2, 4]]), np.array([[0, 1, 3]])
+    n, n_pos = np.array([[[4]], [[6]]]), np.array([[[3]], [[3]]])
+    got = score_matrix(b, c, n, n_pos, "gini")
+    assert got.shape == (2, 1, 3)
+    assert got.tobytes() == per_side_gini(b, c, n, n_pos).tobytes()

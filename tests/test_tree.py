@@ -216,6 +216,25 @@ def test_best_cells_never_picks_a_flat_slot():
         assert (k[0], i[0]) == (1, 0) and usable.tolist() == [True, False]
 
 
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_best_cells_scores_a_stack_in_blocks_as_one_grid_at_a_time(monkeypatch, criterion):
+    rng = np.random.default_rng(8)
+    m, p, s = 23, 3, 4
+    n = rng.integers(0, 40, size=m)
+    n_pos = rng.integers(0, n + 1)
+    b = rng.integers(0, n[:, None, None] + 1, size=(m, p, s)).astype(np.int32)
+    c = rng.integers(np.maximum(0, b - (n - n_pos)[:, None, None]),
+                     np.minimum(b, n_pos[:, None, None]) + 1).astype(np.int32)
+    flat = rng.random((m, p)) < 0.2
+    one = [best_cells(b[j], c[j], int(n[j]), int(n_pos[j]), flat[j], criterion)
+           for j in range(m)]
+    # one block, blocks of 1, 2 and 5 grids
+    for cells in (10 ** 6, 1, 2 * p * s, 5 * p * s + 3):
+        monkeypatch.setattr(tree_mod, "SCORE_CELLS", cells)
+        k, i, usable = best_cells(b, c, n, n_pos, flat, criterion)
+        assert list(zip(k.tolist(), i.tolist(), usable.tolist())) == one
+
+
 def test_best_cells_of_an_empty_stack():
     none = np.zeros((0, 2, 3), np.int64)
     k, i, usable = best_cells(none, none, np.zeros(0, np.int64), np.zeros(0, np.int64),
