@@ -45,11 +45,9 @@ class AttributeSlot:
 def sample_thresholds(a_min, a_max, s, rng):
     """Draw s candidate thresholds uniformly over [a_min, a_max], sorted.
 
-    A degenerate range yields s copies of the single value (the slot is
-    unusable but keeps its shape) and draws nothing.
+    A degenerate range reads its s uniforms too and yields s copies of the
+    single value (the slot is unusable but keeps its shape).
     """
-    if a_min == a_max:
-        return np.full(s, a_min)
     thr = rng.uniform(a_min, a_max, s)
     thr.sort()
     return thr

@@ -146,29 +146,34 @@ small call (a single-row query round) pays nothing for either bound.
 
 Randomness
 ----------
+Every growing node reads one fixed block of d + p*s uniforms from its
+source: d attribute keys, whose p smallest give its attribute subset,
+then s per slot, in slot order, scaled onto the slot's range
+[amin, amax] and sorted.  A flat slot (a single-value range) reads its s
+uniforms too: its span is 0, so its thresholds are its one value.  So
+how much a node reads never depends on its data.
+
 Build, flush and rebuild_node consume the tree's one generator (the tree
 stream) level by level.  At each frontier step, a tree with m splittable
-nodes in the frontier reads, in frontier order, one (m, d) block of
-uniforms, whose p smallest keys in each row give that node's attribute
-subset, then one block of s uniforms per non-degenerate slot of its
-nodes, node by node and in slot order, scaled onto the slot's range
-[amin, amax] and sorted.  A degenerate slot draws nothing.  A tree reads
-only its own stream and its frontier is contiguous (frontiers are
-tree-major), so its draws do not depend on which trees share a call: a
-tree grown with others is the tree grown alone, bit for bit.
+nodes in the frontier reads one (m, d + p*s) block, a node's block per
+row in frontier order; a kernel call that splits the frontier in chunks
+reads it chunk by chunk, at the same positions.  A tree reads only its
+own stream and its frontier is contiguous (frontiers are tree-major), so
+its draws do not depend on which trees share a call: a tree grown with
+others is the tree grown alone, bit for bit.
 
 On the update path the range change draws, each tree in path order: s
-uniforms per redrawn slot, in slot order.  Then the tag walk draws one
-64-bit key for the node the update tags, which an eager forest then
-rebuilds from the same stream (rebuild).  Which node a walk stops at is
-known only once the redrawn grids are scored, so a node below it, in
-the subtree the tag discards, may have redrawn too.  Those draws are put
-back before the key is drawn (_put_back): the tree's generator state,
-saved before the range change, is restored, and the blocks of uniforms
-of the nodes the walk kept are read again.  The stream then stands where
-a walk that redrew node by node and stopped at the tag leaves it, and
-the counters forget the discarded redraws.  This needs no more of the
-generator than setting a state and reading uniforms, so any
+uniforms per redrawn slot, flat or not, in slot order.  Then the tag walk
+draws one 64-bit key for the node the update tags, which an eager forest
+then rebuilds from the same stream (rebuild).  Which node a walk stops
+at is known only once the redrawn grids are scored, so a node below it,
+in the subtree the tag discards, may have redrawn too.  Those draws are
+put back before the key is drawn (_put_back): the tree's generator
+state, saved before the range change, is restored, and the s uniforms of
+each slot the walk kept redrawn are read again.  The stream then stands
+where a walk that redrew node by node and stopped at the tag leaves it,
+and the counters forget the discarded redraws.  This needs no more of
+the generator than setting a state and reading uniforms, so any
 np.random.Generator serves.  Routing, patching and scoring draw nothing,
 and no tree reads another's stream, so a tree reads the same draws
 whether its grids were stacked with other trees' or not: a k-tree update
@@ -181,27 +186,24 @@ then one key per node it tags, in frontier order.  Again no tree reads
 another's stream, so a cross-tree call leaves each tree as its own
 delete_group would.  A group of one visits one node per depth and draws
 as delete() does, bit for bit.  A larger group reads the stream in
-another order than the depth-first reference walk, but which positions a
-node reads is fixed before they are read, as below, so each node's draws
-are fresh i.i.d. uniforms either way and the law of the updated tree is
-the same.
+another order than the depth-first reference walk, which changes which
+positions a node reads but not their law, as below.
 
 Growth driven by queries reads node keys instead.  A node materialized by
-a query reads d + p*s uniforms (the attribute keys, then s per slot; a
-degenerate slot's block goes unused) from a Philox4x64 stream keyed by
-its key alone, counter at zero (Salmon et al., "Parallel random numbers:
-as easy as 1, 2, 3", SC'11), and its children's keys are the next two raw
-words of that stream.  A materialize round reads d + p*s + 2 raw 64-bit
-words per node and turns the whole round's uniform words into floats in
-one step, (word >> 11) * 2**-53, which is how Generator.random turns a
-Philox word into a float64: the same bits as a Generator reading the
-node's stream.  Queries may reach tagged nodes in any order and
-in any grouping: one row or a batch, one tree or many, one kernel call or
-several.  A node's draws are a function of its key alone and the
-kernel's arithmetic is row-wise per node, so the grown trees are the
-same bits either way, and growing all trees' nodes together equals
-growing them tree by tree.  The eager paths keep the tree stream, which
-keeps clean training free of per-node generator set-up.
+a query reads its block from a Philox4x64 stream keyed by its key alone,
+counter at zero (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC'11), and its children's keys are the next two raw words of
+that stream.  A materialize round reads d + p*s + 2 raw 64-bit words per
+node and turns the whole round's uniform words into floats in one step,
+(word >> 11) * 2**-53, which is how Generator.random turns a Philox word
+into a float64: the same bits as a Generator reading the node's stream.
+Queries may reach tagged nodes in any order and in any grouping: one row
+or a batch, one tree or many, one kernel call or several.  A node's
+draws are a function of its key alone and the kernel's arithmetic is
+row-wise per node, so the grown trees are the same bits either way, and
+growing all trees' nodes together equals growing them tree by tree.  The
+eager paths keep the tree stream, which keeps clean training free of
+per-node generator set-up.
 
 A node re-created after a new tag never reuses a draw conditioned on old
 data.  Its key is the next word of the tree stream at the tag event,
@@ -214,21 +216,21 @@ This differs from a depth-first builder only in which stream positions a
 node reads, not in the law of what it reads.  Each node's attribute
 subset is uniform over the p-subsets of the d attributes, because the
 p smallest of d i.i.d. uniform keys are a uniform p-subset, and its
-thresholds are s i.i.d. uniform draws over its range.  Which positions a
-node reads is fixed by the data and by earlier draws (the splits above
-it and the frontier before it) before those positions are read, so
-given everything that came before, a node's draws are fresh i.i.d.
-uniforms independent of it.  Every node's draws therefore have the same
-conditional law as under any other fixed visiting order, and the grown
-tree has the same distribution as one grown depth first; only the
-seed-to-tree map differs.
+thresholds are s i.i.d. uniform draws over its range.  Every node's
+block has the same size, so the positions a node reads are fixed by the
+frontier order alone, which the splits above it decide before its block
+is read (and an update's redraws by which slots' ranges the data
+changed).  Given everything that came before, a node's draws are
+therefore fresh i.i.d. uniforms, with the same conditional law as under
+any other fixed visiting order, and the grown tree has the same
+distribution as one grown depth first; only the seed-to-tree map
+differs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from itertools import accumulate, groupby
 from operator import itemgetter
 
@@ -471,10 +473,6 @@ class Tree:
         self.root = None
         self.n_tagged = 0
         self.telemetry = Telemetry()
-        # query-grown nodes read a Philox stream keyed by their own key;
-        # one bit generator and one state dict serve every such node
-        self._philox = np.random.Philox(key=0)
-        self._philox_state = self._philox.state
 
     # -- construction ---------------------------------------------------
 
@@ -493,16 +491,6 @@ class Tree:
         """The stop rule, for one node's numbers or for arrays of them."""
         return ((depth >= self.params.max_depth) | (n < self.params.min_split_size)
                 | (n_pos == 0) | (n_pos == n))
-
-    def _key_stream(self, key, words):
-        """The first words raw 64-bit words of the Philox stream keyed by
-        key, its counter at zero, as a uint64 array."""
-        state = self._philox_state
-        state["state"]["key"][0] = key
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        self._philox.state = state
-        return self._philox.random_raw(words)
 
     # -- tag bookkeeping --------------------------------------------------
 
@@ -755,7 +743,7 @@ def _patch_paths(trees, owner, nodes, x, label, add):
     and whether a slot was hit (deleting: the value sat on a range
     boundary) or widened (adding: it lay outside), as lists, and for each
     tree that may have redrawn, its generator's state before the range
-    change with the (slots, blocks) the range change redrew per row."""
+    change with the slots the range change redrew per row."""
     kernel = trees[0]
     pool = kernel.pool
     rows = np.array([node.row for node in nodes])
@@ -790,14 +778,13 @@ def _patch_paths(trees, owner, nodes, x, label, add):
     if entries:
         states = {owner[j]: trees[owner[j]].rng.bit_generator.state
                   for j, may in zip(entries, redraw) if may}
-        slots, blocks = _range_change([(trees[owner[j]], nodes[j]) for j in entries],
-                                      flags[entries], redraw)
+        slots = _range_change([(trees[owner[j]], nodes[j]) for j in entries],
+                              flags[entries], redraw)
         if any(slots):
             # the redrawn grids are scored as they now are
             b, c, amin, amax = pool.b[rows], pool.c[rows], pool.amin[rows], pool.amax[rows]
             for t, state in states.items():
-                redrawn = {j: (count, drawn) for j, count, drawn in zip(entries, slots, blocks)
-                           if count and owner[j] == t}
+                redrawn = {j: count for j, count in zip(entries, slots) if count and owner[j] == t}
                 if redrawn:
                     changes[t] = state, redrawn
     n = np.array([node.n for node in nodes])
@@ -810,7 +797,7 @@ def _put_back(tree, nodes, end, state, redrawn):
     """Undo the redraws of tree's path nodes at stack rows end and past,
     below the node its walk stopped at, which its tag discards with the
     subtree.  redrawn maps each of the tree's stack rows that redrew to the
-    (slots, blocks of s uniforms) it redrew, and state is the tree's
+    slots it redrew, each a block of s uniforms, and state is the tree's
     generator state before the range change.  The generator goes back to
     state and re-reads the blocks of the rows the walk settled, so it
     stands where a walk that stopped there would leave it, and the
@@ -819,9 +806,9 @@ def _put_back(tree, nodes, end, state, redrawn):
     if not lost:
         return
     tree.rng.bit_generator.state = state
-    tree.rng.random((sum(redrawn[j][1] for j in redrawn if j < end), tree.s))
+    tree.rng.random((sum(redrawn[j] for j in redrawn if j < end), tree.s))
     for j in lost:
-        tree.telemetry.attrs_resampled -= redrawn[j][0]
+        tree.telemetry.attrs_resampled -= redrawn[j]
         tree.telemetry.range_resample_samples -= nodes[j].n
 
 
@@ -967,17 +954,16 @@ def _range_change(entries, hit, redraw):
     gridded nodes of trees that share one Dataset and one GridPool.  hit,
     an (m, p) mask, marks the slots whose range the update may have
     changed, and redraw[j] says whether node j may redraw.  Returns per
-    node the slots it redrew and, of those, the ones that read uniforms
-    (blocks of s), as two lists of ints.
+    node the number of slots it redrew, as a list of ints.
 
     An emptied node has no value left to rescan to: its ranges and
     thresholds are zeroed, as its dead rows are.  Every other hit slot is
     rescanned, a min and max over its node's ids, and its range stored.
     If the range changed and its node may redraw, the slot then reads s
     uniforms from its tree's stream, scaled onto the new range and sorted
-    (nothing if the range is a single value), as growth draws them, and is
-    recounted; the tree's attrs_resampled and range_resample_samples count
-    it.  Draws go in entry then slot order.  Slots go in runs of whole
+    (a single-value range's span is 0, so its thresholds are that value),
+    as growth draws them, and is recounted; the tree's attrs_resampled and
+    range_resample_samples count it.  Draws go in entry then slot order.  Slots go in runs of whole
     slots of at most CHUNK_ROWS ids (a larger slot is a run of its own),
     and a recount compares each id of its run with s thresholds.
     """
@@ -994,10 +980,10 @@ def _range_change(entries, hit, redraw):
         hit[emptied] = False
     at, slots = np.nonzero(hit)
     if not len(at):
-        return [0] * len(nodes), [0] * len(nodes)
+        return [0] * len(nodes)
     owner = at.tolist()
     sizes = [nodes[j].n for j in owner]
-    redrew, drawn = [0] * len(nodes), [0] * len(nodes)
+    redrew = [0] * len(nodes)
     runs = [(0, len(owner))] if sum(sizes) <= CHUNK_ROWS else _runs(np.array(sizes), CHUNK_ROWS)
     for a, z in runs:
         run, n = owner[a:z], np.array(sizes[a:z])
@@ -1020,37 +1006,24 @@ def _range_change(entries, hit, redraw):
             keep = np.repeat(again, sizes[a:z])
             ids, vals = ids[keep], vals[keep]
             starts = list(accumulate(n[:-1].tolist(), initial=0))
-        # each slot reads s uniforms from its tree's stream, but a flat one
-        # draws nothing: its thresholds are its one value
-        span = hi - lo
-        flat = (span == 0).tolist()
+        # each slot reads s uniforms from its tree's stream
         picked = [j for j, g in zip(run, again) if g]
-        trees = [entries[j][0] for j in picked]
-        draws = [tree.rng.random((len(list(same)), s))
-                 for tree, same in groupby(tree for tree, f in zip(trees, flat) if not f)]
-        if any(flat):
-            u = np.zeros((len(lo), s))
-            if draws:
-                u[np.logical_not(flat)] = np.concatenate(draws)
-        else:
-            u = np.concatenate(draws)
-        thr = np.sort(lo[:, None] + span[:, None] * u, axis=1)
-        if any(flat):
-            thr[flat] = lo[flat, None]
+        u = np.concatenate([tree.rng.random((len(list(same)), s))
+                            for tree, same in groupby(entries[j][0] for j in picked)])
+        thr = np.sort(lo[:, None] + (hi - lo)[:, None] * u, axis=1)
         pool.thr[r, k] = thr
         # b and c count, per threshold, the slot's ids at or below it
         at_or_above = np.repeat(thr.T, n, axis=1) >= vals
         pool.b[r, k] = np.add.reduceat(at_or_above, starts, axis=1, dtype=np.int32).T
         at_or_above &= ds.y[ids] == 1
         pool.c[r, k] = np.add.reduceat(at_or_above, starts, axis=1, dtype=np.int32).T
-        for j, f in zip(picked, flat):
+        for j in picked:
             redrew[j] += 1
-            drawn[j] += not f
     for (tree, node), count in zip(entries, redrew):
         if count:
             tree.telemetry.attrs_resampled += count
             tree.telemetry.range_resample_samples += node.n
-    return redrew, drawn
+    return redrew
 
 
 def _moved_mask(pool, rows, nodes, k, i, usable):
@@ -1204,6 +1177,23 @@ def route_rows(trees, X):
     return out_n, out_pos
 
 
+# The one bit generator that reads every query-grown node's keyed stream;
+# each read sets its whole state first, so no read depends on an earlier one.
+_PHILOX = np.random.Philox(key=0)
+_PHILOX_STATE = _PHILOX.state
+
+
+def _key_stream(key, words):
+    """The first words raw 64-bit words of the Philox stream keyed by key,
+    its counter at zero, as a uint64 array."""
+    state = _PHILOX_STATE
+    state["state"]["key"][0] = key
+    state["state"]["counter"][:] = 0
+    state["buffer_pos"] = 4
+    _PHILOX.state = state
+    return _PHILOX.random_raw(words)
+
+
 def materialize(reached):
     """Grow one level at each tagged node of reached, a list of distinct
     (tree, node) pairs, untag the nodes and tag their children: one
@@ -1220,21 +1210,18 @@ def materialize(reached):
     for tree, _ in reached:
         tree.telemetry.nodes_materialized += 1
     _untag(reached)
-    d, p, s = kernel.d, kernel.p, kernel.s
-    width = d + p * s
+    width = kernel.d + kernel.p * kernel.s
     child_keys = {}
 
     def draw(splitting):
-        # each node's stream: d + p*s uniforms, then its children's keys;
-        # a uniform is a raw word's top 53 bits, as Generator.random reads it
+        # each node's stream: its block, then its children's keys; a uniform
+        # is a raw word's top 53 bits, as Generator.random reads it
         raw = np.empty((len(splitting), width + 2), np.uint64)
         for row, (_, node) in zip(raw, splitting):
-            row[:] = kernel._key_stream(node.key, width + 2)
-        u = (raw[:, :width] >> 11) * 2.0 ** -53
+            row[:] = _key_stream(node.key, width + 2)
         for (_, node), keys in zip(splitting, raw[:, width:].tolist()):
             child_keys[node] = keys
-        thr = u[:, d:].reshape(len(splitting), p, s)
-        return u[:, :d], lambda lo, flat: thr[lo:lo + len(flat)][~flat]
+        return (raw[:, :width] >> 11) * 2.0 ** -53
 
     _split_level(reached, draw, cap)
     for tree, node in reached:
@@ -1308,22 +1295,11 @@ def rebuild(frontiers):
 
 def _stream_draws(splitting):
     """Draws from the tree streams for the splittable (tree, node) pairs
-    of a tree-major frontier: each tree reads one (m, d) block of
-    attribute keys, then s uniforms per non-degenerate slot of its own
-    nodes, in node order, whichever chunks the nodes are split in."""
-    shares = [(tree, len(list(nodes))) for tree, nodes in groupby(splitting, key=itemgetter(0))]
-    keys = np.concatenate([tree.rng.random((m, tree.d)) for tree, m in shares])
-    firsts = np.cumsum([0] + [m for _, m in shares]).tolist()
-
-    def thresholds(lo, flat):
-        out, hi = [], lo + len(flat)
-        for (tree, _), first, end in zip(shares, firsts, firsts[1:]):
-            a, z = max(first, lo), min(end, hi)
-            if a < z:
-                out.append(tree.rng.random((np.count_nonzero(~flat[a - lo:z - lo]), tree.s)))
-        return np.concatenate(out)
-
-    return keys, thresholds
+    of a tree-major frontier, or a chunk of one: each tree with m of them
+    reads one (m, d + p*s) block of uniforms, a node's block per row in
+    frontier order."""
+    return np.concatenate([tree.rng.random((len(list(nodes)), tree.d + tree.p * tree.s))
+                           for tree, nodes in groupby(splitting, key=itemgetter(0))])
 
 
 # The most rows a kernel chunk holds, unless one node holds more: enough
@@ -1392,11 +1368,12 @@ def _split_level(pairs, draw, cap):
     Returns the new children as (tree, child), left before right, node by
     node: the next frontier.
 
-    draw(splitting) supplies the uniforms of the m splittable pairs: an
-    (m, d) block of attribute keys, and a function thresholds(lo, flat)
-    that maps the mask of degenerate slots of nodes lo, lo + 1, ... to s
-    uniforms for each other slot, in node then slot order; it is called on
-    consecutive nodes, first to last.
+    draw(chunk) supplies the uniforms of a chunk of splittable pairs as
+    one (len(chunk), d + p*s) array, a node's block per row: d attribute
+    keys, then s threshold uniforms per slot, in slot order (see the
+    module docstring, Randomness).  It is called on consecutive chunks,
+    first to last, and every block has the same size, so a tree's stream
+    is read at the same positions however the frontier is chunked.
 
     The call bounds its own memory.  It splits the nodes in chunks of
     whole nodes of at most CHUNK_ROWS rows (_split_chunk), and a chunk
@@ -1411,47 +1388,41 @@ def _split_level(pairs, draw, cap):
                  if not kernel._stop(node.depth, len(node.ids), node.n_pos)]
     if not splitting:
         return []
-    keys, thresholds = draw(splitting)
     lens = np.array([len(node.ids) for _, node in splitting])
     limit = max(cap, CHUNK_ROWS)
     if lens.sum() <= limit:
-        return _split_chunk(kernel, splitting, keys, lens, partial(thresholds, 0), cap)
+        return _split_chunk(kernel, splitting, draw(splitting), lens, cap)
     children = []
     for a, z in _runs(lens, limit):
-        children += _split_chunk(kernel, splitting[a:z], keys[a:z], lens[a:z],
-                                 partial(thresholds, a), cap)
+        children += _split_chunk(kernel, splitting[a:z], draw(splitting[a:z]), lens[a:z], cap)
     return children
 
 
-def _split_chunk(kernel, splitting, keys, lens, thresholds, cap):
+def _split_chunk(kernel, splitting, u, lens, cap):
     """Split one chunk of splittable (tree, node) pairs in one vectorized
-    pass, given their attribute keys, their sizes and thresholds(flat),
-    the threshold uniforms of their non-degenerate slots; returns their
-    children as _split_level does."""
-    m, p, s = len(splitting), kernel.p, kernel.s
+    pass, given their blocks of uniforms (u, a row per node, as draw
+    supplies them to _split_level) and their sizes; returns their children
+    as _split_level does."""
+    m, d, p, s = len(splitting), kernel.d, kernel.p, kernel.s
     X = kernel.ds.X
     n_pos = np.array([node.n_pos for _, node in splitting])
     ids = np.concatenate([node.ids for _, node in splitting])
     positive = kernel.ds.y[ids] == 1
     starts = np.concatenate(([0], lens[:-1].cumsum()))
     # each node's attribute subset: the p smallest of d uniform keys
-    attrs = np.argpartition(keys, p - 1, axis=1)[:, :p]
+    attrs = np.argpartition(u[:, :d], p - 1, axis=1)[:, :p]
     attrs.sort(axis=1)
     # one flat gather: each id's row of X at its node's attributes
-    vals = X.take(ids[:, None] * kernel.d + np.repeat(attrs, lens, axis=0))
+    vals = X.take(ids[:, None] * d + np.repeat(attrs, lens, axis=0))
     amin = np.minimum.reduceat(vals, starts, axis=0)
     amax = np.maximum.reduceat(vals, starts, axis=0)
-    flat = amin == amax
-    # s uniform thresholds per non-degenerate slot, scaled onto its range
-    # and sorted; a degenerate slot draws nothing and holds its one value
-    thr = np.empty((m, p, s))
-    thr[...] = amin[:, :, None]
-    lo, hi = amin[~flat], amax[~flat]
-    drawn = lo[:, None] + (hi - lo)[:, None] * thresholds(flat)
-    drawn.sort(axis=1)
-    thr[~flat] = drawn
+    # s uniform thresholds per slot, scaled onto its range and sorted; a
+    # flat slot's span is 0, so it holds its one value
+    thr = amin[:, :, None] + (amax - amin)[:, :, None] * u[:, d:].reshape(m, p, s)
+    thr.sort(axis=2)
     b, c = _prefix_grids(_below(thr, lens, vals, cap), lens, positive, s)
-    best_k, best_i, usable = best_cells(b, c, lens, n_pos, flat, kernel.params.criterion)
+    best_k, best_i, usable = best_cells(b, c, lens, n_pos, amin == amax,
+                                        kernel.params.criterion)
     usable = usable.tolist()
     rows = np.arange(m)
     best_w = thr[rows, best_k, best_i]
@@ -1459,7 +1430,7 @@ def _split_chunk(kernel, splitting, keys, lens, thresholds, cap):
     # each node's ids split by its split; masking keeps each child's ids in
     # order, and node j's left ids are run j of ids[left], its right ids
     # run j of ids[~left]
-    left = X.take(ids * kernel.d + np.repeat(axis, lens)) <= np.repeat(best_w, lens)
+    left = X.take(ids * d + np.repeat(axis, lens)) <= np.repeat(best_w, lens)
     n_left = np.add.reduceat(left, starts, dtype=np.int64)
     pos_left = np.add.reduceat(left & positive, starts, dtype=np.int64).tolist()
     ids_left, ids_right = ids[left], ids[~left]

@@ -18,8 +18,9 @@ from dynforest import tree as tree_mod
 from dynforest.forest import Forest, group_by_tree
 from dynforest.oracle import forest_audit, reference_delete_group
 from dynforest.snapshot import load, save
+from dynforest.data import dataset_from_arrays
 from dynforest.synth import make_dataset
-from dynforest.tree import delete_groups, rebuild
+from dynforest.tree import TreeParams, build_tree, delete_groups, rebuild
 from test_forest import quick_params
 from test_updates import forest_state, node_state, tagged_snapshot
 
@@ -88,6 +89,41 @@ def test_a_group_of_one_is_the_reference_walk_and_delete():
                for tree in walks)
     assert a == b == c
     assert sum(tree.n_tagged for tree in walks) > 0
+
+
+def test_a_deletion_that_flattens_a_slot_redraws_it_in_every_walk():
+    """Deleting the one sample off a constant column's value leaves that
+    attribute's slots a single value.  Such a slot's range changed, so it
+    reads its s uniforms like any redrawn slot and holds its value:
+    Tree.delete, a one-id delete_group and the reference walk agree bit for
+    bit, generator state included, and each read s uniforms per kept
+    redrawn slot, then one key for the node it tagged, if any."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(150, 3))
+    X[:, 0] = 0.0
+    X[0, 0] = 1.0
+    y = rng.integers(0, 2, size=150)
+    params = TreeParams(max_depth=4, n_thresholds=5, n_attrs=3, min_split_size=4)
+    walks = [build_tree(dataset_from_arrays(X.copy(), y.copy()), np.arange(150), params,
+                        np.random.default_rng(2)) for _ in range(3)]
+    stream = np.random.default_rng(2)
+    stream.bit_generator.state = walks[0].rng.bit_generator.state
+    walks[0].delete(0)
+    walks[1].delete_group([0])
+    reference_delete_group(walks[2], [0])
+    a, b, c = ((node_state(tree), tree.rng.bit_generator.state, tree.telemetry.as_dict())
+               for tree in walks)
+    assert a == b == c
+    tree = walks[0]
+    row, counts = tree.root.row, tree.telemetry
+    # attribute 0 is slot 0 of every grid, and its range at the root is now 0
+    assert tree.pool.amin[row, 0] == tree.pool.amax[row, 0] == 0.0
+    assert (tree.pool.thr[row, 0] == 0.0).all()
+    assert counts.attrs_resampled > 0
+    stream.random((counts.attrs_resampled, params.n_thresholds))
+    if counts.tags_moved + counts.tags_stopped:
+        stream.bit_generator.random_raw()
+    assert tree.rng.bit_generator.state == stream.bit_generator.state
 
 
 def test_a_missing_id_at_one_root_changes_no_tree(tmp_path):

@@ -154,8 +154,7 @@ def test_range_change_recount_matches_prefix_counts(monkeypatch, chunk):
         tree.rng = GridUniforms(t)
     pool.amin[rows] -= 1.0  # every range reads as changed, so every slot redraws
     monkeypatch.setattr(tree_mod, "CHUNK_ROWS", chunk)
-    slots, _ = tree_mod._range_change(entries, np.ones((len(rows), 4), bool),
-                                      [True] * len(rows))
+    slots = tree_mod._range_change(entries, np.ones((len(rows), 4), bool), [True] * len(rows))
     assert slots == [4] * len(rows)
     thr = pool.thr[rows]
     assert_counts_match_prefix_counts(thr, pool.b[rows], pool.c[rows], X, y, pool.attrs[rows],
@@ -396,7 +395,7 @@ def test_level_draws_are_uniform_over_seeds():
     stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(0)
     X = rng.normal(size=(80, 6))
-    X[:, 3] = 1.5  # a constant attribute: its slots are degenerate and draw nothing
+    X[:, 3] = 1.5  # a constant attribute: its slots are degenerate and hold its value
     ds = dataset_from_arrays(X, rng.integers(0, 2, size=80))
     params = TreeParams(max_depth=2, n_thresholds=5, n_attrs=2, min_split_size=2)
     subsets = {}
@@ -420,6 +419,37 @@ def test_level_draws_are_uniform_over_seeds():
     unit = np.concatenate(unit)
     assert len(unit) > 20000
     assert stats.kstest(unit, "uniform").pvalue > 1e-3
+
+
+def test_a_level_reads_one_block_of_d_plus_p_s_uniforms_per_node():
+    """Growth reads a tree's stream a level at a time, one row of d + p*s
+    uniforms per splittable node in frontier order: the p smallest of the
+    first d pick the attributes, and the next s per slot are the slot's
+    thresholds, scaled onto its range and sorted.  A flat slot reads its s
+    uniforms too and holds its one value."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(120, 4))
+    X[:, :2] = 0.5  # two constant attributes: every 3 of the 4 has one, in slot 0
+    ds = dataset_from_arrays(X, rng.integers(0, 2, size=120))
+    d, p, s = 4, 3, 5
+    params = TreeParams(max_depth=2, n_thresholds=s, n_attrs=p, min_split_size=2)
+    tree = build_tree(ds, ds.live_ids(), params, np.random.default_rng(7))
+    root = tree.root
+    levels = [[root], [root.left, root.right]]
+    assert all(node.row != -1 for level in levels for node in level)
+    stream = np.random.default_rng(7)
+    for level in levels:
+        for node, u in zip(level, stream.random((len(level), d + p * s))):
+            blk = grid(tree, node)
+            attrs = np.sort(np.argsort(u[:d])[:p])
+            assert blk.attrs.tolist() == attrs.tolist()
+            vals = X[node.ids][:, attrs]
+            lo, hi = vals.min(axis=0), vals.max(axis=0)
+            thr = np.sort(lo[:, None] + (hi - lo)[:, None] * u[d:].reshape(p, s), axis=1)
+            assert blk.thr.tobytes() == thr.tobytes()
+            assert lo[0] == hi[0] and (blk.thr[0] == 0.5).all()
+    # the depth-2 nodes stop at max_depth and read nothing
+    assert tree.rng.bit_generator.state == stream.bit_generator.state
 
 
 def test_query_grown_draws_are_uniform_over_seeds():
