@@ -121,8 +121,9 @@ class Forest:
         """Grow a forest over every live sample in ds.
 
         All roots grow together (tree.grow), one split-kernel call per
-        level; each tree draws from its own stream, so it grows exactly as
-        build_tree would grow it from the same seed.
+        level; each root is keyed by its own tree's generator and every
+        node draws from its own key, so a tree grows exactly as build_tree
+        would grow it from the same seed.
         """
         params.validate(ds.n_attrs)
         n_trees = params.n_trees

@@ -7,9 +7,10 @@ its node's grid instead of the stored axis and threshold, retraining
 builds a fresh forest instead of patching one, and the occupancy checker
 rescans every tree.  Slow and simple on purpose.  reference_delete_group
 walks one tree depth first, a node per step, and settles each node by its
-own per-node rule: a min/max rescan, then sample_thresholds and
+own per-node rule: a min/max rescan, then fresh thresholds and
 prefix_counts per changed slot, so that the range-change step that every
-update shares in tree.py can be checked against it.
+update shares in tree.py can be checked against it.  Its draws come from
+splitmix_word, a pure-Python copy of the hash tree.key_words vectorizes.
 """
 
 from __future__ import annotations
@@ -40,6 +41,25 @@ class AttributeSlot:
     b: np.ndarray
     c: np.ndarray
     score: np.ndarray
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix_word(key, i):
+    """Word i of a 64-bit key, as a Python int: the (i + 1)-th output of
+    SplitMix64 started at key (Steele, Lea and Flood, OOPSLA 2014)."""
+    z = (key + (i + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix_uniforms(key, first, count):
+    """Words first to first + count - 1 of key as float uniforms in
+    [0, 1), each word's top 53 bits."""
+    return np.array([(splitmix_word(key, i) >> 11) / 2.0 ** 53
+                     for i in range(first, first + count)])
 
 
 def sample_thresholds(a_min, a_max, s, rng):
@@ -163,25 +183,32 @@ def reference_delete_group(tree, group):
     At each node the group leaves the ids, its values are taken out of the
     counts one cell comparison at a time, the node is settled by
     _reference_settle, and the group is split by the node's split between
-    its children, left first.  The tree stream is read node by node in
-    preorder, where tree.delete_groups reads it level by level, so the two
-    agree in law, and bit for bit on a group of one.
+    its children, left first.  It draws as tree.py's module docstring
+    says (Randomness): from one raw word of the tree's generator, read once
+    the root holds the group, each node at the words of its depth and rank,
+    so tree.delete_groups agrees with it bit for bit.
     """
     group = np.asarray(group, dtype=np.int64)
     tagged = []
     if len(group):
         member = np.zeros(tree.ds.next_id, bool)
         member[group] = True
-        _reference_delete(tree, tree.root, group, member, tagged)
+        _reference_delete(tree, tree.root, group, member, tagged, None, {})
     return tagged
 
 
-def _reference_delete(tree, node, group, member, tagged):
+def _reference_delete(tree, node, group, member, tagged, word, visited):
+    """Delete group below node; word is the call word, None at the root,
+    and visited counts the nodes visited so far per depth."""
     keep = node.ids[~member[node.ids]]
     missing = len(group) - (len(node.ids) - len(keep))
     if missing:
         raise ValueError("%d of %d ids not present at depth %d; tree and "
                          "routing disagree" % (missing, len(group), node.depth))
+    if word is None:
+        word = tree.rng.bit_generator.random_raw()
+    rank = visited.get(node.depth, 0)
+    visited[node.depth] = rank + 1
     node.ids = keep
     labels = tree.ds.y[group] == 1
     node.n_pos -= int(labels.sum())
@@ -193,7 +220,8 @@ def _reference_delete(tree, node, group, member, tagged):
         pool.b[r] -= covered.sum(axis=0)
         pool.c[r] -= covered[labels].sum(axis=0)
         hit = ((vals == pool.amin[r]) | (vals == pool.amax[r])).any(axis=0)
-    tag = _reference_settle(tree, node, hit)
+    block = ((node.depth << 32) + rank) * (tree.p * tree.s + 1)
+    tag = _reference_settle(tree, node, hit, word, block)
     if tag is not None:
         tagged.append(tag)
     if node.left is None:
@@ -201,13 +229,14 @@ def _reference_delete(tree, node, group, member, tagged):
     go_left = tree.ds.X[group, node.axis] <= node.best_w
     for child, side in ((node.left, go_left), (node.right, ~go_left)):
         if side.any():
-            _reference_delete(tree, child, group[side], member, tagged)
+            _reference_delete(tree, child, group[side], member, tagged, word, visited)
 
 
-def _reference_settle(tree, node, hit):
+def _reference_settle(tree, node, hit, word, block):
     """Settle one node after a deletion patched its ids and counts; hit
-    marks the slots where a deleted value sat on a range boundary.
-    Returns the node if it was tagged here, else None."""
+    marks the slots where a deleted value sat on a range boundary, and the
+    node draws words block onward of the call word word.  Returns the
+    node if it was tagged here, else None."""
     tree.telemetry.nodes_updated += 1
     pool, r = tree.pool, node.row
     stopped = node.left is not None and tree._stop(node.depth, node.n, node.n_pos)
@@ -223,20 +252,22 @@ def _reference_settle(tree, node, hit):
                 continue
             pool.amin[r, k], pool.amax[r, k] = lo, hi
             if not (node.tagged or stopped):
-                thr = pool.thr[r, k] = sample_thresholds(lo, hi, tree.s, tree.rng)
+                u = splitmix_uniforms(word, block + k * tree.s, tree.s)
+                thr = pool.thr[r, k] = np.sort(lo + (hi - lo) * u)
                 pool.b[r, k], pool.c[r, k] = prefix_counts(vals, positive, thr)
                 redrawn += 1
         if redrawn:
             tree.telemetry.attrs_resampled += redrawn
             tree.telemetry.range_resample_samples += node.n
+    key = splitmix_word(word, block + tree.p * tree.s)
     if stopped:
-        return tree._tag(node, "tags_stopped")
+        return tree._tag(node, "tags_stopped", key)
     if node.tagged or node.left is None:
         return None
     k, i, usable = best_cells(pool.b[r], pool.c[r], node.n, node.n_pos,
                               pool.amin[r] == pool.amax[r], tree.params.criterion)
     if not usable or (k, i) != (node.best_k, node.best_i) or pool.thr[r, k, i] != node.best_w:
-        return tree._tag(node, "tags_moved")
+        return tree._tag(node, "tags_moved", key)
     return None
 
 

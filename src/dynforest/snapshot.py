@@ -13,8 +13,8 @@ exact generator states, and per tree t, over its nodes in preorder:
   t<t>.children   every node's two child indices, -1 for a childless node
   t<t>.ids        the sample ids of the childless nodes (leaves and tagged
   t<t>.ids_len    nodes), one ids_len entry per childless node
-  t<t>.keys       one uint64 draw key per tagged node; a query-grown
-                  node's Philox stream is set up from its key alone
+  t<t>.keys       one uint64 draw key per tagged node, from which its
+                  regrowth reads every draw (tree.key_words)
   t<t>.slot_*     one row per node with a grid: attrs, amin, amax, thr
                   (the draws) and counts b and c, in GRID_FIELDS dtypes
 

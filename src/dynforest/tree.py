@@ -70,9 +70,8 @@ one call for all k trees.
            whose stop rule now holds (tags_stopped) or whose split moved
            (tags_moved), or a grid leaf that an added value widened
            (tags_widened).  Nodes below the node tagged here are discarded
-           with its subtree, and with them what the range change did
-           there: their grid rows go on the free list, and their redraws
-           are put back (see Randomness).
+           with its subtree: their grid rows go on the free list, and the
+           counters forget their redraws (see Randomness).
 
 Deleting a group is one walk over any number of trees, delete_groups:
 Forest.unlearn_batch passes every tree with its share of the batch, and
@@ -95,9 +94,8 @@ growth.  At each depth:
 
 Stacks are built in chunks of whole nodes, bounded as growth's are (see
 Growth), so a large batch over many trees holds a few MB of them at a
-time.  oracle.reference_delete_group walks depth first, one node per
-step, and settles each node by its own per-node copy of the two rules;
-it is the reference both walks are tested against.  A tagged node's
+time.  oracle.reference_delete_group, the walks' reference, settles one
+node per step by its own copy of the two rules.  A tagged node's
 subtree is discarded but nothing is rebuilt yet.  Its later regrowth
 redraws the candidates whose scores decided to tag it, which biases the
 updated tree away from a retrain (tests/test_exactness.py; ROADMAP item
@@ -131,100 +129,53 @@ and grows them into full subtrees: Forest.train passes every root,
 Forest.flush every tree's tagged nodes, and an eager Forest's update or
 batch the nodes it tagged in all its trees (through rebuild()).  Tree.build,
 Tree.flush and Tree.rebuild_node are one-tree calls into it.
-materialize() is one kernel call that grows one level only.
-
-A kernel call bounds its own memory.  It counts its (s, rows, p)
-threshold comparison in runs of whole nodes, each run of at most as many
-rows as the largest root among the call's trees.  A node never holds
-more rows than its root, so every node fits in one run, and no call
-holds more of that comparison at a time than the build of one tree.  Its
-other per-row arrays are a few bytes per row and slot; it builds them in
-chunks of whole nodes of at most CHUNK_ROWS rows, which the preset's
-frontiers never reach but a forest of 100 full-size trees would.  A
-frontier that fits in one run is one chunk and one comparison, so a
-small call (a single-row query round) pays nothing for either bound.
+materialize() is one kernel call that grows one level only.  A kernel
+call bounds its own memory (see _split_level): no call holds more of its
+(s, rows, p) threshold comparison than the build of one tree, and a
+frontier of 100 full-size trees is split in chunks of at most CHUNK_ROWS
+rows, which the preset's frontiers never reach.
 
 Randomness
 ----------
-Every growing node reads one fixed block of d + p*s uniforms from its
-source: d attribute keys, whose p smallest give its attribute subset,
-then s per slot, in slot order, scaled onto the slot's range
-[amin, amax] and sorted.  A flat slot (a single-value range) reads its s
-uniforms too: its span is 0, so its thresholds are its one value.  So
-how much a node reads never depends on its data.
+Every draw is read from a key through one counter hash, key_words: word i
+of a 64-bit key K is SplitMix64's output mix of K + (i + 1) * gamma, the
+(i + 1)-th output of SplitMix64 started at K (Steele, Lea and Flood,
+"Fast splittable pseudorandom number generators", OOPSLA 2014), and a
+uniform is a word's top 53 bits.  So no draw depends on the order in which
+nodes are visited, on how calls batch them, or on what a walk discards.
 
-Build, flush and rebuild_node consume the tree's one generator (the tree
-stream) level by level.  At each frontier step, a tree with m splittable
-nodes in the frontier reads one (m, d + p*s) block, a node's block per
-row in frontier order; a kernel call that splits the frontier in chunks
-reads it chunk by chunk, at the same positions.  A tree reads only its
-own stream and its frontier is contiguous (frontiers are tree-major), so
-its draws do not depend on which trees share a call: a tree grown with
-others is the tree grown alone, bit for bit.
+Growth.  A growing node reads d + p*s uniforms, words 0 to d + p*s - 1 of
+its own key: d attribute keys, whose p smallest give its attribute
+subset, then s per slot, in slot order, scaled onto the slot's range and
+sorted (a flat slot's span is 0, so its thresholds are its one value).
+The next two words are its children's keys.  A root's key is one
+random_raw() word of its tree's generator, read at plant; a tagged node's
+comes from the update that tagged it; growth clears the key of every node
+it grows.  Train, flush, rebuild and materialize all grow so, and a
+subtree is a function of its key and its data: grown by queries a level a
+round, in any order or grouping, it is bit for bit the flushed one.
 
-On the update path the range change draws, each tree in path order: s
-uniforms per redrawn slot, flat or not, in slot order.  Then the tag walk
-draws one 64-bit key for the node the update tags, which an eager forest
-then rebuilds from the same stream (rebuild).  Which node a walk stops
-at is known only once the redrawn grids are scored, so a node below it,
-in the subtree the tag discards, may have redrawn too.  Those draws are
-put back before the key is drawn (_put_back): the tree's generator
-state, saved before the range change, is restored, and the s uniforms of
-each slot the walk kept redrawn are read again.  The stream then stands
-where a walk that redrew node by node and stopped at the tag leaves it,
-and the counters forget the discarded redraws.  This needs no more of
-the generator than setting a state and reading uniforms, so any
-np.random.Generator serves.  Routing, patching and scoring draw nothing,
-and no tree reads another's stream, so a tree reads the same draws
-whether its grids were stacked with other trees' or not: a k-tree update
-leaves each tree as k one-tree updates, or the node-by-node walks the
-tests compare against, would.
+Updates.  update_paths and delete_groups read one word W of the generator
+of each tree they touch, and nothing else (delete_groups once every root
+holds its group, so a rejected group changes no generator).  A visited
+node has a depth delta and a rank r, its place among the nodes of its
+tree the call visits at that depth, left to right (0 on a single path).
+With b = (delta * 2**32 + r) * (p*s + 1), its slot k redraws from words
+b + k*s to b + k*s + s - 1 of W, and a tag keys it with word b + p*s.
+Distinct nodes read disjoint words, so the redraws of a node that a
+single update's tag discards move no kept draw.  The level walk and
+oracle.reference_delete_group's depth-first walk read the same words for
+any group, as delete() and a group of one do.
 
-A group deletion draws depth by depth.  At each depth a tree reads s
-uniforms per redrawn slot of its nodes, in frontier then slot order,
-then one key per node it tags, in frontier order.  Again no tree reads
-another's stream, so a cross-tree call leaves each tree as its own
-delete_group would.  A group of one visits one node per depth and draws
-as delete() does, bit for bit.  A larger group reads the stream in
-another order than the depth-first reference walk, which changes which
-positions a node reads but not their law, as below.
-
-Growth driven by queries reads node keys instead.  A node materialized by
-a query reads its block from a Philox4x64 stream keyed by its key alone,
-counter at zero (Salmon et al., "Parallel random numbers: as easy as 1,
-2, 3", SC'11), and its children's keys are the next two raw words of
-that stream.  A materialize round reads d + p*s + 2 raw 64-bit words per
-node and turns the whole round's uniform words into floats in one step,
-(word >> 11) * 2**-53, which is how Generator.random turns a Philox word
-into a float64: the same bits as a Generator reading the node's stream.
-Queries may reach tagged nodes in any order and in any grouping: one row
-or a batch, one tree or many, one kernel call or several.  A node's
-draws are a function of its key alone and the kernel's arithmetic is
-row-wise per node, so the grown trees are the same bits either way, and
-growing all trees' nodes together equals growing them tree by tree.  The
-eager paths keep the tree stream, which keeps clean training free of
-per-node generator set-up.
-
-A node re-created after a new tag never reuses a draw conditioned on old
-data.  Its key is the next word of the tree stream at the tag event,
-which is independent of the data and of every earlier draw, and a
-child's key is a part of its parent's stream that no split read.  So
-whatever the data did between tag and query, the node's draws are fresh
-i.i.d. uniforms independent of everything that decided to grow it.
-
-This differs from a depth-first builder only in which stream positions a
-node reads, not in the law of what it reads.  Each node's attribute
-subset is uniform over the p-subsets of the d attributes, because the
-p smallest of d i.i.d. uniform keys are a uniform p-subset, and its
-thresholds are s i.i.d. uniform draws over its range.  Every node's
-block has the same size, so the positions a node reads are fixed by the
-frontier order alone, which the splits above it decide before its block
-is read (and an update's redraws by which slots' ranges the data
-changed).  Given everything that came before, a node's draws are
-therefore fresh i.i.d. uniforms, with the same conditional law as under
-any other fixed visiting order, and the grown tree has the same
-distribution as one grown depth first; only the seed-to-tree map
-differs.
+Law.  Taking the hash of distinct (key, index) pairs as independent
+uniform words, the premise of counter-based generators: roots' keys and
+each call's W are fresh generator words, a tag key a word of W that no
+redraw reads, and a child's key a word of its parent's key that no split
+reads.  So a node's draws are fresh i.i.d. uniforms, independent of the
+data and of every draw that decided to grow or tag it.  Its attribute
+subset is then a uniform p-subset (the p smallest of d i.i.d. keys) and
+its thresholds s i.i.d. uniforms over its range, so a tree has the law of
+one grown depth first from a stream; only the seed-to-tree map differs.
 """
 
 from __future__ import annotations
@@ -308,6 +259,36 @@ class Telemetry:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# SplitMix64's increment and output mix, as uint64 scalars: with a uint64
+# array on the other side, numpy keeps every step in uint64 under both its
+# legacy and its NEP 50 promotion rules (a Python int or an int64 there
+# would give float64 under some)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_S31, _S11 = np.uint64(31), np.uint64(11)
+
+
+def key_words(keys, index):
+    """Words index of keys as a uint64 array: SplitMix64's output mix of
+    key + (index + 1) * gamma, mod 2**64.  keys (64-bit keys, as Python
+    ints or numpy integers) and index (word numbers) broadcast together
+    and must give at least one dimension.  This is the one function that
+    turns a key into bits (see the module docstring, Randomness)."""
+    z = (np.asarray(index, np.uint64) + np.uint64(1)) * _GAMMA + np.asarray(keys, np.uint64)
+    for shift, factor in _MIX:
+        z ^= z >> shift
+        z *= factor
+    z ^= z >> _S31
+    return z
+
+
+def uniforms(words):
+    """uint64 words as float64 uniforms in [0, 1): each word's top 53 bits,
+    (w >> 11) * 2**-53, as Generator.random turns a word into a float."""
+    return (words >> _S11) * 2.0 ** -53
+
+
 # the grid fields and their dtypes in a GridPool
 GRID_FIELDS = {"attrs": np.int64, "amin": np.float64, "amax": np.float64,
                "thr": np.float64, "b": np.int32, "c": np.int32}
@@ -386,8 +367,9 @@ class Node:
     axis and best_w are that cell's attribute and threshold, stored as a
     Python int and float for routing: a row goes left when
     row[axis] <= best_w.  A node that does not split has axis -1.  key is
-    the 64-bit key of a tagged node's own draws; it is not read once the
-    node is untagged."""
+    the 64-bit key of the node's own draws, held from the moment it is
+    planted, grown as a child or tagged until growth reads it: once grown,
+    a node holds None, so of a grown tree only tagged nodes hold one."""
 
     __slots__ = ("depth", "ids", "n_pos", "row", "best_k", "best_i", "best_w",
                  "axis", "left", "right", "tagged", "key")
@@ -477,10 +459,12 @@ class Tree:
     # -- construction ---------------------------------------------------
 
     def plant(self, ids):
-        """Make the root over the given sample ids, not yet grown; returns
-        it.  grow() grows it."""
+        """Make the root over the given sample ids, not yet grown, keyed by
+        one raw word of the tree's generator; returns it.  grow() grows
+        it."""
         ids = np.asarray(ids, dtype=np.int64)
         self.root = Node(0, ids, int((self.ds.y[ids] == 1).sum()))
+        self.root.key = self.rng.bit_generator.random_raw()
         return self.root
 
     def build(self, ids):
@@ -494,10 +478,11 @@ class Tree:
 
     # -- tag bookkeeping --------------------------------------------------
 
-    def _tag(self, node, cause):
-        """Tag node, discarding its subtree, and give it a fresh key from
-        the tree stream; counts the tag under the Telemetry field cause.
-        Returns node."""
+    def _tag(self, node, cause, key=None):
+        """Tag node, discarding its subtree, and give it the draw key key
+        (by default one raw word of the tree's generator, as a planted root
+        gets); counts the tag under the Telemetry field cause.  Returns
+        node."""
         # the discarded subtree may itself hold tagged nodes: untag them so
         # rebuild_node refuses them, and settle the count; its grids' rows
         # go on the free list
@@ -521,7 +506,7 @@ class Tree:
         node.best_i = -1
         node.best_w = 0.0
         node.axis = -1
-        node.key = self.rng.bit_generator.random_raw()
+        node.key = self.rng.bit_generator.random_raw() if key is None else key
         self.n_tagged += 1
         setattr(self.telemetry, cause, getattr(self.telemetry, cause) + 1)
         return node
@@ -548,9 +533,10 @@ class Tree:
         nodes that became tagged.
 
         Equivalent in distribution to deleting them one by one; grouping
-        lets the per-node grid work amortize across the batch.  A group of
-        one leaves the tree exactly as delete() does.  A one-tree call
-        into delete_groups.
+        lets the per-node grid work amortize across the batch.  It leaves
+        the tree exactly as oracle.reference_delete_group does, and a group
+        of one exactly as delete() does.  A one-tree call into
+        delete_groups.
         """
         return delete_groups([(self, group)])[0]
 
@@ -700,13 +686,14 @@ def update_paths(trees, sample_id, add):
     """Delete (add=False) or add (add=True) one sample in each of trees;
     returns, per tree, the node the update tagged or None.
 
-    Routes every tree, patches the visited grids of all of them in one
+    Routes every tree, reads each tree's call word (see the module
+    docstring, Randomness), patches the visited grids of all trees in one
     stacked step, puts every path node a range change may reach through
-    one range change, scores every path grid in one kernel call, then walks
-    each tree's flags in path order to its tag (see the module docstring,
-    Updates).  The trees must share one Dataset, one TreeParams and one
-    GridPool, and each must read its own generator; an added sample must
-    already be in the Dataset, and a deleted one must still be live there.
+    one range change, scores every path grid in one kernel call, and walks
+    each tree's flags in path order to its tag (see Updates).  The trees
+    must share one Dataset, one TreeParams and one GridPool; an added
+    sample must already be in the Dataset, and a deleted one must still be
+    live there.
     """
     ds = trees[0].ds
     x = ds.X[sample_id]
@@ -714,36 +701,44 @@ def update_paths(trees, sample_id, add):
     row = x.tolist()  # routing compares Python floats faster
     paths = [tree._route_add(sample_id, label, row) if add
              else tree._route_delete(sample_id, label, row) for tree in trees]
+    words = np.array([tree.rng.bit_generator.random_raw() for tree in trees], np.uint64)
     # the path grids of all trees in one stack, tree by tree in path order;
-    # starts[t] is tree t's first row in it
+    # tree t's rows are starts[t] to starts[t + 1] - 1
     nodes, owner, starts = [], [], []
     for t, path in enumerate(paths):
         starts.append(len(nodes))
         nodes.extend(node for node in path if node.row != -1)
         owner += [t] * (len(nodes) - len(owner))
-    moved, flagged, changes = [], [], {}
+    starts.append(len(nodes))
+    moved, flagged, redrew = [], [], {}
     if nodes:
-        moved, flagged, changes = _patch_paths(trees, owner, nodes, x, label, add)
+        moved, flagged, redrew = _patch_paths(trees, owner, nodes, x, label, add, words)
     tagged = []
     for t, (tree, path) in enumerate(zip(trees, paths)):
         if add:
             node, cause, j = tree._settle_add(path, moved, flagged, starts[t])
         else:
             node, cause, j = tree._settle_delete(path, moved, starts[t])
-        if t in changes:
-            _put_back(tree, nodes, j, *changes[t])
-        tagged.append(node if node is None else tree._tag(node, cause))
+        # the tag discards the nodes below it, and the counters their redraws
+        for i in range(j, starts[t + 1]):
+            if redrew.get(i):
+                tree.telemetry.attrs_resampled -= redrew[i]
+                tree.telemetry.range_resample_samples -= nodes[i].n
+        if node is not None:
+            key, = key_words(words[t], [_block(tree, node.depth, 0) + tree.p * tree.s]).tolist()
+            node = tree._tag(node, cause, key)
+        tagged.append(node)
     return tagged
 
 
-def _patch_paths(trees, owner, nodes, x, label, add):
+def _patch_paths(trees, owner, nodes, x, label, add, words):
     """The stacked steps of update_paths over the path grids of all its
-    trees (nodes, the grid of tree owner[j] at row j): patch, range change,
-    score.  Returns per row whether the node's split moved (_moved_mask)
-    and whether a slot was hit (deleting: the value sat on a range
-    boundary) or widened (adding: it lay outside), as lists, and for each
-    tree that may have redrawn, its generator's state before the range
-    change with the slots the range change redrew per row."""
+    trees (nodes, the grid of tree owner[j] at row j, whose call word is
+    words[owner[j]]): patch, range change, score.  Returns, as lists, per
+    row whether the node's split moved (_moved_mask) and whether a slot was
+    hit (deleting: the value sat on a range boundary) or widened (adding:
+    it lay outside), and a dict of the slots the range change redrew per
+    row that went through it."""
     kernel = trees[0]
     pool = kernel.pool
     rows = np.array([node.row for node in nodes])
@@ -774,42 +769,28 @@ def _patch_paths(trees, owner, nodes, x, label, add):
         redraw = [not (node.tagged or node.left is not None
                        and kernel._stop(node.depth, node.n, node.n_pos))
                   for node in (nodes[j] for j in entries)]
-    changes = {}
+    redrew = {}
     if entries:
-        states = {owner[j]: trees[owner[j]].rng.bit_generator.state
-                  for j, may in zip(entries, redraw) if may}
-        slots = _range_change([(trees[owner[j]], nodes[j]) for j in entries],
-                              flags[entries], redraw)
+        # a path node is the only node of its tree and depth the call visits
+        slots = _range_change([(trees[owner[j]], nodes[j]) for j in entries], flags[entries],
+                              redraw, words[[owner[j] for j in entries]],
+                              _block(kernel, np.array([nodes[j].depth for j in entries]), 0))
+        redrew = dict(zip(entries, slots))
         if any(slots):
             # the redrawn grids are scored as they now are
             b, c, amin, amax = pool.b[rows], pool.c[rows], pool.amin[rows], pool.amax[rows]
-            for t, state in states.items():
-                redrawn = {j: count for j, count in zip(entries, slots) if count and owner[j] == t}
-                if redrawn:
-                    changes[t] = state, redrawn
     n = np.array([node.n for node in nodes])
     n_pos = np.array([node.n_pos for node in nodes])
     cells = best_cells(b, c, n, n_pos, amin == amax, kernel.params.criterion)
-    return _moved_mask(pool, rows, nodes, *(cell.tolist() for cell in cells)), flagged, changes
+    return _moved_mask(pool, rows, nodes, *(cell.tolist() for cell in cells)), flagged, redrew
 
 
-def _put_back(tree, nodes, end, state, redrawn):
-    """Undo the redraws of tree's path nodes at stack rows end and past,
-    below the node its walk stopped at, which its tag discards with the
-    subtree.  redrawn maps each of the tree's stack rows that redrew to the
-    slots it redrew, each a block of s uniforms, and state is the tree's
-    generator state before the range change.  The generator goes back to
-    state and re-reads the blocks of the rows the walk settled, so it
-    stands where a walk that stopped there would leave it, and the
-    counters forget the discarded redraws."""
-    lost = [j for j in redrawn if j >= end]
-    if not lost:
-        return
-    tree.rng.bit_generator.state = state
-    tree.rng.random((sum(redrawn[j] for j in redrawn if j < end), tree.s))
-    for j in lost:
-        tree.telemetry.attrs_resampled -= redrawn[j]
-        tree.telemetry.range_resample_samples -= nodes[j].n
+def _block(tree, depth, rank):
+    """The first word of its tree's call word that an update reads for
+    the node it visits at depth and rank (ints or int arrays): s words
+    per slot, then the node's tag key (see the module docstring,
+    Randomness)."""
+    return ((depth << 32) + rank) * (tree.p * tree.s + 1)
 
 
 # -- group deletion -----------------------------------------------------------
@@ -825,7 +806,8 @@ def delete_groups(pairs):
     a level at a time (see the module docstring, Deleting a group).  Every
     node of a level is checked to hold its whole group before any node of
     it changes, so a group holding an id that its tree's root does not
-    hold raises ValueError and leaves every tree as it was.
+    hold raises ValueError and leaves every tree as it was; only then is
+    each tree's call word read (see the module docstring, Randomness).
     """
     trees = [tree for tree, _ in pairs]
     groups = [np.asarray(group, dtype=np.int64) for _, group in pairs]
@@ -837,22 +819,23 @@ def delete_groups(pairs):
     grp = np.concatenate([groups[t] for t, _ in frontier])
     lens = np.array([len(groups[t]) for t, _ in frontier])
     member = np.zeros(trees[frontier[0][0]].ds.next_id, bool)
+    words = {}
     while frontier:
-        frontier, grp, lens = _delete_level(trees, frontier, grp, lens, member, cap, tagged)
+        keeps = _kept_ids(frontier, grp, lens, member)
+        words = words or {t: trees[t].rng.bit_generator.random_raw() for t, _ in frontier}
+        frontier, grp, lens = _delete_level(trees, frontier, grp, lens, keeps, words, cap, tagged)
     return tagged
 
 
-def _delete_level(trees, frontier, grp, lens, member, cap, tagged):
-    """One level of delete_groups.  frontier lists (tree index, node),
-    tree-major; grp holds their groups one after another, lens[j] ids for
-    node j, and member is an all-False mask over the sample ids.  Appends
-    the nodes tagged here to tagged[tree index]; returns the next level's
-    (frontier, grp, lens)."""
-    kernel = trees[frontier[0][0]]
-    ds = kernel.ds
+def _kept_ids(frontier, grp, lens, member):
+    """Each node's ids without its group, for the nodes of a delete_groups
+    level: frontier lists (tree index, node), tree-major, grp holds their
+    groups one after another, lens[j] ids for node j, and member is an
+    all-False mask over the sample ids, which it leaves so.  Raises
+    ValueError, having changed nothing, if a node lacks an id of its
+    group."""
     ends = lens.cumsum()
     starts = ends - lens
-    # drop each node's group from its ids, checking every node first
     keeps, j = [], 0
     for _, run in groupby(frontier, key=itemgetter(0)):
         nodes = [node for _, node in run]
@@ -866,24 +849,41 @@ def _delete_level(trees, frontier, grp, lens, member, cap, tagged):
         if missing:
             raise ValueError("%d of %d ids not present at depth %d; tree and "
                              "routing disagree" % (missing, size, node.depth))
-    gone_pos = np.add.reduceat(ds.y[grp] == 1, starts)
+    return keeps
+
+
+def _delete_level(trees, frontier, grp, lens, keeps, words, cap, tagged):
+    """One level of delete_groups, over the frontier, groups and kept ids
+    that _kept_ids takes; words maps each tree index to its call word.
+    Appends the nodes tagged here to tagged[tree index]; returns the next
+    level's (frontier, grp, lens)."""
+    kernel = trees[frontier[0][0]]
+    ds = kernel.ds
+    gone_pos = np.add.reduceat(ds.y[grp] == 1, lens.cumsum() - lens)
     for (t, node), keep, gone in zip(frontier, keeps, gone_pos.tolist()):
         node.ids = keep
         node.n_pos -= gone
         trees[t].telemetry.nodes_updated += 1
+    # each node's call word, and its block by its rank among its tree's
+    # nodes of the level, which the tree-major frontier lists left to right
+    owner = np.array([t for t, _ in frontier])
+    words = np.array([words[t] for t in owner.tolist()], np.uint64)
+    blocks = _block(kernel, frontier[0][1].depth,
+                    np.arange(len(owner)) - np.searchsorted(owner, owner))
     stopped = [node.left is not None and kernel._stop(node.depth, node.n, node.n_pos)
                for _, node in frontier]
     gridded = [j for j, (_, node) in enumerate(frontier) if node.row != -1]
     moved = set()
     if gridded:
-        _patch_level(trees, frontier, grp, lens, gridded, stopped, cap)
+        _patch_level(trees, frontier, grp, lens, gridded, stopped, cap,
+                     words[gridded], blocks[gridded])
         scored = [j for j in gridded if not stopped[j] and frontier[j][1].left is not None]
         moved = {j for j, off in zip(scored, _moved_nodes(kernel, [frontier[j][1] for j in scored]))
                  if off}
-    # tags draw their keys in frontier order, after every redraw of the level
-    for j, (t, node) in enumerate(frontier):
-        if stopped[j] or j in moved:
-            tagged[t].append(trees[t]._tag(node, "tags_stopped" if stopped[j] else "tags_moved"))
+    tags = [j for j in range(len(frontier)) if stopped[j] or j in moved]
+    for j, key in zip(tags, key_words(words[tags], blocks[tags] + kernel.p * kernel.s).tolist()):
+        t, node = frontier[j]
+        tagged[t].append(trees[t]._tag(node, "tags_stopped" if stopped[j] else "tags_moved", key))
     # route each group on to the children of the nodes still split
     routed = [j for j, (_, node) in enumerate(frontier) if node.left is not None]
     if not routed:
@@ -915,11 +915,12 @@ def _groups_of(picked, grp, lens):
     return grp[np.repeat(keep, lens)], lens[picked]
 
 
-def _patch_level(trees, frontier, grp, lens, gridded, stopped, cap):
+def _patch_level(trees, frontier, grp, lens, gridded, stopped, cap, words, blocks):
     """Patch the grids of a delete_groups level: take each gridded node's
     group out of its counts, then put every gridded node through the
     range-change step, the slots where a deleted value sat on a range
-    boundary marked as hit; an untagged, unstopped node may redraw.
+    boundary marked as hit; an untagged, unstopped node may redraw, from
+    its call word and block (words and blocks, per gridded node).
     Patches go in chunks of whole nodes of at most CHUNK_ROWS rows, a grid
     counting as s rows."""
     kernel = trees[frontier[0][0]]
@@ -931,7 +932,7 @@ def _patch_level(trees, frontier, grp, lens, gridded, stopped, cap):
         span = slice(ends[a] - lens[a], ends[z - 1])
         hit[a:z] = _patch_chunk(kernel, rows[a:z], grp[span], lens[a:z], cap)
     _range_change([(trees[frontier[j][0]], frontier[j][1]) for j in gridded], hit,
-                  [not (stopped[j] or frontier[j][1].tagged) for j in gridded])
+                  [not (stopped[j] or frontier[j][1].tagged) for j in gridded], words, blocks)
 
 
 def _patch_chunk(kernel, rows, grp, lens, cap):
@@ -949,7 +950,7 @@ def _patch_chunk(kernel, rows, grp, lens, cap):
     return np.logical_or.reduceat(edge, np.concatenate(([0], lens[:-1].cumsum())), axis=0)
 
 
-def _range_change(entries, hit, redraw):
+def _range_change(entries, hit, redraw, words, blocks):
     """The range-change step of every update, over (tree, node) entries:
     gridded nodes of trees that share one Dataset and one GridPool.  hit,
     an (m, p) mask, marks the slots whose range the update may have
@@ -959,13 +960,13 @@ def _range_change(entries, hit, redraw):
     An emptied node has no value left to rescan to: its ranges and
     thresholds are zeroed, as its dead rows are.  Every other hit slot is
     rescanned, a min and max over its node's ids, and its range stored.
-    If the range changed and its node may redraw, the slot then reads s
-    uniforms from its tree's stream, scaled onto the new range and sorted
-    (a single-value range's span is 0, so its thresholds are that value),
-    as growth draws them, and is recounted; the tree's attrs_resampled and
-    range_resample_samples count it.  Draws go in entry then slot order.  Slots go in runs of whole
-    slots of at most CHUNK_ROWS ids (a larger slot is a run of its own),
-    and a recount compares each id of its run with s thresholds.
+    If the range changed and its node may redraw, slot k then reads the s
+    uniforms of words blocks[j] + k*s onward of the call word words[j]
+    (see the module docstring, Randomness), scaled onto the new range and
+    sorted as growth's are, and is recounted; the tree's attrs_resampled
+    and range_resample_samples count it.  Slots go in runs of whole slots
+    of at most CHUNK_ROWS ids (a larger slot is a run of its own), and a
+    recount compares each id of its run with s thresholds.
     """
     kernel = entries[0][0]
     ds, pool, s = kernel.ds, kernel.pool, kernel.s
@@ -1000,16 +1001,15 @@ def _range_change(entries, hit, redraw):
         again = [c and redraw[j] for c, j in zip(changed.tolist(), run)]
         if not any(again):
             continue
+        picked = at[a:z]
         if not all(again):
             q = np.flatnonzero(again)
-            lo, hi, r, k, n = lo[q], hi[q], r[q], k[q], n[q]
+            lo, hi, r, k, n, picked = lo[q], hi[q], r[q], k[q], n[q], picked[q]
             keep = np.repeat(again, sizes[a:z])
             ids, vals = ids[keep], vals[keep]
             starts = list(accumulate(n[:-1].tolist(), initial=0))
-        # each slot reads s uniforms from its tree's stream
-        picked = [j for j, g in zip(run, again) if g]
-        u = np.concatenate([tree.rng.random((len(list(same)), s))
-                            for tree, same in groupby(entries[j][0] for j in picked)])
+        u = uniforms(key_words(words[picked, None], (blocks[picked] + k * s)[:, None]
+                               + np.arange(s)))
         thr = np.sort(lo[:, None] + (hi - lo)[:, None] * u, axis=1)
         pool.thr[r, k] = thr
         # b and c count, per threshold, the slot's ids at or below it
@@ -1017,7 +1017,7 @@ def _range_change(entries, hit, redraw):
         pool.b[r, k] = np.add.reduceat(at_or_above, starts, axis=1, dtype=np.int32).T
         at_or_above &= ds.y[ids] == 1
         pool.c[r, k] = np.add.reduceat(at_or_above, starts, axis=1, dtype=np.int32).T
-        for j in picked:
+        for j in picked.tolist():
             redrew[j] += 1
     for (tree, node), count in zip(entries, redrew):
         if count:
@@ -1177,23 +1177,6 @@ def route_rows(trees, X):
     return out_n, out_pos
 
 
-# The one bit generator that reads every query-grown node's keyed stream;
-# each read sets its whole state first, so no read depends on an earlier one.
-_PHILOX = np.random.Philox(key=0)
-_PHILOX_STATE = _PHILOX.state
-
-
-def _key_stream(key, words):
-    """The first words raw 64-bit words of the Philox stream keyed by key,
-    its counter at zero, as a uint64 array."""
-    state = _PHILOX_STATE
-    state["state"]["key"][0] = key
-    state["state"]["counter"][:] = 0
-    state["buffer_pos"] = 4
-    _PHILOX.state = state
-    return _PHILOX.random_raw(words)
-
-
 def materialize(reached):
     """Grow one level at each tagged node of reached, a list of distinct
     (tree, node) pairs, untag the nodes and tag their children: one
@@ -1201,33 +1184,19 @@ def materialize(reached):
     the largest root among the trees.
 
     Every node draws from its own key and its children's keys come from
-    that key's stream, so the grown trees do not depend on which nodes
-    share a call.  The trees must share one Dataset, one TreeParams and
-    one GridPool.  Counters and tag counts go to each node's tree.
+    that key, so the grown trees do not depend on which nodes share a
+    call, and a node grows as a flush would grow it.  The trees must share
+    one Dataset, one TreeParams and one GridPool.  Counters and tag counts
+    go to each node's tree.
     """
     cap = _largest_root(list(dict.fromkeys(tree for tree, _ in reached)))
-    kernel = reached[0][0]
     for tree, _ in reached:
         tree.telemetry.nodes_materialized += 1
     _untag(reached)
-    width = kernel.d + kernel.p * kernel.s
-    child_keys = {}
-
-    def draw(splitting):
-        # each node's stream: its block, then its children's keys; a uniform
-        # is a raw word's top 53 bits, as Generator.random reads it
-        raw = np.empty((len(splitting), width + 2), np.uint64)
-        for row, (_, node) in zip(raw, splitting):
-            row[:] = _key_stream(node.key, width + 2)
-        for (_, node), keys in zip(splitting, raw[:, width:].tolist()):
-            child_keys[node] = keys
-        return (raw[:, :width] >> 11) * 2.0 ** -53
-
-    _split_level(reached, draw, cap)
+    _split_level(reached, cap)
     for tree, node in reached:
         if node.left is not None:
             node.left.tagged = node.right.tagged = True
-            node.left.key, node.right.key = child_keys[node]
             tree.n_tagged += 2
 
 
@@ -1269,17 +1238,16 @@ def grow(frontiers):
     together, one frontier step per split-kernel call.
 
     frontiers is a list of (tree, nodes), one entry per tree; the trees
-    must share one Dataset, one TreeParams and one GridPool.  Each tree
-    draws from its own stream, in the order a growth of that tree alone
-    would draw (see the module docstring, Randomness), so every tree grows
-    exactly as a one-tree call would grow it.
+    must share one Dataset, one TreeParams and one GridPool.  Each node
+    draws from its own key (see the module docstring, Randomness), so
+    every tree grows exactly as a one-tree call would grow it.
     """
     pairs = [(tree, node) for tree, nodes in frontiers for node in nodes]
     if not pairs:
         return
     cap = _largest_root([tree for tree, nodes in frontiers if nodes])
     while pairs:
-        pairs = _split_level(pairs, _stream_draws, cap)
+        pairs = _split_level(pairs, cap)
 
 
 def rebuild(frontiers):
@@ -1291,15 +1259,6 @@ def rebuild(frontiers):
             if not node.tagged:
                 raise ValueError("node at depth %d is not tagged" % node.depth)
     grow([(tree, _untag([(tree, node) for node in nodes])) for tree, nodes in frontiers])
-
-
-def _stream_draws(splitting):
-    """Draws from the tree streams for the splittable (tree, node) pairs
-    of a tree-major frontier, or a chunk of one: each tree with m of them
-    reads one (m, d + p*s) block of uniforms, a node's block per row in
-    frontier order."""
-    return np.concatenate([tree.rng.random((len(list(nodes)), tree.d + tree.p * tree.s))
-                           for tree, nodes in groupby(splitting, key=itemgetter(0))])
 
 
 # The most rows a kernel chunk holds, unless one node holds more: enough
@@ -1357,23 +1316,18 @@ def _prefix_grids(below, lens, positive, s):
     return b.cumsum(axis=2), c.cumsum(axis=2)
 
 
-def _split_level(pairs, draw, cap):
+def _split_level(pairs, cap):
     """Split every non-stopping node of a frontier in one kernel call.
 
-    pairs lists (tree, node), tree-major; the trees must share one
-    Dataset, one TreeParams and one GridPool.  Each node must be fresh:
-    untagged, childless and without a grid.  Splittable nodes get their
-    grid and best split (a node whose drawn attributes are all constant
-    keeps its grid and stays a leaf); the others stay slotless leaves.
-    Returns the new children as (tree, child), left before right, node by
-    node: the next frontier.
-
-    draw(chunk) supplies the uniforms of a chunk of splittable pairs as
-    one (len(chunk), d + p*s) array, a node's block per row: d attribute
-    keys, then s threshold uniforms per slot, in slot order (see the
-    module docstring, Randomness).  It is called on consecutive chunks,
-    first to last, and every block has the same size, so a tree's stream
-    is read at the same positions however the frontier is chunked.
+    pairs lists (tree, node); the trees must share one Dataset, one
+    TreeParams and one GridPool.  Each node must be fresh: untagged,
+    childless and without a grid.  Splittable nodes get their grid and
+    best split (a node whose drawn attributes are all constant keeps its
+    grid and stays a leaf), each from its own key, and their children
+    get their keys (see the module docstring, Randomness); the others
+    stay slotless leaves.  Every node's key is cleared.  Returns the new
+    children as (tree, child), left before right, node by node: the next
+    frontier.
 
     The call bounds its own memory.  It splits the nodes in chunks of
     whole nodes of at most CHUNK_ROWS rows (_split_chunk), and a chunk
@@ -1386,25 +1340,31 @@ def _split_level(pairs, draw, cap):
     kernel = pairs[0][0]
     splitting = [(tree, node) for tree, node in pairs
                  if not kernel._stop(node.depth, len(node.ids), node.n_pos)]
+    keys = np.array([node.key for _, node in splitting], np.uint64)
+    for _, node in pairs:
+        node.key = None
     if not splitting:
         return []
     lens = np.array([len(node.ids) for _, node in splitting])
     limit = max(cap, CHUNK_ROWS)
     if lens.sum() <= limit:
-        return _split_chunk(kernel, splitting, draw(splitting), lens, cap)
+        return _split_chunk(kernel, splitting, keys, lens, cap)
     children = []
     for a, z in _runs(lens, limit):
-        children += _split_chunk(kernel, splitting[a:z], draw(splitting[a:z]), lens[a:z], cap)
+        children += _split_chunk(kernel, splitting[a:z], keys[a:z], lens[a:z], cap)
     return children
 
 
-def _split_chunk(kernel, splitting, u, lens, cap):
+def _split_chunk(kernel, splitting, keys, lens, cap):
     """Split one chunk of splittable (tree, node) pairs in one vectorized
-    pass, given their blocks of uniforms (u, a row per node, as draw
-    supplies them to _split_level) and their sizes; returns their children
-    as _split_level does."""
+    pass, given their keys and sizes; returns their children, keyed, as
+    _split_level does."""
     m, d, p, s = len(splitting), kernel.d, kernel.p, kernel.s
     X = kernel.ds.X
+    # each node's block of d + p*s uniforms, then its children's keys
+    raw = key_words(keys[:, None], np.arange(d + p * s + 2))
+    u = uniforms(raw[:, :d + p * s])
+    child_keys = raw[:, d + p * s:].tolist()
     n_pos = np.array([node.n_pos for _, node in splitting])
     ids = np.concatenate([node.ids for _, node in splitting])
     positive = kernel.ds.y[ids] == 1
@@ -1459,6 +1419,7 @@ def _split_chunk(kernel, splitting, u, lens, cap):
         node.left = Node(depth, ids_left[ends_left[j]:ends_left[j + 1]].copy(), pos_left[j])
         node.right = Node(depth, ids_right[ends_right[j]:ends_right[j + 1]].copy(),
                           n_pos[j] - pos_left[j])
+        node.left.key, node.right.key = child_keys[j]
         children.append((tree, node.left))
         children.append((tree, node.right))
     return children
@@ -1525,6 +1486,8 @@ def _audit_node(tree, node, path, report, leaf_ids, rows):
             if not np.array_equal(c[k], c_true[k]):
                 report.flag(tag, "c counts stale", "stored=%s actual=%s" % (c[k], c_true[k]))
 
+    if node.key is not None and not node.tagged:
+        report.flag(path, "untagged node holds a draw key")
     if node.tagged:
         if node.left is not None or node.right is not None:
             report.flag(path, "tagged node has children")

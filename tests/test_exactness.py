@@ -14,10 +14,11 @@ one column.
 
 The same test checks that the level-synchronous group walk
 (Tree.delete_group) deletes a group with the law of the depth-first
-reference walk (oracle.reference_delete_group): the two read the tree
-stream in different orders, so only their laws can agree.  On the 9-row
-probe a group redraws at one node per depth at most, so a second probe,
-of 16 rows in two clusters, makes several nodes of one depth redraw.
+reference walk (oracle.reference_delete_group), each arm on its own
+seeds; tests/test_group_walk.py checks that the two agree bit for bit
+on the same seed.  On the 9-row probe a group redraws at one node per
+depth at most, so a second probe, of 16 rows in two clusters, makes
+several nodes of one depth redraw.
 """
 
 from __future__ import annotations

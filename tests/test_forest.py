@@ -463,9 +463,9 @@ def spy_on_growth(monkeypatch):
     split_level, count_below, grow = (tree_mod._split_level, tree_mod._count_below,
                                       tree_mod.materialize)
 
-    def spy_split(pairs, draw, cap):
+    def spy_split(pairs, cap):
         calls.append([])
-        return split_level(pairs, draw, cap)
+        return split_level(pairs, cap)
 
     def spy_count(thr, lens, vals):
         calls[-1].append(len(vals))

@@ -2,10 +2,10 @@
 
 Forest.unlearn_batch deletes each tree's share of a batch in one walk over
 all trees, a level at a time.  Its references are the same walk one tree
-at a time (Tree.delete_group) and, for a group of one, Tree.delete.  The
-depth-first reference walk of oracle.py reads the tree stream in another
-order, so it is compared in law (tests/test_exactness.py) and, on a group
-of one, bit for bit.
+at a time (Tree.delete_group), the depth-first reference walk of
+oracle.py, which reads every draw at the same word of the same key, and,
+for a group of one, Tree.delete: all bit for bit.  tests/test_exactness.py
+compares the level walk with the reference walk in law as well.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ import pytest
 from dynforest import criterion as crit
 from dynforest import tree as tree_mod
 from dynforest.forest import Forest, group_by_tree
-from dynforest.oracle import forest_audit, reference_delete_group
+from dynforest.oracle import (forest_audit, reference_delete_group, splitmix_uniforms,
+                              splitmix_word)
 from dynforest.snapshot import load, save
 from dynforest.data import dataset_from_arrays
 from dynforest.synth import make_dataset
 from dynforest.tree import TreeParams, build_tree, delete_groups, rebuild
 from test_forest import quick_params
+from test_tree import grid, preorder
 from test_updates import forest_state, node_state, tagged_snapshot
 
 
@@ -96,8 +98,10 @@ def test_a_deletion_that_flattens_a_slot_redraws_it_in_every_walk():
     attribute's slots a single value.  Such a slot's range changed, so it
     reads its s uniforms like any redrawn slot and holds its value:
     Tree.delete, a one-id delete_group and the reference walk agree bit for
-    bit, generator state included, and each read s uniforms per kept
-    redrawn slot, then one key for the node it tagged, if any."""
+    bit, generator state included.  Each read one raw word of the tree's
+    generator, whatever it redrew: each redrawn slot k of a path node holds
+    the thresholds of that word's words b + k*s onward, b the node's block,
+    and a node it tagged, if any, holds word b + p*s as its key."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=(150, 3))
     X[:, 0] = 0.0
@@ -120,10 +124,23 @@ def test_a_deletion_that_flattens_a_slot_redraws_it_in_every_walk():
     assert tree.pool.amin[row, 0] == tree.pool.amax[row, 0] == 0.0
     assert (tree.pool.thr[row, 0] == 0.0).all()
     assert counts.attrs_resampled > 0
-    stream.random((counts.attrs_resampled, params.n_thresholds))
-    if counts.tags_moved + counts.tags_stopped:
-        stream.bit_generator.random_raw()
+    word = stream.bit_generator.random_raw()
     assert tree.rng.bit_generator.state == stream.bit_generator.state
+    p_s = tree.p * tree.s
+    tagged = [node for node in preorder(tree.root) if node.tagged]
+    assert [node.key for node in tagged] == [
+        splitmix_word(word, (node.depth << 32) * (p_s + 1) + p_s) for node in tagged]
+    # the slots on row 0's path that hold their keyed redraw are the redrawn ones
+    node, redrawn = tree.root, 0
+    while node is not None:
+        blk = grid(tree, node)
+        for k in range(tree.p if blk is not None else 0):
+            u = splitmix_uniforms(word, (node.depth << 32) * (p_s + 1) + k * tree.s, tree.s)
+            thr = np.sort(blk.amin[k] + (blk.amax[k] - blk.amin[k]) * u)
+            redrawn += blk.thr[k].tobytes() == thr.tobytes()
+        node = (None if node.left is None
+                else node.left if X[0, node.axis] <= node.best_w else node.right)
+    assert redrawn == counts.attrs_resampled
 
 
 def test_a_missing_id_at_one_root_changes_no_tree(tmp_path):
@@ -146,9 +163,9 @@ def test_eager_batch_grows_its_tags_in_one_grow(monkeypatch):
     calls = []
     split_level = tree_mod._split_level
 
-    def spy(pairs, draw, cap):
+    def spy(pairs, cap):
         calls.append(len(pairs))
-        return split_level(pairs, draw, cap)
+        return split_level(pairs, cap)
 
     monkeypatch.setattr(tree_mod, "_split_level", spy)
     forest.unlearn_batch(batch_of(forest, 300, 6).tolist())
@@ -159,7 +176,7 @@ def test_eager_batch_grows_its_tags_in_one_grow(monkeypatch):
 
 def test_a_batch_scores_each_level_in_one_call(monkeypatch):
     ds = make_dataset(2000, d=8, seed=7)
-    params = quick_params(n_trees=16, occupancy=0.5, seed=7)
+    params = quick_params(n_trees=32, occupancy=0.5, seed=7)
     forest = Forest.train(ds, params)
     calls = [0]
     score_matrix = crit.score_matrix
@@ -185,3 +202,28 @@ def test_tags_come_depth_by_depth_left_to_right():
                  for child in (node.left, node.right)]
     order = [place[id(node)] for node in tagged]
     assert len({node.depth for node in tagged}) > 1 and order == sorted(order)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_level_walk_is_the_reference_walk_for_any_group(tmp_path, seed):
+    """delete_groups over every tree at once leaves each tree, its
+    generator and its counters as oracle.reference_delete_group leaves
+    them, batch after batch of random groups of many ids."""
+    path = tagged_snapshot(tmp_path / "tagged.bin", seed, "gini")
+    level, reference = load(path), load(path)
+    rng = np.random.default_rng(seed)
+    live = level.ds.live_ids()
+    for size in (6, 40, 120):
+        batch = rng.choice(live, size, replace=False)
+        live = np.setdiff1d(live, batch)
+        groups = group_by_tree(batch, level.assignment[batch], len(level.trees))
+        assert max(len(group) for group in groups) > 1
+        delete_groups(list(zip(level.trees, groups)))
+        for tree, group in zip(reference.trees, groups):
+            reference_delete_group(tree, group)
+        for a, b in zip(level.trees, reference.trees):
+            assert node_state(a) == node_state(b)
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+            assert a.telemetry.as_dict() == b.telemetry.as_dict()
+    telemetry = level.telemetry()
+    assert telemetry.tags_moved > 0 and telemetry.attrs_resampled > 0

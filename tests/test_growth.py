@@ -2,7 +2,7 @@
 updates grow the fresh nodes of all trees together (tree.grow), one
 split-kernel call per frontier step.  Their references grow the same nodes
 one tree at a time: build_tree, Tree.flush and Tree.rebuild_node.  Each
-tree draws from its own stream either way, so all must leave every node,
+node draws from its own key either way, so all must leave every node,
 every generator and every counter the same.
 """
 
@@ -19,9 +19,9 @@ from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
 from dynforest.tree import build_tree
 from test_forest import quick_params, spy_on_growth
-from test_tree import signature
-from test_updates import (TreeByTree, apply, forest_state, random_updates, tagged_snapshot,
-                          twins)
+from test_tree import preorder, signature
+from test_updates import (TreeByTree, apply, forest_state, node_state, random_updates,
+                          tagged_snapshot, twins)
 
 
 def spy_on_chunks(monkeypatch):
@@ -86,6 +86,10 @@ def test_flush_grows_each_tree_as_its_own_flush_does(tmp_path):
 def test_eager_updates_rebuild_each_tree_as_rebuild_node_does(tmp_path, monkeypatch):
     path = tagged_snapshot(tmp_path / "tagged.bin", 6, "gini")
     together, by_tree = twins(path, False, TreeByTree)
+    # an eager forest keeps no tags: a walk that ends at a pending one
+    # cannot tag
+    together.flush()
+    by_tree.flush()
     sizes = []
     rebuild = forest_mod.rebuild
 
@@ -147,3 +151,57 @@ def test_tagged_predict_many_makes_one_kernel_call_per_round(monkeypatch):
     forest.predict_many(make_dataset(150, d=8, seed=61).X[:150])
     assert len(rounds) > 1
     assert len(calls) == len(rounds)
+
+
+def reaching_rows(forest):
+    """Rows that reach every tagged node with ids: each such node's own
+    rows, which the splits above it send there."""
+    tagged = [node for tree in forest.trees for node in preorder(tree.root)
+              if node.tagged and node.n]
+    return tagged, forest.ds.X[np.concatenate([node.ids for node in tagged])]
+
+
+def test_query_growth_then_flush_saves_what_flush_alone_saves(tmp_path):
+    """A tagged subtree is a function of its key and its data: grown by
+    queries a level a round and then flushed, it is the flushed one."""
+    path = tagged_snapshot(tmp_path / "tagged.bin", 8, "gini")
+    queried, flushed = load(path), load(path)
+    tagged, rows = reaching_rows(queried)
+    assert len(tagged) > 3
+    queried.predict_many(rows)
+    assert not any(node.tagged for node in tagged)
+    queried.flush()
+    flushed.flush()
+    save(queried, tmp_path / "queried.bin")
+    save(flushed, tmp_path / "flushed.bin")
+    assert (tmp_path / "queried.bin").read_bytes() == (tmp_path / "flushed.bin").read_bytes()
+
+
+def test_an_eager_update_grows_what_a_lazy_one_grows_on_flush(tmp_path):
+    """An eager forest after one delete or add holds the nodes and the
+    generator states of a lazy forest after the same update and flush(),
+    and after the same update, queries that reach every node it tagged,
+    and flush()."""
+    path = tagged_snapshot(tmp_path / "tagged.bin", 9, "gini")
+    clean = load(path)
+    clean.flush()
+    save(clean, tmp_path / "clean.bin")
+    probe = make_dataset(20, d=6, seed=91).X
+    tags = 0
+    for op, arg in [("delete", 3), ("add", (probe[0], 1)), ("delete", 250), ("delete", 101),
+                    ("add", (probe[1] * 1.2, 0)), ("delete", 77)]:
+        eager, lazy, queried = (load(tmp_path / "clean.bin") for _ in range(3))
+        eager.lazy = False
+        for forest in (eager, lazy, queried):
+            apply(forest, op, arg)
+        tags += lazy.tagged_count()
+        if queried.tagged_count():
+            queried.predict_many(reaching_rows(queried)[1])
+        lazy.flush()
+        queried.flush()
+        want = [(node_state(tree), tree.rng.bit_generator.state) for tree in eager.trees]
+        for forest in (lazy, queried):
+            assert [(node_state(tree), tree.rng.bit_generator.state)
+                    for tree in forest.trees] == want, (op, arg)
+            assert forest.rng.bit_generator.state == eager.rng.bit_generator.state
+    assert tags > 1

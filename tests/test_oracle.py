@@ -9,10 +9,11 @@ import pytest
 from dynforest.data import dataset_from_arrays
 from dynforest.forest import Forest, ForestParams
 from dynforest.oracle import (auc_pairs, forest_audit, naive_retrain, occupancy_check,
-                              reference_fractions, reference_leaf, sortmerge_best_split)
+                              reference_fractions, reference_leaf, sortmerge_best_split,
+                              splitmix_uniforms, splitmix_word)
 from dynforest.snapshot import load, save
 from dynforest.synth import make_arrays, make_dataset
-from dynforest.tree import TreeParams
+from dynforest.tree import TreeParams, key_words, uniforms
 
 
 def tiny_forest(seed=0, n=300):
@@ -20,6 +21,40 @@ def tiny_forest(seed=0, n=300):
     params = ForestParams(n_trees=8, occupancy=0.5, seed=seed,
                           tree=TreeParams(max_depth=7, n_thresholds=5))
     return ds, Forest.train(ds, params)
+
+
+def test_key_words_equal_the_pure_python_splitmix64():
+    """tree.key_words against oracle.splitmix_word, word by word, at edge
+    and random keys, and at word numbers on both sides of the depth
+    boundaries of an update's blocks (depth * 2**32 * (p*s + 1)); the
+    words come back as uint64 whatever integer type holds the keys."""
+    # SplitMix64's first output from state 0
+    assert splitmix_word(0, 0) == 0xE220A8397B1DCDAF
+    rng = np.random.default_rng(5)
+    keys = [0, 1, 2 ** 63, 2 ** 64 - 1] + [int(k) for k in rng.integers(0, 2 ** 64, 6,
+                                                                          dtype=np.uint64)]
+    step = 2 ** 32 * 121  # one depth of blocks at p*s = 120
+    index = [0, 1, 2, 119, 120, 121] + [depth * step + off for depth in (1, 2, 19, 20)
+                                        for off in (-2, -1, 0, 1, 120)]
+    words = key_words(np.array(keys, np.uint64)[:, None], np.array(index))
+    assert words.dtype == np.uint64 and words.shape == (len(keys), len(index))
+    assert words.tolist() == [[splitmix_word(k, i) for i in index] for k in keys]
+    for key in (2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int64(-1), 12345, np.int64(12345)):
+        got = key_words(key, index)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [splitmix_word(int(key) % 2 ** 64, i) for i in index]
+    got = key_words(np.array([-1, 7], np.int64)[:, None], np.arange(3))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [[splitmix_word(k, i) for i in range(3)] for k in (2 ** 64 - 1, 7)]
+
+
+def test_uniforms_are_the_top_53_bits_of_each_word():
+    words = key_words(np.array([0, 3, 2 ** 64 - 1], np.uint64)[:, None], np.arange(40))
+    u = uniforms(words)
+    assert u.dtype == np.float64 and ((0 <= u) & (u < 1)).all()
+    assert u.tolist() == [splitmix_uniforms(k, 0, 40).tolist() for k in (0, 3, 2 ** 64 - 1)]
+    top = np.array([0, 1, 2 ** 64 - 1], np.uint64)
+    assert uniforms(top).tolist() == [0.0, 0.0, 1 - 2.0 ** -53]
 
 
 def test_sortmerge_frozen_case():

@@ -3,7 +3,7 @@
 route_rows walks the (tree, row) pairs of all trees a depth at a time and
 grows every tagged node reached in one materialize() step per round; it
 must leave the same counts, trees and counters as route_row one row at a
-time.  A materialized node must read exactly its own key's Philox stream.
+time.  A materialized node must read exactly its own key's words.
 Tree.query and Tree.query_many check their rows as Forest.predict and
 Forest.predict_many do.
 """
@@ -16,7 +16,7 @@ import pytest
 from dynforest import tree as tree_mod
 from dynforest.data import dataset_from_arrays
 from dynforest.forest import Forest
-from dynforest.oracle import forest_audit
+from dynforest.oracle import forest_audit, splitmix_uniforms, splitmix_word
 from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
 from dynforest.tree import TreeParams, build_tree, materialize, route_row, route_rows
@@ -91,10 +91,11 @@ def test_route_rows_equals_route_row_row_by_row(pending, monkeypatch, case):
 
 
 def test_a_materialized_node_reads_its_key_stream():
-    """A query-grown node's attributes are the p smallest of the first d
-    uniforms of Generator(Philox(key=node.key)), its thresholds the next s
-    per slot, scaled onto the slot's range and sorted (a flat slot holds
-    its value), and its children's keys the two raw words after them."""
+    """A query-grown node's attributes are the p smallest of the uniforms
+    of words 0 to d - 1 of its key (oracle.splitmix_word), its thresholds
+    the next s per slot, scaled onto the slot's range and sorted (a flat
+    slot holds its value), and its children's keys the two words after
+    them; the grown node keeps no key."""
     ds = make_dataset(700, d=8, seed=14)
     ds.X[:, 5] = 0.25  # a constant attribute: its slots are flat
     forest = Forest.train(ds, quick_params(n_trees=6, occupancy=0.5, seed=14))
@@ -108,8 +109,8 @@ def test_a_materialized_node_reads_its_key_stream():
     materialize(reached)
     split = flat = 0
     for (tree, node), key in zip(reached, keys):
-        stream = np.random.Generator(np.random.Philox(key=key))
-        u = stream.random(d + p * s)
+        u = splitmix_uniforms(key, 0, d + p * s)
+        assert node.key is None
         attrs = np.sort(np.argsort(u[:d])[:p])
         blk = grid(tree, node)
         assert blk.attrs.tolist() == attrs.tolist()
@@ -123,7 +124,8 @@ def test_a_materialized_node_reads_its_key_stream():
         if node.left is not None:
             split += 1
             assert node.left.tagged and node.right.tagged
-            assert [node.left.key, node.right.key] == stream.bit_generator.random_raw(2).tolist()
+            assert [node.left.key, node.right.key] == [splitmix_word(key, d + p * s + i)
+                                                       for i in (0, 1)]
     assert split > 4 and flat > 0
     assert forest_audit(forest).ok
 

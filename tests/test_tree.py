@@ -9,8 +9,8 @@ import pytest
 
 from dynforest import tree as tree_mod
 from dynforest.data import dataset_from_arrays
-from dynforest.oracle import (AttributeSlot, prefix_counts, sample_thresholds,
-                              score_candidates, sortmerge_best_split)
+from dynforest.oracle import (AttributeSlot, prefix_counts, sample_thresholds, score_candidates,
+                              sortmerge_best_split, splitmix_uniforms, splitmix_word)
 from dynforest.synth import make_dataset
 from dynforest.tree import TreeParams, audit_tree, best_cells, build_tree
 
@@ -121,15 +121,17 @@ def test_growth_counters_match_prefix_counts(cap):
         assert_counts_match_prefix_counts(thr, b, c, vals, y, [range(p)] * m, nodes)
 
 
-class GridUniforms:
-    """A stand-in generator whose uniforms are multiples of 1/4, so that
-    thresholds drawn over a range [0, 4] land on the integer values."""
+def grid_words(seed):
+    """A stand-in for tree_mod.key_words whose words' uniforms are
+    multiples of 1/4, so that thresholds drawn over a range [0, 4] land on
+    the integer values."""
+    rng = np.random.default_rng(seed)
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
+    def words(keys, index):
+        shape = np.broadcast_shapes(np.shape(keys), np.shape(index))
+        return rng.integers(0, 4, shape).astype(np.uint64) << np.uint64(62)
 
-    def random(self, shape):
-        return self.rng.integers(0, 4, shape) / 4.0
+    return words
 
 
 @pytest.mark.parametrize("chunk", [40, tree_mod.CHUNK_ROWS], ids=["runs", "one-run"])
@@ -150,11 +152,11 @@ def test_range_change_recount_matches_prefix_counts(monkeypatch, chunk):
     entries = [(tree, node) for tree in trees for node in walk(tree.root) if node.row != -1]
     rows = [node.row for _, node in entries]
     assert len(entries) > 10 and (pool.amin[rows] == pool.amax[rows]).any(axis=1).all()
-    for t, tree in enumerate(trees):
-        tree.rng = GridUniforms(t)
+    monkeypatch.setattr(tree_mod, "key_words", grid_words(8))
     pool.amin[rows] -= 1.0  # every range reads as changed, so every slot redraws
     monkeypatch.setattr(tree_mod, "CHUNK_ROWS", chunk)
-    slots = tree_mod._range_change(entries, np.ones((len(rows), 4), bool), [True] * len(rows))
+    slots = tree_mod._range_change(entries, np.ones((len(rows), 4), bool), [True] * len(rows),
+                                   np.zeros(len(rows), np.uint64), np.zeros(len(rows), np.int64))
     assert slots == [4] * len(rows)
     thr = pool.thr[rows]
     assert_counts_match_prefix_counts(thr, pool.b[rows], pool.c[rows], X, y, pool.attrs[rows],
@@ -327,11 +329,10 @@ def test_copies_stay_identical_through_deletes_and_flush():
     def grown():
         ds = make_dataset(500, d=8, seed=20)
         tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(21))
-        for sid in range(0, 200, 3):
-            tree.delete(sid)
-        more = iter(range(200, 500, 3))
+        # deletes until two tags are pending
+        doomed = iter(range(0, 500, 3))
         while tree.n_tagged < 2:
-            tree.delete(next(more))
+            tree.delete(next(doomed))
         return tree
 
     a, b = grown(), grown()
@@ -422,11 +423,13 @@ def test_level_draws_are_uniform_over_seeds():
 
 
 def test_a_level_reads_one_block_of_d_plus_p_s_uniforms_per_node():
-    """Growth reads a tree's stream a level at a time, one row of d + p*s
-    uniforms per splittable node in frontier order: the p smallest of the
-    first d pick the attributes, and the next s per slot are the slot's
-    thresholds, scaled onto its range and sorted.  A flat slot reads its s
-    uniforms too and holds its one value."""
+    """A growing node reads d + p*s uniforms, words 0 to d + p*s - 1 of
+    its own key (oracle.splitmix_word): the p smallest of the first d pick
+    the attributes, and the next s per slot are the slot's thresholds,
+    scaled onto its range and sorted; words d + p*s and d + p*s + 1 key
+    its children.  A flat slot reads its s uniforms too and holds its one
+    value.  The root's key is the tree generator's first raw word, the
+    build reads nothing else of it, and no grown node keeps a key."""
     rng = np.random.default_rng(3)
     X = rng.normal(size=(120, 4))
     X[:, :2] = 0.5  # two constant attributes: every 3 of the 4 has one, in slot 0
@@ -438,8 +441,12 @@ def test_a_level_reads_one_block_of_d_plus_p_s_uniforms_per_node():
     levels = [[root], [root.left, root.right]]
     assert all(node.row != -1 for level in levels for node in level)
     stream = np.random.default_rng(7)
+    keys = {root: stream.bit_generator.random_raw()}
     for level in levels:
-        for node, u in zip(level, stream.random((len(level), d + p * s))):
+        for node in level:
+            key = keys[node]
+            u = splitmix_uniforms(key, 0, d + p * s)
+            keys[node.left], keys[node.right] = (splitmix_word(key, d + p * s + i) for i in (0, 1))
             blk = grid(tree, node)
             attrs = np.sort(np.argsort(u[:d])[:p])
             assert blk.attrs.tolist() == attrs.tolist()
@@ -448,8 +455,8 @@ def test_a_level_reads_one_block_of_d_plus_p_s_uniforms_per_node():
             thr = np.sort(lo[:, None] + (hi - lo)[:, None] * u[d:].reshape(p, s), axis=1)
             assert blk.thr.tobytes() == thr.tobytes()
             assert lo[0] == hi[0] and (blk.thr[0] == 0.5).all()
-    # the depth-2 nodes stop at max_depth and read nothing
     assert tree.rng.bit_generator.state == stream.bit_generator.state
+    assert all(node.key is None for node in walk(root))
 
 
 def test_query_grown_draws_are_uniform_over_seeds():
@@ -805,6 +812,15 @@ def test_tag_counters_count_each_tag_once_and_repeat_exactly():
             new = ds.add(probe[sid % 30] * 1.3, sid % 2)  # some values widen ranges
             events += tree.add(new) is not None
             tree.query(probe[sid % 30])
+        # stop tags are rare in that mix: delete, flushing after each, until
+        # a walk ends at a split node whose stop rule now holds, which the
+        # root's does once it holds fewer than min_split_size rows
+        for sid in ds.live_ids().tolist():
+            if tree.telemetry.tags_stopped:
+                break
+            events += tree.delete(sid) is not None
+            ds.tombstone(sid)
+            tree.flush()
         return events, tree.telemetry.as_dict()
 
     first = run()
@@ -895,6 +911,18 @@ def test_audit_flags_pool_rows_that_are_shared_free_or_out_of_range():
     left.row = row
     tree.pool.release([row])
     assert flagged("grid row on the free list")
+
+
+def test_audit_flags_an_untagged_node_that_holds_a_key():
+    ds = make_dataset(300, d=6, seed=15)
+    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(17))
+    assert audit_tree(tree).ok and tree.root.key is None
+    tree.root.left.key = 12345
+    assert [(v.where, v.what) for v in audit_tree(tree).violations] == [
+        ("tree.L", "untagged node holds a draw key")]
+    tree.root.left.key = None
+    tree._tag(tree.root, "tags_moved", 6789)
+    assert audit_tree(tree).ok and tree.root.key == 6789
 
 
 def test_audit_detects_wrong_partition():

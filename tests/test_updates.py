@@ -7,12 +7,14 @@ time (Tree.delete and Tree.add), the group walk for deletes
 oracle.py for deletes (oracle.reference_delete_group on a group of one)
 and, for adds, a per-node add walk kept below as per_node_add.  The
 references that redraw on their own (oracle.py's and per_node_add) share
-no rescan or redraw code with tree.py.  All must leave every node, every
-generator and every counter the same.
+no rescan, redraw or hash code with tree.py: they read their draws
+through oracle.splitmix_word.  All must leave every node, every generator
+and every counter the same.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -21,11 +23,12 @@ import pytest
 from dynforest import criterion as crit
 from dynforest import tree as tree_mod
 from dynforest.data import dataset_from_arrays
-from dynforest.forest import Forest, ForestParams
-from dynforest.oracle import forest_audit, prefix_counts, reference_delete_group, sample_thresholds
+from dynforest.forest import Forest, ForestParams, group_by_tree
+from dynforest.oracle import (forest_audit, prefix_counts, reference_delete_group,
+                              splitmix_uniforms, splitmix_word)
 from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
-from dynforest.tree import TreeParams
+from dynforest.tree import TreeParams, delete_groups
 from test_forest import quick_params
 from test_tree import grid
 
@@ -44,14 +47,21 @@ class TreeByTree(Forest):
 
 def per_node_add(tree, sample_id):
     """Add a sample one node at a time, top down: patch the node's counts,
-    widen its ranges and redraw each widened slot through
-    sample_thresholds and prefix_counts, rescore it, and tag it or go on.
-    An independent reference for the stacked walk; returns the node it
-    tagged, or None."""
+    widen its ranges and redraw each widened slot (s keyed uniforms scaled
+    onto its range and sorted, recounted by prefix_counts), rescore it,
+    and tag it or go on.
+    The walk reads one raw word of the tree's generator, its call word,
+    and the node at depth d draws words b onward of it, b = d * 2**32 *
+    (p*s + 1): s per widened slot k from b + k*s, and its tag key at
+    b + p*s.  An independent reference for the stacked walk; returns the
+    node it tagged, or None."""
     x = tree.ds.X[sample_id]
     label = int(tree.ds.y[sample_id])
+    word = tree.rng.bit_generator.random_raw()
     node = tree.root
     while True:
+        block = (node.depth << 32) * (tree.p * tree.s + 1)
+        key = splitmix_word(word, block + tree.p * tree.s)
         node.ids = np.append(node.ids, sample_id)
         node.n_pos += label
         tree.telemetry.nodes_updated += 1
@@ -66,20 +76,21 @@ def per_node_add(tree, sample_id):
         if blk is None:
             # slotless leaf: tag once every stop criterion has lifted
             stop = tree._stop(node.depth, node.n, node.n_pos)
-            return None if stop else tree._tag(node, "tags_stopped")
+            return None if stop else tree._tag(node, "tags_stopped", key)
         xs = x[blk.attrs]
         widened = (xs < blk.amin) | (xs > blk.amax)
         if node.left is None:
             # a grid leaf: every slot was constant until a value widens one
             if widened.any():
-                return tree._tag(node, "tags_widened")
+                return tree._tag(node, "tags_widened", key)
             return None
         if widened.any():
             blk.amin[widened] = np.minimum(blk.amin[widened], xs[widened])
             blk.amax[widened] = np.maximum(blk.amax[widened], xs[widened])
             positive = tree.ds.y[node.ids] == 1
             for k in np.flatnonzero(widened):
-                blk.thr[k] = sample_thresholds(blk.amin[k], blk.amax[k], tree.s, tree.rng)
+                u = splitmix_uniforms(word, block + k * tree.s, tree.s)
+                blk.thr[k] = np.sort(blk.amin[k] + (blk.amax[k] - blk.amin[k]) * u)
                 blk.b[k], blk.c[k] = prefix_counts(tree.ds.X[node.ids, blk.attrs[k]], positive,
                                                    blk.thr[k])
             tree.telemetry.attrs_resampled += int(widened.sum())
@@ -89,7 +100,7 @@ def per_node_add(tree, sample_id):
         k, i = np.unravel_index(np.argmin(score), score.shape)
         if (not np.isfinite(score[k, i]) or (k, i) != (node.best_k, node.best_i)
                 or blk.thr[k, i] != node.best_w):
-            return tree._tag(node, "tags_moved")
+            return tree._tag(node, "tags_moved", key)
         node = node.left if x[blk.attrs[node.best_k]] <= node.best_w else node.right
 
 
@@ -307,17 +318,18 @@ def test_one_update_makes_one_kernel_call_and_at_most_one_range_change(tmp_path,
     assert visits > 50 and range_changes > 0 and path_nodes > 3 * 60
 
 
-def spy_put_back(monkeypatch):
-    """Record, per tree_mod._put_back call, whether it discarded redraws:
-    whether the tree's walk stopped above a node that redrew."""
+def spy_on_redraws(monkeypatch):
+    """Record every node that a tree_mod._range_change call redrew a slot
+    of, as (tree, node)."""
     seen = []
-    put_back = tree_mod._put_back
+    range_change = tree_mod._range_change
 
-    def spy(tree, nodes, end, state, redrawn):
-        seen.append(any(j >= end for j in redrawn))
-        return put_back(tree, nodes, end, state, redrawn)
+    def spy(entries, *args):
+        slots = range_change(entries, *args)
+        seen.extend(entry for entry, count in zip(entries, slots) if count)
+        return slots
 
-    monkeypatch.setattr(tree_mod, "_put_back", spy)
+    monkeypatch.setattr(tree_mod, "_range_change", spy)
     return seen
 
 
@@ -349,16 +361,18 @@ def comparable_state(forest):
     return state
 
 
-def put_back_run(forests, ops, seen):
+def discard_run(forests, ops, seen):
     """Apply ops (as apply() takes them) to every forest, the first on its
     own while seen is recorded, checking after each op that the others
-    equal the first; returns the ops whose walk discarded a redraw."""
+    equal the first; returns the number of ops that redrew below the node
+    their walk tagged.  The tag discards such a node with its subtree,
+    which puts its grid row on the free list."""
     first, *others = forests
     discarded = 0
     for op, arg in ops:
         seen.clear()
         apply(first, op, arg)
-        discarded += any(seen)
+        discarded += any(node.row == -1 for _, node in seen)
         for forest in others:
             apply(forest, op, arg)
         want = comparable_state(first)
@@ -368,31 +382,85 @@ def put_back_run(forests, ops, seen):
     return discarded
 
 
+# The redraws of a node below the tag leave no trace: the stacked walk,
+# which redrew them, leaves every node, generator and counter as the
+# references do, which stop at the tag.
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_deletes_put_back_the_redraws_of_discarded_nodes(monkeypatch, seed):
-    seen = spy_put_back(monkeypatch)
+    seen = spy_on_redraws(monkeypatch)
     forests = deep_twins(seed, (Forest, TreeByTree, GroupWalk, ReferenceWalk))
     doomed = np.random.default_rng(seed).choice(500, 30, replace=False).tolist()
-    assert put_back_run(forests, [("delete", sid) for sid in doomed], seen) >= 5
+    assert discard_run(forests, [("delete", sid) for sid in doomed], seen) >= 5
     assert forests[0].telemetry().attrs_resampled > 0
 
 
 @pytest.mark.parametrize("seed", [0, 2])
 def test_adds_put_back_the_redraws_of_discarded_nodes(monkeypatch, seed):
-    seen = spy_put_back(monkeypatch)
+    seen = spy_on_redraws(monkeypatch)
     forests = deep_twins(seed, (Forest, TreeByTree, GroupWalk))
     rng = np.random.default_rng(seed)
     rows = make_dataset(30, d=6, seed=50 + seed).X[:30]
     ops = [("add", (x * rng.uniform(0.9, 1.15), int(rng.integers(2)))) for x in rows]
-    assert put_back_run(forests, ops, seen) >= 1
+    assert discard_run(forests, ops, seen) >= 1
     assert forests[0].telemetry().attrs_resampled > 0
 
 
 def test_put_back_needs_no_pcg64(monkeypatch):
-    """The put-back restores a saved state and re-reads, which any bit
-    generator supports: here every tree reads an MT19937 stream."""
-    seen = spy_put_back(monkeypatch)
+    """An update reads its trees' generators only through random_raw,
+    which every bit generator has: here every tree reads an MT19937
+    stream."""
+    seen = spy_on_redraws(monkeypatch)
     forests = deep_twins(3, (Forest, TreeByTree, GroupWalk, ReferenceWalk), np.random.MT19937)
     assert isinstance(forests[0].trees[0].rng.bit_generator, np.random.MT19937)
     doomed = np.random.default_rng(3).choice(500, 30, replace=False).tolist()
-    assert put_back_run(forests, [("delete", sid) for sid in doomed], seen) >= 5
+    assert discard_run(forests, [("delete", sid) for sid in doomed], seen) >= 5
+
+
+def test_each_update_call_reads_one_raw_word_per_tree_it_touches(tmp_path):
+    """A delete, an add or a batch reads one raw word of each of its trees'
+    generators and nothing else of any generator, whatever it redraws or
+    tags; a call rejected at the root, or for a non-finite row, reads
+    none."""
+    forest = load(tagged_snapshot(tmp_path / "tagged.bin", 5, "gini"))
+
+    def states():
+        return [tree.rng.bit_generator.state for tree in forest.trees] + [
+            forest.rng.bit_generator.state]
+
+    def expect(before, touched):
+        """The states of copies taken before a call, after one raw word of
+        each touched tree's generator."""
+        for t in touched:
+            before[t].bit_generator.random_raw()
+        return [rng.bit_generator.state for rng in before]
+
+    for op, arg in random_updates(forest, np.random.default_rng(9), 40):
+        before = [copy.deepcopy(tree.rng) for tree in forest.trees]
+        if op == "delete":
+            touched = forest.assignment[arg].tolist()
+            forest.delete(arg)
+        else:
+            sid = forest.add(*arg)
+            touched = forest.assignment[sid].tolist()
+        assert states()[:-1] == expect(before, touched), (op, arg)
+    telemetry = forest.telemetry()
+    assert telemetry.attrs_resampled > 0 and telemetry.tags_moved > 0
+    batch = np.random.default_rng(9).choice(forest.ds.live_ids(), 60, replace=False)
+    groups = group_by_tree(batch, forest.assignment[batch], len(forest.trees))
+    before = [copy.deepcopy(tree.rng) for tree in forest.trees]
+    forest.unlearn_batch(batch.tolist())
+    assert states()[:-1] == expect(before, [t for t, group in enumerate(groups) if len(group)])
+    # rejected calls
+    unchanged = states()
+    tree = forest.trees[0]
+    absent = next(int(i) for i in forest.ds.live_ids() if int(i) not in set(tree.root.ids))
+    with pytest.raises(ValueError, match="not present at depth 0"):
+        tree.delete(absent)
+    with pytest.raises(ValueError, match="not present at depth 0"):
+        delete_groups([(forest.trees[1], forest.trees[1].root.ids[:5]),
+                       (tree, [int(tree.root.ids[0]), absent])])
+    with pytest.raises(ValueError, match="finite"):
+        forest.add(np.r_[forest.ds.X[0, :-1], np.inf], 1)
+    assert states() == unchanged
