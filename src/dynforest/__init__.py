@@ -17,8 +17,7 @@ from .data import (Column, Dataset, ParseError, Schema, SchemaError,
 from .forest import Forest, ForestParams, distribute, subsample_count
 from .metrics import accuracy, auc_roc, evaluate, headline_metric
 from .oracle import (AttributeSlot, auc_pairs, forest_audit, naive_retrain,
-                     occupancy_check, prefix_counts, sample_thresholds, score_candidates,
-                     sortmerge_best_split)
+                     occupancy_check, prefix_counts, score_candidates, sortmerge_best_split)
 from .snapshot import SnapshotError, load, save
 from .stream import LatencyRecord, Request, generate_stream, parse_request, replay
 from .synth import make_arrays, make_dataset, synthetic_schema
@@ -35,7 +34,7 @@ __all__ = [
     "entropy", "evaluate", "forest_audit", "generate_stream", "gini",
     "headline_metric", "load", "load_csv", "load_schema", "make_arrays",
     "make_dataset", "naive_retrain", "occupancy_check", "parse_request",
-    "prefix_counts", "replay", "sample_thresholds", "save", "save_schema",
+    "prefix_counts", "replay", "save", "save_schema",
     "score_candidates", "score_matrix", "sortmerge_best_split",
     "subsample_count", "synthetic_schema", "train_test_split",
 ]

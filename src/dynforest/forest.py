@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .tree import (GridPool, Telemetry, Tree, TreeParams, delete_groups, feature_row,
-                   feature_rows, grow, rebuild, route_row, route_rows, update_paths)
+from .tree import (CHOOSE, GridPool, Telemetry, Tree, TreeParams, _untag, delete_groups,
+                   feature_row, feature_rows, grow, key_words, route_row, route_rows,
+                   tree_keys, update_paths)
 
 
 def subsample_count(occupancy, n_trees):
@@ -43,33 +44,44 @@ class ForestParams:
     tree: TreeParams = field(default_factory=TreeParams)
 
     def validate(self, d):
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or not 0 <= self.seed < 2**64):
+            raise ValueError("seed must be an integer in [0, 2**64), got %r" % (self.seed,))
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         subsample_count(self.occupancy, self.n_trees)  # bounds check
         self.tree.validate(d)
 
 
-def distribute(ids, n_trees, k, rng):
-    """Assign each id to k distinct trees chosen uniformly at random.
+def choose_trees(keys, ids, k):
+    """Each id's k trees, the k whose word 3*id + 1 of their key is
+    smallest (tree.py's Randomness), as sorted rows of an int32
+    (len(ids), k) array.  Ids go in chunks of about 2**20 words."""
+    ids = np.asarray(ids, dtype=np.int64)
+    keys = np.asarray(keys, np.uint64)
+    assign = np.empty((len(ids), k), np.int32)
+    chunk = max((1 << 20) // len(keys), 1)
+    for lo in range(0, len(ids), chunk):
+        words = key_words(keys, 3 * ids[lo:lo + chunk, None] + CHOOSE)
+        block = np.argpartition(words, k - 1, axis=1)[:, :k]
+        block.sort(axis=1)
+        assign[lo:lo + chunk] = block
+    return assign
+
+
+def distribute(ids, keys, k):
+    """Assign each id to its k trees (choose_trees).
 
     Returns
     -------
     per_tree : list of ndarray
-        For each tree, the ids it trains on, in ascending id order.
+        For each tree, the ids it trains on, in the order of ids.
     assign : ndarray of int32, shape (len(ids), k)
         Sorted tree indices per id.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    n = len(ids)
-    assign = np.empty((n, k), np.int32)
-    chunk = 1 << 15
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        block = np.tile(np.arange(n_trees, dtype=np.int32), (m, 1))
-        block = rng.permuted(block, axis=1)[:, :k]
-        block.sort(axis=1)
-        assign[lo:lo + m] = block
-    return group_by_tree(ids, assign, n_trees), assign
+    assign = choose_trees(keys, ids, k)
+    return group_by_tree(ids, assign, len(keys)), assign
 
 
 def group_by_tree(ids, assign, n_trees):
@@ -99,18 +111,18 @@ def _sample_id(value):
 class Forest:
     """Trained forest; construct with Forest.train() or snapshot.load().
 
-    assignment is an int32 array with k columns and at least ds.next_id
-    rows: a live id's row holds its sorted tree indices, every other row
-    is -1.  lazy=False rebuilds tagged subtrees immediately after every
-    update, giving eager semantics for comparison runs.
+    Every draw comes from the trees' keys, words of params.seed
+    (tree.tree_keys).  assignment is an int32 array with k columns and at
+    least ds.next_id rows: a live id's row holds its sorted tree indices,
+    every other row is -1.  lazy=False regrows tagged subtrees immediately
+    after every update, giving eager semantics for comparison runs.
     """
 
-    def __init__(self, ds, params, trees, assignment, rng, lazy=True):
+    def __init__(self, ds, params, trees, assignment, lazy=True):
         self.ds = ds
         self.params = params
         self.trees = trees
         self.assignment = assignment
-        self.rng = rng
         self.lazy = lazy
         self.k = subsample_count(params.occupancy, params.n_trees)
 
@@ -120,31 +132,28 @@ class Forest:
     def train(cls, ds, params, lazy=True):
         """Grow a forest over every live sample in ds.
 
-        All roots grow together (tree.grow), one split-kernel call per
-        level; each root is keyed by its own tree's generator and every
+        Each sample goes to its k trees (choose_trees).  All roots grow
+        together (tree.grow), one split-kernel call per level, and every
         node draws from its own key, so a tree grows exactly as build_tree
-        would grow it from the same seed.
+        with the tree's key would grow it.
         """
         params.validate(ds.n_attrs)
-        n_trees = params.n_trees
-        seeds = np.random.SeedSequence(params.seed).spawn(n_trees + 1)
-        rng = np.random.default_rng(seeds[n_trees])
-        k = subsample_count(params.occupancy, n_trees)
+        keys = tree_keys(params.seed, params.n_trees)
+        k = subsample_count(params.occupancy, params.n_trees)
         ids = ds.live_ids()
-        per_tree, assign = distribute(ids, n_trees, k, rng)
+        per_tree, assign = distribute(ids, keys, k)
         # the grids of one depth cover at most len(ids) * k / min_split_size
         # nodes, and a forest holds about 0.3-2 times that in all; twice it
         # spares most of the pool's doublings, rows never written take no
         # resident memory, and trim() drops them
         pool = GridPool(params.tree.resolve_attrs(ds.n_attrs), params.tree.n_thresholds,
                         2 * len(ids) * k // params.tree.min_split_size)
-        trees = [Tree(params.tree, ds, np.random.default_rng(seeds[t]), pool)
-                 for t in range(n_trees)]
+        trees = [Tree(params.tree, ds, key, pool) for key in keys]
         assignment = np.full((ds.next_id, k), -1, np.int32)
         assignment[ids] = assign
         grow([(tree, [tree.plant(tree_ids)]) for tree, tree_ids in zip(trees, per_tree)])
         pool.trim()
-        return cls(ds, params, trees, assignment, rng, lazy=lazy)
+        return cls(ds, params, trees, assignment, lazy=lazy)
 
     # -- prediction ---------------------------------------------------------
 
@@ -191,7 +200,7 @@ class Forest:
     # -- updates ------------------------------------------------------------
 
     def add(self, features, label):
-        """Add a sample to the dataset and to k freshly drawn trees.
+        """Add a sample to the dataset and to its k trees (choose_trees).
 
         The k trees take it in one path walk (see tree.update_paths):
         each is routed, all their path grids are patched, range-changed
@@ -199,8 +208,7 @@ class Forest:
         Returns the new sample id.
         """
         sample_id = self.ds.add(features, label)
-        chosen = np.sort(self.rng.choice(self.params.n_trees, size=self.k,
-                                         replace=False))
+        chosen, = choose_trees([tree.key for tree in self.trees], [sample_id], self.k)
         if sample_id >= len(self.assignment):
             grown = np.full((max(sample_id + 1, 2 * len(self.assignment)), self.k),
                             -1, np.int32)
@@ -227,12 +235,12 @@ class Forest:
 
     def _update(self, tree_ids, sample_id, add):
         """One path walk over the trees tree_ids names (see
-        tree.update_paths); in eager mode the tagged nodes are then rebuilt,
-        all in one tree.rebuild."""
+        tree.update_paths); in eager mode the tagged nodes then regrow."""
         trees = [self.trees[t] for t in tree_ids]
         tagged = update_paths(trees, sample_id, add)
         if not self.lazy:
-            rebuild([(tree, [node]) for tree, node in zip(trees, tagged) if node is not None])
+            grow([(tree, _untag([(tree, node)]))
+                  for tree, node in zip(trees, tagged) if node is not None])
 
     def unlearn_batch(self, ids, finalize=False):
         """Delete many samples in one grouped walk; optionally flush tagged
@@ -256,7 +264,8 @@ class Forest:
         groups = group_by_tree(batch, self.assignment[batch], len(self.trees))
         tagged = delete_groups(list(zip(self.trees, groups)))
         if not self.lazy:
-            rebuild(list(zip(self.trees, tagged)))
+            grow([(tree, _untag([(tree, node) for node in nodes]))
+                  for tree, nodes in zip(self.trees, tagged)])
         self.assignment[batch] = -1
         self.ds.tombstone_many(batch)
         if finalize:

@@ -62,17 +62,6 @@ def splitmix_uniforms(key, first, count):
                      for i in range(first, first + count)])
 
 
-def sample_thresholds(a_min, a_max, s, rng):
-    """Draw s candidate thresholds uniformly over [a_min, a_max], sorted.
-
-    A degenerate range reads its s uniforms too and yields s copies of the
-    single value (the slot is unusable but keeps its shape).
-    """
-    thr = rng.uniform(a_min, a_max, s)
-    thr.sort()
-    return thr
-
-
 def prefix_counts(values, positive, thresholds):
     """Count, per sorted threshold, the samples at or below it.
 
@@ -184,29 +173,28 @@ def reference_delete_group(tree, group):
     counts one cell comparison at a time, the node is settled by
     _reference_settle, and the group is split by the node's split between
     its children, left first.  It draws as tree.py's module docstring
-    says (Randomness): from one raw word of the tree's generator, read once
-    the root holds the group, each node at the words of its depth and rank,
-    so tree.delete_groups agrees with it bit for bit.
+    says (Randomness): from the call word, word 3i + 2 of the tree's key
+    for the group's smallest id i, each node at the words of its depth and
+    rank, so tree.delete_groups agrees with it bit for bit.
     """
     group = np.asarray(group, dtype=np.int64)
     tagged = []
     if len(group):
         member = np.zeros(tree.ds.next_id, bool)
         member[group] = True
-        _reference_delete(tree, tree.root, group, member, tagged, None, {})
+        word = splitmix_word(tree.key, 3 * int(group.min()) + 2)
+        _reference_delete(tree, tree.root, group, member, tagged, word, {})
     return tagged
 
 
 def _reference_delete(tree, node, group, member, tagged, word, visited):
-    """Delete group below node; word is the call word, None at the root,
-    and visited counts the nodes visited so far per depth."""
+    """Delete group below node; word is the call word, and visited counts
+    the nodes visited so far per depth."""
     keep = node.ids[~member[node.ids]]
     missing = len(group) - (len(node.ids) - len(keep))
     if missing:
         raise ValueError("%d of %d ids not present at depth %d; tree and "
                          "routing disagree" % (missing, len(group), node.depth))
-    if word is None:
-        word = tree.rng.bit_generator.random_raw()
     rank = visited.get(node.depth, 0)
     visited[node.depth] = rank + 1
     node.ids = keep

@@ -6,8 +6,8 @@ array the header lists, concatenated in listing order (C order, native
 little-endian dtypes).  Saving the same forest twice yields identical
 bytes, and a reloaded forest continues bit-for-bit like the original.
 
-The file stores each fact once: the live rows X and y, in id order, the
-exact generator states, and per tree t, over its nodes in preorder:
+The file stores each fact once: the live rows X and y, in id order, and
+per tree t, over its nodes in preorder:
 
   t<t>.flags      the tag and grid bits of every node
   t<t>.children   every node's two child indices, -1 for a childless node
@@ -18,8 +18,9 @@ exact generator states, and per tree t, over its nodes in preorder:
   t<t>.slot_*     one row per node with a grid: attrs, amin, amax, thr
                   (the draws) and counts b and c, in GRID_FIELDS dtypes
 
-Every live sample lies in exactly k trees, so load reads the live ids and
-Forest.assignment off the trees' stored ids.  A dead row is zeros; as no
+No generator state is stored: load derives the trees' keys from the
+header's seed.  Every live sample lies in exactly k trees, so load reads
+the live ids and Forest.assignment off the trees' stored ids.  A dead row is zeros; as no
 stored array bounds next_id, load writes per dead id only its -1 row of
 Forest.assignment (4k bytes).  Save gathers each tree's GridPool rows in
 preorder; load pools all trees' grids and gives each gridded node its row.
@@ -37,14 +38,15 @@ of the 10k-row benchmark preset took 0.11-0.12 s on a 2-core VM, against
 tagged node's ranges are not kept current, so they do not follow from
 its ids.
 
-Only this VERSION loads; a file of version 1, 2 or 3 raises SnapshotError.
+Only this VERSION loads; a file of version 1 to 4 raises SnapshotError.
 
-Loading checks every array against the bytes left in the file before
-reading it; each tree's arrays for dtype, shape, child links, id counts
-and well-formed draws (attributes strictly increasing in [0, d),
-thresholds sorted and, on untagged nodes, inside their range); that every
-id held at all is held by exactly k distinct trees, with one X and y row
-per such id; that the stored counts are counts (along each slot, the
+Loading checks the header's parameters as Forest.train does, every array
+against the bytes left in the file before reading it; each tree's arrays
+for dtype, shape, child links, id counts and well-formed draws
+(attributes strictly increasing in [0, d), thresholds sorted and, on
+untagged nodes, inside their range); that every id held at all is held
+by exactly k distinct trees, with one X and y row per such id; that the
+stored counts are counts (along each slot, the
 positives c and the negatives b - c at or below each threshold never fall,
 start at 0 or more and end at most at the node's positives and negatives,
 so that 0 <= c <= b <= n, before the int32 b - c is formed); and that the
@@ -66,10 +68,10 @@ import numpy as np
 
 from .data import Dataset, Schema
 from .forest import Forest, ForestParams, subsample_count
-from .tree import GRID_FIELDS, GridPool, Node, Tree, TreeParams, best_cells
+from .tree import GRID_FIELDS, GridPool, Node, Tree, TreeParams, best_cells, tree_keys
 
 MAGIC = b"DYNFOR01"
-VERSION = 4
+VERSION = 5
 
 _TAGGED = 1
 _HAS_SLOTS = 2
@@ -129,10 +131,7 @@ def save(forest, path):
     live = ds.live_ids()
     put("X", ds.X[live])
     put("y", ds.y[live])
-    tree_meta = []
-    for t, tree in enumerate(forest.trees):
-        n_nodes = _pack_tree(t, tree, put)
-        tree_meta.append({"n_nodes": n_nodes, "rng": tree.rng.bit_generator.state})
+    tree_meta = [{"n_nodes": _pack_tree(t, tree, put)} for t, tree in enumerate(forest.trees)]
     header = {
         "version": VERSION,
         "data": {"n_attrs": ds.n_attrs, "next_id": ds.next_id},
@@ -142,7 +141,6 @@ def save(forest, path):
             "occupancy": forest.params.occupancy,
             "seed": forest.params.seed,
             "lazy": forest.lazy,
-            "rng": forest.rng.bit_generator.state,
         },
         "tree_params": asdict(forest.params.tree),
         "trees": tree_meta,
@@ -383,6 +381,7 @@ def _build(header, arrays):
                       occupancy=header["forest"]["occupancy"],
                       seed=header["forest"]["seed"],
                       tree=tp)
+    fp.validate(d)
     metas = header["trees"]
     if len(metas) != fp.n_trees:
         raise ValueError("%d trees stored for n_trees=%d" % (len(metas), fp.n_trees))
@@ -397,13 +396,9 @@ def _build(header, arrays):
                          % (len(X), len(y), len(live)))
     ds = Dataset.from_live_rows(d, next_id, live, X, y, schema=schema)
     trees, grids, first = [], [], 0
-    for t, meta in enumerate(metas):
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = meta["rng"]
-        trees.append(Tree(tp, ds, rng, pool))
+    for t, key in enumerate(tree_keys(fp.seed, fp.n_trees)):
+        trees.append(Tree(tp, ds, key, pool))
         grids.append(_unpack_tree(t, stored[t], trees[-1], first))
         first += len(grids[-1]["b"])
     pool.extend(grids)
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = header["forest"]["rng"]
-    return Forest(ds, fp, trees, assignment, rng, lazy=header["forest"]["lazy"])
+    return Forest(ds, fp, trees, assignment, lazy=header["forest"]["lazy"])

@@ -127,8 +127,8 @@ frontier of nodes of any number of trees in one vectorized pass and
 returns the next frontier.  grow() takes (tree, fresh nodes) per tree
 and grows them into full subtrees: Forest.train passes every root,
 Forest.flush every tree's tagged nodes, and an eager Forest's update or
-batch the nodes it tagged in all its trees (through rebuild()).  Tree.build,
-Tree.flush and Tree.rebuild_node are one-tree calls into it.
+batch the nodes it tagged in all its trees, untagged.  Tree.build and
+Tree.flush are one-tree calls into it.
 materialize() is one kernel call that grows one level only.  A kernel
 call bounds its own memory (see _split_level): no call holds more of its
 (s, rows, p) threshold comparison than the build of one tree, and a
@@ -141,41 +141,55 @@ Every draw is read from a key through one counter hash, key_words: word i
 of a 64-bit key K is SplitMix64's output mix of K + (i + 1) * gamma, the
 (i + 1)-th output of SplitMix64 started at K (Steele, Lea and Flood,
 "Fast splittable pseudorandom number generators", OOPSLA 2014), and a
-uniform is a word's top 53 bits.  So no draw depends on the order in which
+uniform is a word's top 53 bits.  Every key comes from the forest's seed
+and nothing holds a generator, so no draw depends on the order in which
 nodes are visited, on how calls batch them, or on what a walk discards.
+The layout, for a sample id i:
 
-Growth.  A growing node reads d + p*s uniforms, words 0 to d + p*s - 1 of
-its own key: d attribute keys, whose p smallest give its attribute
-subset, then s per slot, in slot order, scaled onto the slot's range and
-sorted (a flat slot's span is 0, so its thresholds are its one value).
-The next two words are its children's keys.  A root's key is one
-random_raw() word of its tree's generator, read at plant; a tagged node's
-comes from the update that tagged it; growth clears the key of every node
-it grows.  Train, flush, rebuild and materialize all grow so, and a
-subtree is a function of its key and its data: grown by queries a level a
-round, in any order or grouping, it is bit for bit the flushed one.
+  seed      word t is tree t's key (tree_keys).
+  tree key  word 0 keys the root (plant); word 3i + 1 ranks the tree for
+            i, whose k trees are the k ranked lowest (forest.choose_trees,
+            at training and at Forest.add); words 3i + 2 and 3i + 3 are
+            the call words of deleting and of adding i (CHOOSE, DELETE,
+            ADD).
+  node key  words 0 to d + p*s - 1 are its growth block, and the next
+            two its children's keys.
 
-Updates.  update_paths and delete_groups read one word W of the generator
-of each tree they touch, and nothing else (delete_groups once every root
-holds its group, so a rejected group changes no generator).  A visited
-node has a depth delta and a rank r, its place among the nodes of its
-tree the call visits at that depth, left to right (0 on a single path).
-With b = (delta * 2**32 + r) * (p*s + 1), its slot k redraws from words
-b + k*s to b + k*s + s - 1 of W, and a tag keys it with word b + p*s.
-Distinct nodes read disjoint words, so the redraws of a node that a
-single update's tag discards move no kept draw.  The level walk and
+Growth.  A growing node's block holds d attribute keys, whose p smallest
+give its attribute subset, then s uniforms per slot, in slot order,
+scaled onto the slot's range and sorted (a flat slot's span is 0, so its
+thresholds are its one value).  A tagged node's key comes from the update
+that tagged it; growth clears the key of every node it grows.  Train,
+flush, eager updates and materialize all grow so, and a subtree is a
+function of its key and its data: grown by queries a level a round, in
+any order or grouping, it is bit for bit the flushed one.
+
+Updates.  update_paths reads the call word W of each tree it touches, and
+delete_groups the delete word of the smallest id of each tree's group, so
+a group of one reads what delete() reads.  A visited node has a depth
+delta and a rank r, its place among the nodes of its tree the call visits
+at that depth, left to right (0 on a single path).  With b = (delta *
+2**32 + r) * (p*s + 1), its slot k redraws from words b + k*s to b + k*s
++ s - 1 of W, and a tag keys it with word b + p*s.  Distinct nodes read
+disjoint words, so the redraws of a node that a single update's tag
+discards move no kept draw.  The level walk and
 oracle.reference_delete_group's depth-first walk read the same words for
-any group, as delete() and a group of one do.
+any group, as delete() and a group of one do.  A forest deletes and adds
+each id at most once (ids are never reused), so no two of its calls read
+one call word; Tree-level calls that delete or add one id twice in a
+tree are outside this.
 
 Law.  Taking the hash of distinct (key, index) pairs as independent
-uniform words, the premise of counter-based generators: roots' keys and
-each call's W are fresh generator words, a tag key a word of W that no
-redraw reads, and a child's key a word of its parent's key that no split
-reads.  So a node's draws are fresh i.i.d. uniforms, independent of the
-data and of every draw that decided to grow or tag it.  Its attribute
-subset is then a uniform p-subset (the p smallest of d i.i.d. keys) and
-its thresholds s i.i.d. uniforms over its range, so a tree has the law of
-one grown depth first from a stream; only the seed-to-tree map differs.
+uniform words, the premise of counter-based generators: tree keys, roots'
+keys, ranks and call words are distinct words of the seed and the tree
+keys, a tag key a word of W that no redraw reads, and a child's key a
+word of its parent's key that no split reads.  So a node's draws are
+fresh i.i.d. uniforms, independent of the data and of every draw that
+decided to grow or tag it.  Its attribute subset is then a uniform
+p-subset (the p smallest of d i.i.d. keys) and its thresholds s i.i.d.
+uniforms over its range, so a tree has the law of one grown depth first
+from a stream, and a sample's k trees are a uniform k-subset of the T,
+independent of every other sample's.
 """
 
 from __future__ import annotations
@@ -270,17 +284,27 @@ _S31, _S11 = np.uint64(31), np.uint64(11)
 
 
 def key_words(keys, index):
-    """Words index of keys as a uint64 array: SplitMix64's output mix of
-    key + (index + 1) * gamma, mod 2**64.  keys (64-bit keys, as Python
-    ints or numpy integers) and index (word numbers) broadcast together
-    and must give at least one dimension.  This is the one function that
-    turns a key into bits (see the module docstring, Randomness)."""
-    z = (np.asarray(index, np.uint64) + np.uint64(1)) * _GAMMA + np.asarray(keys, np.uint64)
+    """Words index of keys as a uint64 array of at least one dimension:
+    SplitMix64's output mix of key + (index + 1) * gamma, mod 2**64.  keys
+    (64-bit keys, as Python ints or numpy integers) and index (word
+    numbers) broadcast together.  This is the one function that turns a
+    key into bits (see the module docstring, Randomness)."""
+    # a 0-d index would make numpy scalars, whose wrapping product warns
+    z = (np.array(index, np.uint64, ndmin=1) + np.uint64(1)) * _GAMMA + np.asarray(keys, np.uint64)
     for shift, factor in _MIX:
         z ^= z >> shift
         z *= factor
     z ^= z >> _S31
     return z
+
+
+# word 3i + CHOOSE, DELETE or ADD of a tree's key serves sample id i
+CHOOSE, DELETE, ADD = 1, 2, 3
+
+
+def tree_keys(seed, n_trees):
+    """Word t of the seed for each tree t, its key, as Python ints."""
+    return key_words(seed, np.arange(n_trees)).tolist()
 
 
 def uniforms(words):
@@ -439,14 +463,16 @@ class Tree:
     """One extremely randomized tree over a Dataset.
 
     Use build_tree() or Forest.train() to construct; add/delete/query
-    implement the lazy protocol described in the module docstring.
+    implement the lazy protocol described in the module docstring.  key
+    is the tree's 64-bit key, an int (see the module docstring,
+    Randomness).
     """
 
-    def __init__(self, params, ds, rng, pool=None):
+    def __init__(self, params, ds, key, pool=None):
         params.validate(ds.n_attrs)
         self.params = params
         self.ds = ds
-        self.rng = rng
+        self.key = key
         self.d = ds.n_attrs
         self.p = params.resolve_attrs(self.d)
         self.s = params.n_thresholds
@@ -460,11 +486,10 @@ class Tree:
 
     def plant(self, ids):
         """Make the root over the given sample ids, not yet grown, keyed by
-        one raw word of the tree's generator; returns it.  grow() grows
-        it."""
+        word 0 of the tree's key; returns it.  grow() grows it."""
         ids = np.asarray(ids, dtype=np.int64)
         self.root = Node(0, ids, int((self.ds.y[ids] == 1).sum()))
-        self.root.key = self.rng.bit_generator.random_raw()
+        self.root.key, = key_words(self.key, 0).tolist()
         return self.root
 
     def build(self, ids):
@@ -478,14 +503,11 @@ class Tree:
 
     # -- tag bookkeeping --------------------------------------------------
 
-    def _tag(self, node, cause, key=None):
-        """Tag node, discarding its subtree, and give it the draw key key
-        (by default one raw word of the tree's generator, as a planted root
-        gets); counts the tag under the Telemetry field cause.  Returns
-        node."""
-        # the discarded subtree may itself hold tagged nodes: untag them so
-        # rebuild_node refuses them, and settle the count; its grids' rows
-        # go on the free list
+    def _tag(self, node, cause, key):
+        """Tag node, discarding its subtree, and give it the draw key key;
+        counts the tag under the Telemetry field cause.  Returns node."""
+        # the discarded subtree may itself hold tagged nodes: untag them and
+        # settle the count; its grids' rows go on the free list
         stack = [node.left, node.right] if node.left is not None else []
         free = []
         while stack:
@@ -506,7 +528,7 @@ class Tree:
         node.best_i = -1
         node.best_w = 0.0
         node.axis = -1
-        node.key = self.rng.bit_generator.random_raw() if key is None else key
+        node.key = key
         self.n_tagged += 1
         setattr(self.telemetry, cause, getattr(self.telemetry, cause) + 1)
         return node
@@ -643,10 +665,6 @@ class Tree:
 
     # -- maintenance --------------------------------------------------------
 
-    def rebuild_node(self, node):
-        """Eagerly rebuild one tagged node's subtree in place."""
-        rebuild([(self, [node])])
-
     def untag_all(self):
         """Untag every tagged node; returns them in preorder, now fresh, for
         grow() to regrow."""
@@ -686,7 +704,7 @@ def update_paths(trees, sample_id, add):
     """Delete (add=False) or add (add=True) one sample in each of trees;
     returns, per tree, the node the update tagged or None.
 
-    Routes every tree, reads each tree's call word (see the module
+    Routes every tree, takes each tree's call word (see the module
     docstring, Randomness), patches the visited grids of all trees in one
     stacked step, puts every path node a range change may reach through
     one range change, scores every path grid in one kernel call, and walks
@@ -701,7 +719,7 @@ def update_paths(trees, sample_id, add):
     row = x.tolist()  # routing compares Python floats faster
     paths = [tree._route_add(sample_id, label, row) if add
              else tree._route_delete(sample_id, label, row) for tree in trees]
-    words = np.array([tree.rng.bit_generator.random_raw() for tree in trees], np.uint64)
+    words = key_words([tree.key for tree in trees], 3 * sample_id + (ADD if add else DELETE))
     # the path grids of all trees in one stack, tree by tree in path order;
     # tree t's rows are starts[t] to starts[t + 1] - 1
     nodes, owner, starts = [], [], []
@@ -806,8 +824,7 @@ def delete_groups(pairs):
     a level at a time (see the module docstring, Deleting a group).  Every
     node of a level is checked to hold its whole group before any node of
     it changes, so a group holding an id that its tree's root does not
-    hold raises ValueError and leaves every tree as it was; only then is
-    each tree's call word read (see the module docstring, Randomness).
+    hold raises ValueError and leaves every tree as it was.
     """
     trees = [tree for tree, _ in pairs]
     groups = [np.asarray(group, dtype=np.int64) for _, group in pairs]
@@ -819,10 +836,11 @@ def delete_groups(pairs):
     grp = np.concatenate([groups[t] for t, _ in frontier])
     lens = np.array([len(groups[t]) for t, _ in frontier])
     member = np.zeros(trees[frontier[0][0]].ds.next_id, bool)
-    words = {}
+    # each tree's call word: the delete word of its group's smallest id
+    words = key_words([tree.key for tree in trees],
+                      3 * np.array([group.min() if len(group) else 0 for group in groups]) + DELETE)
     while frontier:
         keeps = _kept_ids(frontier, grp, lens, member)
-        words = words or {t: trees[t].rng.bit_generator.random_raw() for t, _ in frontier}
         frontier, grp, lens = _delete_level(trees, frontier, grp, lens, keeps, words, cap, tagged)
     return tagged
 
@@ -854,7 +872,7 @@ def _kept_ids(frontier, grp, lens, member):
 
 def _delete_level(trees, frontier, grp, lens, keeps, words, cap, tagged):
     """One level of delete_groups, over the frontier, groups and kept ids
-    that _kept_ids takes; words maps each tree index to its call word.
+    that _kept_ids takes; words[t] is tree t's call word.
     Appends the nodes tagged here to tagged[tree index]; returns the next
     level's (frontier, grp, lens)."""
     kernel = trees[frontier[0][0]]
@@ -867,7 +885,7 @@ def _delete_level(trees, frontier, grp, lens, keeps, words, cap, tagged):
     # each node's call word, and its block by its rank among its tree's
     # nodes of the level, which the tree-major frontier lists left to right
     owner = np.array([t for t, _ in frontier])
-    words = np.array([words[t] for t in owner.tolist()], np.uint64)
+    words = words[owner]
     blocks = _block(kernel, frontier[0][1].depth,
                     np.arange(len(owner)) - np.searchsorted(owner, owner))
     stopped = [node.left is not None and kernel._stop(node.depth, node.n, node.n_pos)
@@ -1250,17 +1268,6 @@ def grow(frontiers):
         pairs = _split_level(pairs, cap)
 
 
-def rebuild(frontiers):
-    """Eagerly rebuild the subtrees of tagged nodes, given as (tree, nodes)
-    of distinct trees, all in one grow().  Every node is checked to be
-    tagged before any is untagged."""
-    for _, nodes in frontiers:
-        for node in nodes:
-            if not node.tagged:
-                raise ValueError("node at depth %d is not tagged" % node.depth)
-    grow([(tree, _untag([(tree, node) for node in nodes])) for tree, nodes in frontiers])
-
-
 # The most rows a kernel chunk holds, unless one node holds more: enough
 # that a chunk's fixed cost of some 65 numpy calls is small against its
 # rows (the preset's 30 trees of about 1 000 rows each fit in one chunk),
@@ -1425,12 +1432,9 @@ def _split_chunk(kernel, splitting, keys, lens, cap):
     return children
 
 
-def build_tree(ds, ids, params, rng=None):
-    """Grow a tree over the given sample ids.  rng defaults to a fresh
-    seeded generator so standalone builds are reproducible."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return Tree(params, ds, rng).build(ids)
+def build_tree(ds, ids, params, key=0):
+    """Grow a tree with key key (see Tree) over the given sample ids."""
+    return Tree(params, ds, key).build(ids)
 
 
 # -- audit ----------------------------------------------------------------

@@ -130,6 +130,16 @@ def test_seed_resolution_order(tmp_path, capsys, monkeypatch):
     assert override != env7  # explicit flag beats the environment
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_train_rejects_a_seed_outside_64_bits(workspace, tmp_path, capsys, seed):
+    code, _, err = run_cli(capsys, "train", "--csv", workspace["csv"],
+                           "--schema", workspace["schema"], "--model", str(tmp_path / "m.bin"),
+                           "--trees", "4", "--seed", seed)
+    assert code == 2
+    assert "seed must be an integer" in err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_bad_seed_env_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DYNFOREST_SEED", "not-a-number")
     code, _, err = run_cli(capsys, "gen-data", "--out", str(tmp_path / "x.csv"),

@@ -75,12 +75,12 @@ def test_delete_then_flush_is_distributed_as_a_retrain(row):
     live = np.delete(np.arange(len(X)), row)
     updated, retrained = Counter(), Counter()
     for s in range(TREES):
-        tree = build_tree(ds, np.arange(len(X)), PARAMS, np.random.default_rng(s))
+        tree = build_tree(ds, np.arange(len(X)), PARAMS, key=s)
         tree.delete(row)
         tree.flush()
         updated[shape(tree.root)] += 1
         retrained[shape(build_tree(ds, live, PARAMS,
-                                   np.random.default_rng(10**6 + s)).root)] += 1
+                                   key=10**6 + s).root)] += 1
     p = p_value(updated, retrained)
     assert p >= P_FLOOR, "delete row %d: p = %.2g" % (row, p)
 
@@ -91,11 +91,11 @@ def walk_p_value(X, Y, params, group):
     ds = dataset_from_arrays(X, Y)
     level, reference = Counter(), Counter()
     for s in range(TREES):
-        tree = build_tree(ds, np.arange(len(X)), params, np.random.default_rng(s))
+        tree = build_tree(ds, np.arange(len(X)), params, key=s)
         tree.delete_group(group)
         tree.flush()
         level[shape(tree.root)] += 1
-        tree = build_tree(ds, np.arange(len(X)), params, np.random.default_rng(10**6 + s))
+        tree = build_tree(ds, np.arange(len(X)), params, key=10**6 + s)
         reference_delete_group(tree, group)
         tree.flush()
         reference[shape(tree.root)] += 1

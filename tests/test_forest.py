@@ -9,10 +9,10 @@ import pytest
 
 from dynforest import tree as tree_mod
 from dynforest.forest import Forest, ForestParams, distribute, subsample_count
-from dynforest.oracle import forest_audit, occupancy_check
+from dynforest.oracle import forest_audit, occupancy_check, splitmix_word
 from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
-from dynforest.tree import TreeParams, materialize
+from dynforest.tree import TreeParams, materialize, tree_keys
 from test_tree import signature
 
 
@@ -48,9 +48,8 @@ def test_subsample_count_rejects_bad_occupancy(bad):
 
 
 def test_distribute_invariants():
-    rng = np.random.default_rng(7)
     ids = np.arange(1000, dtype=np.int64)
-    per_tree, assign = distribute(ids, n_trees=20, k=7, rng=rng)
+    per_tree, assign = distribute(ids, tree_keys(7, 20), k=7)
     assert assign.shape == (1000, 7)
     for row in assign:
         assert len(set(row.tolist())) == 7
@@ -68,14 +67,50 @@ def test_distribute_invariants():
 
 
 def test_distribute_spreads_load_roughly_evenly():
-    rng = np.random.default_rng(0)
-    per_tree, _ = distribute(np.arange(5000), n_trees=10, k=2, rng=rng)
+    per_tree, _ = distribute(np.arange(5000), tree_keys(0, 10), k=2)
     loads = np.array([len(p) for p in per_tree])
     assert loads.sum() == 10000
     assert loads.min() > 700 and loads.max() < 1300  # ~1000 each
 
 
+def keyed_trees(seed, n_trees, k, sample_id):
+    """The k trees of a sample id, by oracle.splitmix_word: those whose
+    word 3i + 1 of tree t's key (word t of the seed) are the k smallest."""
+    words = [splitmix_word(splitmix_word(seed, t), 3 * sample_id + 1) for t in range(n_trees)]
+    return sorted(sorted(range(n_trees), key=words.__getitem__)[:k])
+
+
+def test_each_id_lies_in_its_keyed_k_smallest_trees():
+    """Training and Forest.add put sample id i in the k trees whose word
+    3i + 1 is smallest: a function of the seed and the id alone."""
+    params = quick_params(n_trees=9, occupancy=0.4, seed=2**64 - 5)
+    ds = make_dataset(300, d=6, seed=4)
+    forest = Forest.train(ds, params)
+    for sid in ds.live_ids().tolist():
+        assert forest.assignment[sid].tolist() == keyed_trees(params.seed, 9, forest.k, sid)
+    probe = make_dataset(20, d=6, seed=41).X
+    forest.delete(7)
+    for x in probe:
+        sid = forest.add(x, 1)
+        assert forest.assignment[sid].tolist() == keyed_trees(params.seed, 9, forest.k, sid)
+    assert occupancy_check(forest).ok
+
+
 # -- training -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5, np.int64(3), "3"])
+def test_seed_must_be_an_integer_in_64_bits(seed):
+    ds = make_dataset(60, d=5, seed=0)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        Forest.train(ds, quick_params(seed=seed))
+
+
+def test_seeds_at_the_ends_of_64_bits_train():
+    ds = make_dataset(60, d=5, seed=0)
+    low, high = (Forest.train(ds, quick_params(seed=seed)) for seed in (0, 2**64 - 1))
+    assert [tree.key for tree in high.trees] == tree_keys(2**64 - 1, len(high.trees))
+    assert forest_audit(low).ok and forest_audit(high).ok
 
 
 def test_train_satisfies_occupancy_and_audits():

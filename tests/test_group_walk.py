@@ -21,10 +21,10 @@ from dynforest.oracle import (forest_audit, reference_delete_group, splitmix_uni
 from dynforest.snapshot import load, save
 from dynforest.data import dataset_from_arrays
 from dynforest.synth import make_dataset
-from dynforest.tree import TreeParams, build_tree, delete_groups, rebuild
+from dynforest.tree import TreeParams, build_tree, delete_groups
 from test_forest import quick_params
 from test_tree import grid, preorder
-from test_updates import forest_state, node_state, tagged_snapshot
+from test_updates import forest_state, node_state, regrow, tagged_snapshot
 
 
 def batch_of(forest, size, seed):
@@ -48,7 +48,7 @@ def test_unlearn_batch_equals_tree_by_tree_delete_group(tmp_path, lazy, seed, cr
     for tree, group in zip(by_tree.trees, groups):
         tagged = tree.delete_group(group)
         if not lazy:
-            rebuild([(tree, tagged)])
+            regrow(tree, tagged)
     by_tree.assignment[batch] = -1
     by_tree.ds.tombstone_many(batch)
     assert together.telemetry().tags_moved > 0
@@ -58,9 +58,9 @@ def test_unlearn_batch_equals_tree_by_tree_delete_group(tmp_path, lazy, seed, cr
 
 
 def test_chunked_group_walk_equals_one_chunk(tmp_path, monkeypatch):
-    path = tagged_snapshot(tmp_path / "tagged.bin", 2, "gini")
+    path = tagged_snapshot(tmp_path / "tagged.bin", 9, "gini")
     whole, chunked = load(path), load(path)
-    batch = batch_of(whole, 150, 2).tolist()
+    batch = batch_of(whole, 150, 9).tolist()
     whole.unlearn_batch(batch)
     chunks = []
     patch_chunk = tree_mod._patch_chunk
@@ -87,8 +87,7 @@ def test_a_group_of_one_is_the_reference_walk_and_delete():
         walks[0].delete_group([sid])
         reference_delete_group(walks[1], [sid])
         walks[2].delete(sid)
-    a, b, c = ((node_state(tree), tree.rng.bit_generator.state, tree.telemetry.as_dict())
-               for tree in walks)
+    a, b, c = ((node_state(tree), tree.telemetry.as_dict()) for tree in walks)
     assert a == b == c
     assert sum(tree.n_tagged for tree in walks) > 0
 
@@ -98,10 +97,10 @@ def test_a_deletion_that_flattens_a_slot_redraws_it_in_every_walk():
     attribute's slots a single value.  Such a slot's range changed, so it
     reads its s uniforms like any redrawn slot and holds its value:
     Tree.delete, a one-id delete_group and the reference walk agree bit for
-    bit, generator state included.  Each read one raw word of the tree's
-    generator, whatever it redrew: each redrawn slot k of a path node holds
-    the thresholds of that word's words b + k*s onward, b the node's block,
-    and a node it tagged, if any, holds word b + p*s as its key."""
+    bit.  Each reads the call word of deleting id 0, word 2 of the tree's
+    key, whatever it redraws: each redrawn slot k of a path node holds the
+    thresholds of that word's words b + k*s onward, b the node's block, and
+    a node it tagged, if any, holds word b + p*s as its key."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=(150, 3))
     X[:, 0] = 0.0
@@ -109,14 +108,11 @@ def test_a_deletion_that_flattens_a_slot_redraws_it_in_every_walk():
     y = rng.integers(0, 2, size=150)
     params = TreeParams(max_depth=4, n_thresholds=5, n_attrs=3, min_split_size=4)
     walks = [build_tree(dataset_from_arrays(X.copy(), y.copy()), np.arange(150), params,
-                        np.random.default_rng(2)) for _ in range(3)]
-    stream = np.random.default_rng(2)
-    stream.bit_generator.state = walks[0].rng.bit_generator.state
+                        key=2) for _ in range(3)]
     walks[0].delete(0)
     walks[1].delete_group([0])
     reference_delete_group(walks[2], [0])
-    a, b, c = ((node_state(tree), tree.rng.bit_generator.state, tree.telemetry.as_dict())
-               for tree in walks)
+    a, b, c = ((node_state(tree), tree.telemetry.as_dict()) for tree in walks)
     assert a == b == c
     tree = walks[0]
     row, counts = tree.root.row, tree.telemetry
@@ -124,8 +120,7 @@ def test_a_deletion_that_flattens_a_slot_redraws_it_in_every_walk():
     assert tree.pool.amin[row, 0] == tree.pool.amax[row, 0] == 0.0
     assert (tree.pool.thr[row, 0] == 0.0).all()
     assert counts.attrs_resampled > 0
-    word = stream.bit_generator.random_raw()
-    assert tree.rng.bit_generator.state == stream.bit_generator.state
+    word = splitmix_word(2, 2)
     p_s = tree.p * tree.s
     tagged = [node for node in preorder(tree.root) if node.tagged]
     assert [node.key for node in tagged] == [
@@ -206,9 +201,9 @@ def test_tags_come_depth_by_depth_left_to_right():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_the_level_walk_is_the_reference_walk_for_any_group(tmp_path, seed):
-    """delete_groups over every tree at once leaves each tree, its
-    generator and its counters as oracle.reference_delete_group leaves
-    them, batch after batch of random groups of many ids."""
+    """delete_groups over every tree at once leaves each tree and its
+    counters as oracle.reference_delete_group leaves them, batch after
+    batch of random groups of many ids."""
     path = tagged_snapshot(tmp_path / "tagged.bin", seed, "gini")
     level, reference = load(path), load(path)
     rng = np.random.default_rng(seed)
@@ -223,7 +218,6 @@ def test_the_level_walk_is_the_reference_walk_for_any_group(tmp_path, seed):
             reference_delete_group(tree, group)
         for a, b in zip(level.trees, reference.trees):
             assert node_state(a) == node_state(b)
-            assert a.rng.bit_generator.state == b.rng.bit_generator.state
             assert a.telemetry.as_dict() == b.telemetry.as_dict()
     telemetry = level.telemetry()
     assert telemetry.tags_moved > 0 and telemetry.attrs_resampled > 0

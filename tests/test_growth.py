@@ -1,9 +1,9 @@
 """Growth across trees: Forest.train, Forest.flush and an eager forest's
 updates grow the fresh nodes of all trees together (tree.grow), one
 split-kernel call per frontier step.  Their references grow the same nodes
-one tree at a time: build_tree, Tree.flush and Tree.rebuild_node.  Each
-node draws from its own key either way, so all must leave every node,
-every generator and every counter the same.
+one tree at a time: build_tree, Tree.flush and one tree's regrowth of the
+nodes an update tagged.  Each node draws from its own key either way, so
+all must leave every node and every counter the same.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from dynforest import forest as forest_mod
 from dynforest import tree as tree_mod
 from dynforest.forest import Forest, group_by_tree
-from dynforest.oracle import forest_audit
+from dynforest.oracle import forest_audit, splitmix_word
 from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
 from dynforest.tree import build_tree
@@ -58,11 +58,11 @@ def test_train_grows_each_tree_as_build_tree_does(monkeypatch, chunk_rows):
     assert cut_trees(chunks) == (chunk_rows is not None)
     live = ds.live_ids()
     per_tree = group_by_tree(live, forest.assignment[live], params.n_trees)
-    seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees + 1)
     for t, tree in enumerate(forest.trees):
-        alone = build_tree(ds, per_tree[t], params.tree, np.random.default_rng(seeds[t]))
+        # tree t's key is word t of the seed
+        alone = build_tree(ds, per_tree[t], params.tree, key=splitmix_word(params.seed, t))
         assert signature(tree) == signature(alone)
-        assert tree.rng.bit_generator.state == alone.rng.bit_generator.state
+        assert tree.key == alone.key
     assert forest_audit(forest).ok
 
 
@@ -83,7 +83,7 @@ def test_flush_grows_each_tree_as_its_own_flush_does(tmp_path):
     assert forest_audit(together).ok
 
 
-def test_eager_updates_rebuild_each_tree_as_rebuild_node_does(tmp_path, monkeypatch):
+def test_eager_updates_regrow_each_tree_as_its_own_regrowth_does(tmp_path, monkeypatch):
     path = tagged_snapshot(tmp_path / "tagged.bin", 6, "gini")
     together, by_tree = twins(path, False, TreeByTree)
     # an eager forest keeps no tags: a walk that ends at a pending one
@@ -91,13 +91,13 @@ def test_eager_updates_rebuild_each_tree_as_rebuild_node_does(tmp_path, monkeypa
     together.flush()
     by_tree.flush()
     sizes = []
-    rebuild = forest_mod.rebuild
+    grow = forest_mod.grow
 
-    def spy_rebuild(pairs):
-        sizes.append(len(pairs))
-        return rebuild(pairs)
+    def spy_grow(frontiers):
+        sizes.append(sum(1 for _, nodes in frontiers if nodes))
+        return grow(frontiers)
 
-    monkeypatch.setattr(forest_mod, "rebuild", spy_rebuild)
+    monkeypatch.setattr(forest_mod, "grow", spy_grow)
     rng = np.random.default_rng(8)
     for op, arg in random_updates(together, rng, 80):
         apply(together, op, arg)
@@ -178,10 +178,9 @@ def test_query_growth_then_flush_saves_what_flush_alone_saves(tmp_path):
 
 
 def test_an_eager_update_grows_what_a_lazy_one_grows_on_flush(tmp_path):
-    """An eager forest after one delete or add holds the nodes and the
-    generator states of a lazy forest after the same update and flush(),
-    and after the same update, queries that reach every node it tagged,
-    and flush()."""
+    """An eager forest after one delete or add holds the nodes of a lazy
+    forest after the same update and flush(), and after the same update,
+    queries that reach every node it tagged, and flush()."""
     path = tagged_snapshot(tmp_path / "tagged.bin", 9, "gini")
     clean = load(path)
     clean.flush()
@@ -199,9 +198,7 @@ def test_an_eager_update_grows_what_a_lazy_one_grows_on_flush(tmp_path):
             queried.predict_many(reaching_rows(queried)[1])
         lazy.flush()
         queried.flush()
-        want = [(node_state(tree), tree.rng.bit_generator.state) for tree in eager.trees]
+        want = [node_state(tree) for tree in eager.trees]
         for forest in (lazy, queried):
-            assert [(node_state(tree), tree.rng.bit_generator.state)
-                    for tree in forest.trees] == want, (op, arg)
-            assert forest.rng.bit_generator.state == eager.rng.bit_generator.state
+            assert [node_state(tree) for tree in forest.trees] == want, (op, arg)
     assert tags > 1

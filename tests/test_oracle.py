@@ -3,6 +3,8 @@ consistency checkers must actually catch corruption."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,22 @@ def test_key_words_equal_the_pure_python_splitmix64():
     got = key_words(np.array([-1, 7], np.int64)[:, None], np.arange(3))
     assert got.dtype == np.uint64
     assert got.tolist() == [[splitmix_word(k, i) for i in range(3)] for k in (2 ** 64 - 1, 7)]
+
+
+def test_key_words_of_a_0d_key_or_index_warn_nothing():
+    """A 0-d key or index gives its words as a 1-d array without numpy's
+    scalar overflow warning: the hash wraps mod 2**64 on purpose."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cases = [(np.array([11], np.uint64), 24691, [11], [24691]),
+                 (11, 24691, [11], [24691]),
+                 (np.uint64(2 ** 64 - 1), np.int64(7), [2 ** 64 - 1], [7]),
+                 (np.uint64(5), [0, 2 ** 40], [5], [0, 2 ** 40]),
+                 (np.array(3, np.uint64), np.array(9), [3], [9])]
+        for key, index, keys, words in cases:
+            got = key_words(key, index)
+            assert got.dtype == np.uint64 and got.ndim == 1
+            assert got.tolist() == [splitmix_word(k, i) for k in keys for i in words]
 
 
 def test_uniforms_are_the_top_53_bits_of_each_word():

@@ -90,9 +90,8 @@ def test_round_trip_preserves_pending_tags(tmp_path):
     save(forest, path)
     back = load(path)
     assert back.tagged_count() == forest.tagged_count()
-    # materializing tagged nodes draws from the restored keys, and flushing
-    # from the restored rng streams, so both forests must keep answering
-    # identically even through rebuilds
+    # materializing and flushing tagged nodes draw from the restored keys,
+    # so both forests must keep answering identically even through rebuilds
     X = make_dataset(80, d=6, seed=51).X[:80]
     assert np.array_equal(forest.predict_many(X), back.predict_many(X))
     forest.flush()
@@ -336,8 +335,8 @@ def test_load_rejects_unknown_version(tmp_path):
     assert blob.count(current) == 1
     # version 1 files predate the per-node draw keys, version 2 files
     # store derived state, version 3 files store the live set and the
-    # assignment
-    for old in (1, 2, 3, 9):
+    # assignment, version 4 files store generator states
+    for old in (1, 2, 3, 4, 9):
         path.write_bytes(blob.replace(current, b'"version":%d' % old))
         with pytest.raises(SnapshotError, match="unsupported snapshot version %d" % old):
             load(path)
@@ -353,6 +352,24 @@ def test_load_rejects_garbage_header(tmp_path):
     path.write_bytes(drop_header_key(path.read_bytes(), "forest"))
     with pytest.raises(SnapshotError, match="forest"):
         load(path)
+
+
+def test_header_holds_no_generator_state_and_load_checks_its_seed(tmp_path):
+    """Every key comes from the seed, so the header stores no generator
+    state, and a seed outside [0, 2**64) is a corrupt file."""
+    _, forest = trained(seed=12, n=120)
+    path = tmp_path / "m.bin"
+    save(forest, path)
+    blob = path.read_bytes()
+    header, _ = split_snapshot(blob)
+    assert header["forest"] == {"n_trees": 6, "occupancy": 0.5, "seed": 12, "lazy": True}
+    assert all(meta == {"n_nodes": meta["n_nodes"]} for meta in header["trees"])
+    for seed in (-1, 2**64, True, 1.5, None):
+        header, body = split_snapshot(blob)
+        header["forest"]["seed"] = seed
+        path.write_bytes(join_snapshot(header, body))
+        with pytest.raises(SnapshotError, match="seed must be an integer"):
+            load(path)
 
 
 def test_load_rejects_structurally_corrupt_trees(tmp_path):

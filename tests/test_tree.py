@@ -9,7 +9,7 @@ import pytest
 
 from dynforest import tree as tree_mod
 from dynforest.data import dataset_from_arrays
-from dynforest.oracle import (AttributeSlot, prefix_counts, sample_thresholds, score_candidates,
+from dynforest.oracle import (AttributeSlot, prefix_counts, score_candidates,
                               sortmerge_best_split, splitmix_uniforms, splitmix_word)
 from dynforest.synth import make_dataset
 from dynforest.tree import TreeParams, audit_tree, best_cells, build_tree
@@ -29,37 +29,6 @@ def line_dataset(n, label_rule=None):
     else:
         y = np.array([label_rule(v) for v in range(n)], dtype=np.int64)
     return dataset_from_arrays(X, y)
-
-
-# -- threshold sampling -------------------------------------------------------
-
-
-def test_sample_thresholds_sorted_within_range():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a, b = sorted(rng.normal(size=2))
-        thr = sample_thresholds(a, b, 12, rng)
-        assert len(thr) == 12
-        assert (np.diff(thr) >= 0).all()
-        assert thr.min() >= a and thr.max() <= b
-
-
-def test_sample_thresholds_degenerate_range():
-    rng = np.random.default_rng(0)
-    thr = sample_thresholds(3.5, 3.5, 4, rng)
-    assert thr.tolist() == [3.5, 3.5, 3.5, 3.5]
-
-
-def test_sample_thresholds_deterministic():
-    a = sample_thresholds(0.0, 1.0, 8, np.random.default_rng(42))
-    b = sample_thresholds(0.0, 1.0, 8, np.random.default_rng(42))
-    assert np.array_equal(a, b)
-
-
-def test_sample_thresholds_covers_range():
-    # law of large numbers: empirical mean near the interval center
-    thr = sample_thresholds(2.0, 6.0, 20000, np.random.default_rng(1))
-    assert abs(thr.mean() - 4.0) < 0.05
 
 
 # -- prefix counting ----------------------------------------------------------
@@ -147,7 +116,7 @@ def test_range_change_recount_matches_prefix_counts(monkeypatch, chunk):
     ds = dataset_from_arrays(X, y)
     params = small_params(max_depth=6, n_thresholds=5, n_attrs=4, min_split_size=4)
     pool = tree_mod.GridPool(4, 5)
-    trees = [tree_mod.Tree(params, ds, np.random.default_rng(t), pool).build(np.arange(300))
+    trees = [tree_mod.Tree(params, ds, t, pool).build(np.arange(300))
              for t in range(2)]
     entries = [(tree, node) for tree in trees for node in walk(tree.root) if node.row != -1]
     rows = [node.row for _, node in entries]
@@ -318,21 +287,27 @@ def signature(tree):
 
 def test_build_is_deterministic_given_seed():
     ds = make_dataset(300, d=8, seed=2)
-    a = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(9))
-    b = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(9))
+    a = build_tree(ds, ds.live_ids(), small_params(), key=9)
+    b = build_tree(ds, ds.live_ids(), small_params(), key=9)
     assert signature(a) == signature(b)
-    c = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(10))
+    c = build_tree(ds, ds.live_ids(), small_params(), key=10)
     assert not np.array_equal(grid(a, a.root).thr, grid(c, c.root).thr)
+
+
+def delete_until_two_tags(tree, doomed):
+    """Delete ids from doomed until two tags are pending; a tagged root
+    ends every later walk, so it is flushed and the deletes go on."""
+    while tree.n_tagged < 2:
+        if tree.root.tagged:
+            tree.flush()
+        tree.delete(next(doomed))
 
 
 def test_copies_stay_identical_through_deletes_and_flush():
     def grown():
         ds = make_dataset(500, d=8, seed=20)
-        tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(21))
-        # deletes until two tags are pending
-        doomed = iter(range(0, 500, 3))
-        while tree.n_tagged < 2:
-            tree.delete(next(doomed))
+        tree = build_tree(ds, ds.live_ids(), small_params(), key=21)
+        delete_until_two_tags(tree, iter(range(0, 500, 3)))
         return tree
 
     a, b = grown(), grown()
@@ -340,17 +315,16 @@ def test_copies_stay_identical_through_deletes_and_flush():
     a.flush()
     b.flush()
     assert signature(a) == signature(b)
-    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def test_level_builder_passes_audit_on_every_path():
-    # build, rebuild_node, query-driven materialization and flush all grow
-    # through the one level kernel; each must leave exact statistics
+    # build, query-driven materialization and flush all grow through the
+    # one level kernel; each must leave exact statistics
     for seed in range(4):
         criterion = ("gini", "entropy")[seed % 2]
         ds = make_dataset(600, d=7, seed=30 + seed)
         params = small_params(criterion=criterion, n_attrs=2 + seed % 3)
-        tree = build_tree(ds, ds.live_ids(), params, np.random.default_rng(seed))
+        tree = build_tree(ds, ds.live_ids(), params, key=seed)
         assert audit_tree(tree).ok
         rng = np.random.default_rng(100 + seed)
         doomed = iter(rng.choice(ds.live_ids(), 300, replace=False).tolist())
@@ -359,15 +333,6 @@ def test_level_builder_passes_audit_on_every_path():
             while tree.n_tagged == 0:
                 tree.delete(next(doomed))
 
-        delete_until_tagged()
-        stack = [tree.root]
-        while not stack[-1].tagged:
-            node = stack.pop()
-            if node.left is not None:
-                stack.extend((node.left, node.right))
-        tree.rebuild_node(stack[-1])
-        report = audit_tree(tree)
-        assert report.ok, "seed %d after rebuild_node: %s" % (seed, report.summary())
         delete_until_tagged()
         work = tree.telemetry.subtree_samples_rebuilt
         # a row of some tagged node's own samples reaches that node
@@ -403,7 +368,7 @@ def test_level_draws_are_uniform_over_seeds():
     root_counts = np.zeros(15)
     unit = []
     for seed in range(2000):
-        tree = build_tree(ds, ds.live_ids(), params, np.random.default_rng(seed))
+        tree = build_tree(ds, ds.live_ids(), params, key=seed)
         root = tree.root
         for node in (root, root.left, root.right):
             if node is None or node.row == -1:
@@ -428,20 +393,19 @@ def test_a_level_reads_one_block_of_d_plus_p_s_uniforms_per_node():
     the attributes, and the next s per slot are the slot's thresholds,
     scaled onto its range and sorted; words d + p*s and d + p*s + 1 key
     its children.  A flat slot reads its s uniforms too and holds its one
-    value.  The root's key is the tree generator's first raw word, the
-    build reads nothing else of it, and no grown node keeps a key."""
+    value.  The root's key is word 0 of the tree's key, and no grown node
+    keeps a key."""
     rng = np.random.default_rng(3)
     X = rng.normal(size=(120, 4))
     X[:, :2] = 0.5  # two constant attributes: every 3 of the 4 has one, in slot 0
     ds = dataset_from_arrays(X, rng.integers(0, 2, size=120))
     d, p, s = 4, 3, 5
     params = TreeParams(max_depth=2, n_thresholds=s, n_attrs=p, min_split_size=2)
-    tree = build_tree(ds, ds.live_ids(), params, np.random.default_rng(7))
+    tree = build_tree(ds, ds.live_ids(), params, key=7)
     root = tree.root
     levels = [[root], [root.left, root.right]]
     assert all(node.row != -1 for level in levels for node in level)
-    stream = np.random.default_rng(7)
-    keys = {root: stream.bit_generator.random_raw()}
+    keys = {root: splitmix_word(7, 0)}
     for level in levels:
         for node in level:
             key = keys[node]
@@ -455,7 +419,6 @@ def test_a_level_reads_one_block_of_d_plus_p_s_uniforms_per_node():
             thr = np.sort(lo[:, None] + (hi - lo)[:, None] * u[d:].reshape(p, s), axis=1)
             assert blk.thr.tobytes() == thr.tobytes()
             assert lo[0] == hi[0] and (blk.thr[0] == 0.5).all()
-    assert tree.rng.bit_generator.state == stream.bit_generator.state
     assert all(node.key is None for node in walk(root))
 
 
@@ -479,8 +442,8 @@ def test_query_grown_draws_are_uniform_over_seeds():
     root_counts = np.zeros(15)
     unit = []
     for seed in range(2000):
-        tree = build_tree(ds, ds.live_ids(), params, np.random.default_rng(seed))
-        tree._tag(tree.root, "tags_moved")
+        tree = build_tree(ds, ds.live_ids(), params, key=seed)
+        tree._tag(tree.root, "tags_moved", splitmix_word(seed, 1))
         tree.query_many(rows)
         root = tree.root
         assert tree.telemetry.nodes_materialized >= 1
@@ -505,7 +468,7 @@ def test_fresh_build_passes_audit():
     for seed in range(3):
         ds = make_dataset(500, d=10, seed=seed)
         tree = build_tree(ds, ds.live_ids(), small_params(),
-                          np.random.default_rng(seed))
+                          key=seed)
         report = audit_tree(tree)
         assert report.ok, report.summary()
 
@@ -524,7 +487,7 @@ def test_build_on_empty_and_singleton_id_sets():
 
 def test_delete_updates_path_statistics():
     ds = make_dataset(400, d=6, seed=3)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(1))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=1)
     before = tree.telemetry.nodes_updated
     tree.delete(7)
     touched = tree.telemetry.nodes_updated - before
@@ -537,7 +500,7 @@ def test_delete_updates_path_statistics():
 def test_delete_below_min_split_tags_the_node():
     ds = line_dataset(10)  # exactly min_split_size samples: root still splits
     tree = build_tree(ds, ds.live_ids(), small_params(min_split_size=10),
-                      np.random.default_rng(0))
+                      key=0)
     assert tree.root.left is not None
     tagged = tree.delete(3)
     assert tagged is tree.root and tree.root.tagged
@@ -547,7 +510,7 @@ def test_delete_below_min_split_tags_the_node():
 
 def test_delete_boundary_value_resamples_thresholds():
     ds = line_dataset(30)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(2))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=2)
     assert tree.telemetry.attrs_resampled == 0
     tree.delete(29)  # unique maximum of the only attribute: root range shrinks
     assert tree.telemetry.attrs_resampled >= 1
@@ -557,7 +520,7 @@ def test_delete_boundary_value_resamples_thresholds():
 
 def test_delete_at_tagged_node_only_patches_stats():
     ds = dataset_from_arrays(np.full((12, 2), 5.0), np.arange(12) % 2)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(0))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=0)
     extra = ds.add([9.0, 9.0], 1)  # widens a degenerate slot: tags the leaf
     assert tree.add(extra) is tree.root and tree.root.tagged
     n_before = tree.root.n
@@ -568,7 +531,7 @@ def test_delete_at_tagged_node_only_patches_stats():
 
 def test_delete_everything_leaves_consistent_empty_tree():
     ds = make_dataset(60, d=5, seed=4)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(3))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=3)
     for sid in ds.live_ids():
         tree.delete(int(sid))
     assert tree.root.n == 0 and tree.root.n_pos == 0
@@ -579,13 +542,12 @@ def test_delete_everything_leaves_consistent_empty_tree():
 def test_delete_group_matches_individual_deletes_for_singletons():
     ds1 = make_dataset(300, d=6, seed=5)
     ds2 = make_dataset(300, d=6, seed=5)
-    t1 = build_tree(ds1, ds1.live_ids(), small_params(), np.random.default_rng(4))
-    t2 = build_tree(ds2, ds2.live_ids(), small_params(), np.random.default_rng(4))
+    t1 = build_tree(ds1, ds1.live_ids(), small_params(), key=4)
+    t2 = build_tree(ds2, ds2.live_ids(), small_params(), key=4)
     for sid in (5, 17, 40, 99):
         t1.delete(sid)
         t2.delete_group(np.array([sid]))
-    # identical structure, statistics, and rng state afterwards
-    assert t1.rng.bit_generator.state == t2.rng.bit_generator.state
+    # identical structure and statistics afterwards
     pairs = [(t1.root, t2.root)]
     while pairs:
         a, b = pairs.pop()
@@ -602,7 +564,7 @@ def test_delete_group_matches_individual_deletes_for_singletons():
 
 def test_delete_group_bulk_stays_consistent():
     ds = make_dataset(800, d=8, seed=6)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(5))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=5)
     rng = np.random.default_rng(0)
     group = rng.choice(ds.live_ids(), 200, replace=False).astype(np.int64)
     tree.delete_group(group)
@@ -613,7 +575,7 @@ def test_delete_group_bulk_stays_consistent():
 
 def test_delete_group_returns_the_nodes_it_tagged():
     ds = make_dataset(800, d=8, seed=6)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(5))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=5)
     group = np.random.default_rng(1).choice(ds.live_ids(), 300, replace=False)
     tagged = tree.delete_group(group)
     assert tagged and all(node.tagged for node in tagged)
@@ -621,39 +583,7 @@ def test_delete_group_returns_the_nodes_it_tagged():
     assert tree.delete_group([]) == []
     with pytest.raises(ValueError, match="1 of 2 ids not present"):
         tree.delete_group([int(group[0]), int(tree.root.ids[0])])
-    for node in tagged:
-        tree.rebuild_node(node)
-    assert tree.n_tagged == 0 and audit_tree(tree).ok
-
-
-def test_rebuild_node_refuses_a_node_cut_out_by_a_later_tag():
-    ds = make_dataset(400, d=6, seed=3)
-    tree = build_tree(ds, ds.live_ids(), TreeParams(max_depth=8, n_thresholds=5),
-                      np.random.default_rng(0))
-    order = iter(np.random.default_rng(0).permutation(400).tolist())
-
-    def tagged_below_root():
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.tagged and node.depth >= 2:
-                return node
-            if node.left is not None:
-                stack.extend((node.left, node.right))
-        return None
-
-    orphan = None
-    while orphan is None:
-        tree.delete(next(order))
-        orphan = tagged_below_root()
-    while not tree.root.tagged:
-        tree.delete(next(order))
-    # the root's tag discarded the orphan's subtree and settled its tag
-    assert not orphan.tagged and tree.n_tagged == 1
-    with pytest.raises(ValueError, match="not tagged"):
-        tree.rebuild_node(orphan)
-    assert tree.n_tagged == 1 and audit_tree(tree).ok
-    tree.rebuild_node(tree.root)
+    tree.flush()
     assert tree.n_tagged == 0 and audit_tree(tree).ok
 
 
@@ -662,7 +592,7 @@ def test_rebuild_node_refuses_a_node_cut_out_by_a_later_tag():
 
 def test_add_routes_and_patches_statistics():
     ds = make_dataset(400, d=6, seed=7)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(6))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=6)
     sid = ds.add(ds.X[0] + 0.001, 1)
     tree.add(sid)
     assert tree.root.n == 401
@@ -673,7 +603,7 @@ def test_add_routes_and_patches_statistics():
 
 def test_add_outside_range_resamples_internal_thresholds():
     ds = line_dataset(30)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(7))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=7)
     sid = ds.add([100.0], 1)
     tree.add(sid)
     assert tree.telemetry.attrs_resampled >= 1  # counted before any tagging
@@ -682,7 +612,7 @@ def test_add_outside_range_resamples_internal_thresholds():
 
 def test_add_turns_pure_leaf_splittable():
     ds = line_dataset(12, label_rule=lambda v: 1)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(8))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=8)
     assert tree.root.left is None and tree.root.row == -1  # pure leaf
     same = ds.add([50.0], 1)
     assert tree.add(same) is None  # still pure: nothing to revisit
@@ -695,7 +625,7 @@ def test_add_turns_pure_leaf_splittable():
 def test_add_grows_small_leaf_past_min_split():
     ds = line_dataset(5)
     tree = build_tree(ds, ds.live_ids(), small_params(min_split_size=10),
-                      np.random.default_rng(9))
+                      key=9)
     for v in range(5, 9):  # 6th..9th samples: still under the limit
         assert tree.add(ds.add([float(v)], v % 2)) is None
     tenth = ds.add([9.0], 1)
@@ -705,7 +635,7 @@ def test_add_grows_small_leaf_past_min_split():
 
 def test_add_widening_value_tags_degenerate_leaf():
     ds = dataset_from_arrays(np.full((14, 2), 7.0), np.arange(14) % 2)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(10))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=10)
     assert tree.root.left is None and tree.root.row != -1
     inside = ds.add([7.0, 7.0], 0)
     assert tree.add(inside) is None  # still degenerate on every slot
@@ -719,7 +649,7 @@ def test_add_widening_value_tags_degenerate_leaf():
 
 def test_query_on_clean_tree_is_read_only():
     ds = make_dataset(300, d=6, seed=8)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(11))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=11)
     before = tree.telemetry.as_dict()
     n, pos = tree.query(ds.X[5])
     assert 0 <= pos <= n
@@ -729,7 +659,7 @@ def test_query_on_clean_tree_is_read_only():
 
 def test_query_materializes_one_level_and_pushes_tags_down():
     ds = dataset_from_arrays(np.full((30, 1), 2.0), np.arange(30) % 2)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(12))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=12)
     sid = ds.add([5.0], 1)
     assert tree.add(sid) is tree.root  # widened degenerate leaf
     assert tree.n_tagged == 1
@@ -747,7 +677,7 @@ def test_query_materializes_one_level_and_pushes_tags_down():
 
 def test_query_many_agrees_with_scalar_queries():
     ds = make_dataset(500, d=8, seed=9)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(13))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=13)
     X = make_dataset(80, d=8, seed=10).X[:80]
     n_vec, pos_vec = tree.query_many(X)
     singles = [tree.query(X[r]) for r in range(len(X))]
@@ -759,7 +689,7 @@ def test_query_many_while_tagged_matches_sequential_semantics():
     def build_pair():
         ds = make_dataset(400, d=6, seed=11)
         tree = build_tree(ds, ds.live_ids(), small_params(),
-                          np.random.default_rng(14))
+                          key=14)
         for sid in range(0, 120, 3):
             tree.delete(sid)
         return ds, tree
@@ -779,10 +709,8 @@ def test_query_many_is_independent_of_row_order():
     def tagged_tree():
         ds = make_dataset(400, d=6, seed=11)
         tree = build_tree(ds, ds.live_ids(), small_params(),
-                          np.random.default_rng(14))
-        for sid in range(0, 120, 3):
-            tree.delete(sid)
-        assert tree.n_tagged > 1
+                          key=14)
+        delete_until_two_tags(tree, iter(range(0, 400, 3)))
         return tree
 
     X = make_dataset(60, d=6, seed=12).X[:60]
@@ -802,7 +730,7 @@ def test_query_many_is_independent_of_row_order():
 def test_tag_counters_count_each_tag_once_and_repeat_exactly():
     def run():
         ds = make_dataset(500, d=6, seed=21)
-        tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(22))
+        tree = build_tree(ds, ds.live_ids(), small_params(), key=22)
         rng = np.random.default_rng(23)
         probe = make_dataset(30, d=6, seed=24).X[:30]
         events = 0
@@ -837,7 +765,7 @@ def test_tag_counters_count_each_tag_once_and_repeat_exactly():
 
 def test_flush_clears_tags_and_is_idempotent():
     ds = make_dataset(600, d=8, seed=13)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(15))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=15)
     rng = np.random.default_rng(1)
     for sid in rng.choice(ds.live_ids(), 150, replace=False):
         tree.delete(int(sid))
@@ -851,7 +779,7 @@ def test_flush_clears_tags_and_is_idempotent():
 
 def test_flush_preserves_covered_ids():
     ds = make_dataset(300, d=6, seed=14)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(16))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=16)
     for sid in range(0, 100, 2):
         tree.delete(sid)
     survivors = np.sort(tree.root.ids.copy())
@@ -864,7 +792,7 @@ def test_flush_preserves_covered_ids():
 
 def test_audit_detects_corrupted_counts():
     ds = make_dataset(300, d=6, seed=15)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(17))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=17)
     node = tree.root
     grid(tree, node).b[0, 0] += 1
     report = audit_tree(tree)
@@ -874,7 +802,7 @@ def test_audit_detects_corrupted_counts():
 
 def test_audit_detects_stale_best_split():
     ds = make_dataset(300, d=6, seed=16)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(18))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=18)
     tree.root.best_w += 1e-6
     report = audit_tree(tree)
     assert not report.ok
@@ -882,7 +810,7 @@ def test_audit_detects_stale_best_split():
 
 def test_audit_detects_a_split_on_a_cell_that_is_not_the_argmin():
     ds = make_dataset(300, d=6, seed=16)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(18))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=18)
     node, blk = tree.root, grid(tree, tree.root)
     # a usable cell of another slot, with the split's threshold and axis
     # moved along, so that only the choice of cell is wrong
@@ -895,7 +823,7 @@ def test_audit_detects_a_split_on_a_cell_that_is_not_the_argmin():
 
 def test_audit_flags_pool_rows_that_are_shared_free_or_out_of_range():
     ds = make_dataset(300, d=6, seed=15)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(17))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=17)
     root, left = tree.root, tree.root.left
     assert audit_tree(tree).ok and left.row != -1
 
@@ -915,7 +843,7 @@ def test_audit_flags_pool_rows_that_are_shared_free_or_out_of_range():
 
 def test_audit_flags_an_untagged_node_that_holds_a_key():
     ds = make_dataset(300, d=6, seed=15)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(17))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=17)
     assert audit_tree(tree).ok and tree.root.key is None
     tree.root.left.key = 12345
     assert [(v.where, v.what) for v in audit_tree(tree).violations] == [
@@ -927,7 +855,7 @@ def test_audit_flags_an_untagged_node_that_holds_a_key():
 
 def test_audit_detects_wrong_partition():
     ds = make_dataset(300, d=6, seed=17)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(19))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=19)
     left, right = tree.root.left, tree.root.right
     left.ids, right.ids = right.ids, left.ids
     report = audit_tree(tree)
@@ -939,7 +867,7 @@ def test_audit_detects_wrong_partition():
 
 def test_interleaved_operations_fuzz_stays_audit_clean():
     ds = make_dataset(700, d=8, seed=18)
-    tree = build_tree(ds, ds.live_ids(), small_params(), np.random.default_rng(20))
+    tree = build_tree(ds, ds.live_ids(), small_params(), key=20)
     rng = np.random.default_rng(99)
     present = set(int(i) for i in ds.live_ids())
     probe = make_dataset(40, d=8, seed=19).X[:40]

@@ -8,14 +8,11 @@ oracle.py for deletes (oracle.reference_delete_group on a group of one)
 and, for adds, a per-node add walk kept below as per_node_add.  The
 references that redraw on their own (oracle.py's and per_node_add) share
 no rescan, redraw or hash code with tree.py: they read their draws
-through oracle.splitmix_word.  All must leave every node, every generator
-and every counter the same.
+through oracle.splitmix_word.  All must leave every node and every
+counter the same.
 """
 
 from __future__ import annotations
-
-import copy
-import json
 
 import numpy as np
 import pytest
@@ -30,7 +27,13 @@ from dynforest.snapshot import load, save
 from dynforest.synth import make_dataset
 from dynforest.tree import TreeParams, delete_groups
 from test_forest import quick_params
-from test_tree import grid
+from test_tree import grid, preorder
+
+
+def regrow(tree, nodes):
+    """Untag and regrow nodes of one tree, as an eager forest regrows the
+    nodes an update tagged."""
+    tree_mod.grow([(tree, tree_mod._untag([(tree, node) for node in nodes]))])
 
 
 class TreeByTree(Forest):
@@ -42,7 +45,7 @@ class TreeByTree(Forest):
             tree = self.trees[t]
             tagged = tree.add(sample_id) if add else tree.delete(sample_id)
             if tagged is not None and not self.lazy:
-                tree.rebuild_node(tagged)
+                regrow(tree, [tagged])
 
 
 def per_node_add(tree, sample_id):
@@ -50,14 +53,14 @@ def per_node_add(tree, sample_id):
     widen its ranges and redraw each widened slot (s keyed uniforms scaled
     onto its range and sorted, recounted by prefix_counts), rescore it,
     and tag it or go on.
-    The walk reads one raw word of the tree's generator, its call word,
+    The walk's call word is word 3i + 3 of the tree's key for sample id i,
     and the node at depth d draws words b onward of it, b = d * 2**32 *
     (p*s + 1): s per widened slot k from b + k*s, and its tag key at
     b + p*s.  An independent reference for the stacked walk; returns the
     node it tagged, or None."""
     x = tree.ds.X[sample_id]
     label = int(tree.ds.y[sample_id])
-    word = tree.rng.bit_generator.random_raw()
+    word = splitmix_word(tree.key, 3 * sample_id + 3)
     node = tree.root
     while True:
         block = (node.depth << 32) * (tree.p * tree.s + 1)
@@ -117,9 +120,8 @@ class GroupWalk(TreeByTree):
             tree = self.trees[t]
             tagged = ([per_node_add(tree, sample_id)] if add
                       else self.delete_group(tree, [sample_id]))
-            for node in tagged:
-                if node is not None and not self.lazy:
-                    tree.rebuild_node(node)
+            if not self.lazy:
+                regrow(tree, [node for node in tagged if node is not None])
 
 
 class ReferenceWalk(GroupWalk):
@@ -152,8 +154,7 @@ def forest_state(forest):
     return ([node_state(tree) for tree in forest.trees],
             [tree.n_tagged for tree in forest.trees],
             [tree.telemetry.as_dict() for tree in forest.trees],
-            [tree.rng.bit_generator.state for tree in forest.trees],
-            forest.rng.bit_generator.state, forest.assignment.tobytes(),
+            forest.assignment.tobytes(),
             forest.ds.X.tobytes(), forest.ds.y.tobytes())
 
 
@@ -333,11 +334,10 @@ def spy_on_redraws(monkeypatch):
     return seen
 
 
-def deep_twins(seed, classes, bit_generator=None):
+def deep_twins(seed, classes, keys=None):
     """Lazy forests trained alike, one per class, deep enough that a walk
-    often stops above nodes whose ranges the update changed.  With
-    bit_generator, tree t of each reads np.random.Generator(
-    bit_generator(100 * seed + t)) from then on."""
+    often stops above nodes whose ranges the update changed.  With keys,
+    tree t of each takes the key keys[t] from then on."""
     ds = make_dataset(500, d=6, seed=seed)
     params = ForestParams(n_trees=6, occupancy=0.5, seed=seed,
                           tree=TreeParams(max_depth=12, n_thresholds=4, min_split_size=4))
@@ -345,20 +345,10 @@ def deep_twins(seed, classes, bit_generator=None):
     for cls in classes:
         forest = Forest.train(dataset_from_arrays(ds.X.copy(), ds.y.copy()), params)
         forest.__class__ = cls
-        if bit_generator is not None:
-            for t, tree in enumerate(forest.trees):
-                tree.rng = np.random.Generator(bit_generator(100 * seed + t))
+        for tree, key in zip(forest.trees, keys or []):
+            tree.key = key
         forests.append(forest)
     return forests
-
-
-def comparable_state(forest):
-    """forest_state with each generator's state as JSON, so that states
-    holding arrays (MT19937's) compare by value."""
-    state = list(forest_state(forest))
-    state[3] = [json.dumps(tree.rng.bit_generator.state, sort_keys=True,
-                           default=lambda a: a.tolist()) for tree in forest.trees]
-    return state
 
 
 def discard_run(forests, ops, seen):
@@ -375,16 +365,16 @@ def discard_run(forests, ops, seen):
         discarded += any(node.row == -1 for _, node in seen)
         for forest in others:
             apply(forest, op, arg)
-        want = comparable_state(first)
+        want = forest_state(first)
         for forest in others:
-            assert comparable_state(forest) == want, (op, arg, type(forest).__name__)
+            assert forest_state(forest) == want, (op, arg, type(forest).__name__)
     assert forest_audit(first).ok
     return discarded
 
 
 # The redraws of a node below the tag leave no trace: the stacked walk,
-# which redrew them, leaves every node, generator and counter as the
-# references do, which stop at the tag.
+# which redrew them, leaves every node and counter as the references do,
+# which stop at the tag.
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -407,60 +397,98 @@ def test_adds_put_back_the_redraws_of_discarded_nodes(monkeypatch, seed):
     assert forests[0].telemetry().attrs_resampled > 0
 
 
-def test_put_back_needs_no_pcg64(monkeypatch):
-    """An update reads its trees' generators only through random_raw,
-    which every bit generator has: here every tree reads an MT19937
-    stream."""
+def test_walks_agree_for_any_tree_key(monkeypatch):
+    """The walks and their references hash keys at the ends of the 64-bit
+    range alike: the numpy hash wraps K + (i + 1) * gamma as the Python
+    one does."""
     seen = spy_on_redraws(monkeypatch)
-    forests = deep_twins(3, (Forest, TreeByTree, GroupWalk, ReferenceWalk), np.random.MT19937)
-    assert isinstance(forests[0].trees[0].rng.bit_generator, np.random.MT19937)
+    keys = [0, 1, 2**63, 2**64 - 2, 2**64 - 1, 0x9E3779B97F4A7C15]
+    forests = deep_twins(3, (Forest, TreeByTree, GroupWalk, ReferenceWalk), keys)
     doomed = np.random.default_rng(3).choice(500, 30, replace=False).tolist()
-    assert discard_run(forests, [("delete", sid) for sid in doomed], seen) >= 5
+    rows = make_dataset(10, d=6, seed=53).X[:10]
+    ops = [("delete", sid) for sid in doomed] + [("add", (x * 1.1, 1)) for x in rows]
+    assert discard_run(forests, ops, seen) >= 5
+    assert [tree.key for tree in forests[0].trees] == keys
+
+
+def tagged_since(forest, before):
+    """(tree index, node) of every node tagged, or tagged anew, since the
+    tags were before (a dict from id(node) to its key)."""
+    return [(t, node) for t, tree in enumerate(forest.trees) for node in preorder(tree.root)
+            if node.tagged and before.get(id(node)) != node.key]
 
 
 def test_each_update_call_reads_one_raw_word_per_tree_it_touches(tmp_path):
-    """A delete, an add or a batch reads one raw word of each of its trees'
-    generators and nothing else of any generator, whatever it redraws or
-    tags; a call rejected at the root, or for a non-finite row, reads
-    none."""
-    forest = load(tagged_snapshot(tmp_path / "tagged.bin", 5, "gini"))
+    """Each call reads its documented word of each tree it touches: a
+    delete of id i word 3i + 2 of the tree's key, an add word 3i + 3, a
+    batch the delete word of the smallest id of the tree's share.  A node
+    the call tags, at depth d and rank r among the nodes of its tree the
+    call visits at that depth, holds word (d * 2**32 + r) * (p*s + 1) +
+    p*s of it as its key (oracle.splitmix_word).  A rejected call changes
+    no tree, so its twin that never made the call goes on alike."""
+    path = tagged_snapshot(tmp_path / "tagged.bin", 5, "gini")
+    forest, twin = load(path), load(path)
+    # a walk that reaches a pending tag tags nothing
+    forest.flush()
+    twin.flush()
+    tree = forest.trees[0]
+    p_s = tree.p * tree.s
 
-    def states():
-        return [tree.rng.bit_generator.state for tree in forest.trees] + [
-            forest.rng.bit_generator.state]
+    def tag_key(word, depth, rank=0):
+        return splitmix_word(word, ((depth << 32) + rank) * (p_s + 1) + p_s)
 
-    def expect(before, touched):
-        """The states of copies taken before a call, after one raw word of
-        each touched tree's generator."""
-        for t in touched:
-            before[t].bit_generator.random_raw()
-        return [rng.bit_generator.state for rng in before]
+    def tags():
+        return {id(node): node.key for tree in forest.trees for node in preorder(tree.root)
+                if node.tagged}
 
+    checked = 0
     for op, arg in random_updates(forest, np.random.default_rng(9), 40):
-        before = [copy.deepcopy(tree.rng) for tree in forest.trees]
+        before = tags()
         if op == "delete":
-            touched = forest.assignment[arg].tolist()
+            touched, word = forest.assignment[arg].tolist(), 3 * arg + 2
             forest.delete(arg)
         else:
             sid = forest.add(*arg)
-            touched = forest.assignment[sid].tolist()
-        assert states()[:-1] == expect(before, touched), (op, arg)
+            touched, word = forest.assignment[sid].tolist(), 3 * sid + 3
+        for t, node in tagged_since(forest, before):
+            assert t in touched
+            assert node.key == tag_key(splitmix_word(forest.trees[t].key, word), node.depth)
+            checked += 1
+        apply(twin, op, arg)
     telemetry = forest.telemetry()
-    assert telemetry.attrs_resampled > 0 and telemetry.tags_moved > 0
+    assert checked > 5 and telemetry.attrs_resampled > 0 and telemetry.tags_moved > 0
     batch = np.random.default_rng(9).choice(forest.ds.live_ids(), 60, replace=False)
     groups = group_by_tree(batch, forest.assignment[batch], len(forest.trees))
-    before = [copy.deepcopy(tree.rng) for tree in forest.trees]
+    forest.flush()
+    twin.flush()
+    before = tags()
     forest.unlearn_batch(batch.tolist())
-    assert states()[:-1] == expect(before, [t for t, group in enumerate(groups) if len(group)])
+    twin.unlearn_batch(batch.tolist())
+    tagged = tagged_since(forest, before)
+    assert len({node.depth for _, node in tagged}) > 1
+    for t, node in tagged:
+        word = splitmix_word(forest.trees[t].key, 3 * int(groups[t].min()) + 2)
+        assert node.key in {tag_key(word, node.depth, r) for r in range(2 ** min(node.depth, 12))}
     # rejected calls
-    unchanged = states()
-    tree = forest.trees[0]
+    saved = tmp_path / "before.bin"
+    save(forest, saved)
     absent = next(int(i) for i in forest.ds.live_ids() if int(i) not in set(tree.root.ids))
     with pytest.raises(ValueError, match="not present at depth 0"):
         tree.delete(absent)
+    with pytest.raises(ValueError, match="already present"):
+        tree.add(int(tree.root.ids[0]))
     with pytest.raises(ValueError, match="not present at depth 0"):
         delete_groups([(forest.trees[1], forest.trees[1].root.ids[:5]),
                        (tree, [int(tree.root.ids[0]), absent])])
     with pytest.raises(ValueError, match="finite"):
         forest.add(np.r_[forest.ds.X[0, :-1], np.inf], 1)
-    assert states() == unchanged
+    with pytest.raises(KeyError):
+        forest.delete(int(batch[0]))
+    with pytest.raises(KeyError):
+        forest.unlearn_batch([absent, absent])
+    save(forest, tmp_path / "after.bin")
+    assert (tmp_path / "after.bin").read_bytes() == saved.read_bytes()
+    for op, arg in random_updates(forest, np.random.default_rng(10), 20):
+        apply(forest, op, arg)
+        apply(twin, op, arg)
+    assert forest_state(forest) == forest_state(twin)

@@ -10,7 +10,7 @@ trained on that seed's rows (benchmark/inputs.py), the digest takes in:
     held-out rows;
   - two stream rounds, each on a fresh load of that snapshot: the bits of
     every single predict and every added id, then the snapshot bytes (which
-    hold every generator's state), a predict_many with the stream's tags
+    hold every pending tag's key), a predict_many with the stream's tags
     pending, the snapshot bytes after flush() and the telemetry;
   - one unlearn_batch of a tenth of the rows on a fresh load, then the
     tagged predict_many, the snapshot bytes before and after flush() and
